@@ -17,7 +17,7 @@ where ^x_i omits the i-th entry and * is the quandle operation.
 from functools import lru_cache
 from itertools import product
 
-from .errors import DegenerateGeneratorError, DegreeError, SchemaError
+from .errors import DegenerateGeneratorError, DegreeError, SchemaError, expect_keys
 from .intlinalg import IntMatrix
 from .quandle import Quandle
 
@@ -51,7 +51,7 @@ class Chain:
     def __init__(self, degree, terms=()):
         if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
             raise DegreeError(f"chain degree must be a positive integer, got {degree!r}")
-        combined = {}
+        checked = []
         items = terms.items() if isinstance(terms, dict) else terms
         for tup, coeff in items:
             tup = tuple(tup)
@@ -64,13 +64,27 @@ class Chain:
                     raise ValueError(f"tuple entry {e!r} is not a nonnegative int")
             if not isinstance(coeff, int) or isinstance(coeff, bool):
                 raise ValueError(f"coefficient {coeff!r} is not an int")
-            c = combined.get(tup, 0) + coeff
+            checked.append((tup, coeff))
+        self._fill(degree, checked)
+
+    @classmethod
+    def _from_checked(cls, degree, pairs):
+        """Like __init__ for (tuple, int) pairs the package already checked:
+        combines and drops zeros, without the per-entry checks."""
+        chain = object.__new__(cls)
+        chain._fill(degree, pairs)
+        return chain
+
+    def _fill(self, degree, pairs):
+        terms = {}
+        for tup, coeff in pairs:
+            c = terms.get(tup, 0) + coeff
             if c:
-                combined[tup] = c
-            elif tup in combined:
-                del combined[tup]
+                terms[tup] = c
+            elif tup in terms:
+                del terms[tup]
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "_terms", combined)
+        object.__setattr__(self, "_terms", terms)
 
     def __setattr__(self, name, value):
         raise AttributeError("Chain is immutable")
@@ -103,24 +117,14 @@ class Chain:
     def __len__(self):
         return len(self._terms)
 
-    def _check_degree(self, other):
-        if self.degree != other.degree:
-            raise DegreeError(
-                f"mixed-degree arithmetic: {self.degree} vs {other.degree}"
-            )
-
     def __add__(self, other):
         if not isinstance(other, Chain):
             return NotImplemented
-        self._check_degree(other)
-        terms = dict(self._terms)
-        for tup, coeff in other._terms.items():
-            c = terms.get(tup, 0) + coeff
-            if c:
-                terms[tup] = c
-            elif tup in terms:
-                del terms[tup]
-        return Chain(self.degree, terms)
+        if self.degree != other.degree:
+            raise DegreeError(f"mixed-degree arithmetic: {self.degree} vs {other.degree}")
+        return Chain._from_checked(
+            self.degree, [*self._terms.items(), *other._terms.items()]
+        )
 
     def __sub__(self, other):
         if not isinstance(other, Chain):
@@ -128,12 +132,12 @@ class Chain:
         return self + (-other)
 
     def __neg__(self):
-        return Chain(self.degree, {t: -c for t, c in self._terms.items()})
+        return Chain._from_checked(self.degree, ((t, -c) for t, c in self._terms.items()))
 
     def __mul__(self, k):
         if not isinstance(k, int) or isinstance(k, bool):
             return NotImplemented
-        return Chain(self.degree, {t: k * c for t, c in self._terms.items()})
+        return Chain._from_checked(self.degree, ((t, k * c) for t, c in self._terms.items()))
 
     __rmul__ = __mul__
 
@@ -172,13 +176,7 @@ class Chain:
     def from_json_dict(cls, obj):
         if not isinstance(obj, dict):
             raise SchemaError("", "chain document must be a JSON object")
-        extra = set(obj) - {"degree", "terms"}
-        if extra:
-            raise SchemaError(sorted(extra)[0], "unknown field")
-        if "degree" not in obj:
-            raise SchemaError("degree", "missing field")
-        if "terms" not in obj:
-            raise SchemaError("terms", "missing field")
+        expect_keys(obj, {"degree", "terms"}, ("degree", "terms"), "")
         degree = obj["degree"]
         if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
             raise SchemaError("degree", "must be a positive integer")
@@ -190,13 +188,7 @@ class Chain:
             path = f"terms[{i}]"
             if not isinstance(entry, dict):
                 raise SchemaError(path, "must be an object")
-            extra = set(entry) - {"tuple", "coeff"}
-            if extra:
-                raise SchemaError(f"{path}.{sorted(extra)[0]}", "unknown field")
-            if "tuple" not in entry:
-                raise SchemaError(f"{path}.tuple", "missing field")
-            if "coeff" not in entry:
-                raise SchemaError(f"{path}.coeff", "missing field")
+            expect_keys(entry, {"tuple", "coeff"}, ("tuple", "coeff"), path)
             tup = entry["tuple"]
             if not isinstance(tup, list) or len(tup) != degree:
                 raise SchemaError(f"{path}.tuple", f"must be a list of {degree} integers")
@@ -214,7 +206,7 @@ class Chain:
             elif not isinstance(coeff, int) or isinstance(coeff, bool):
                 raise SchemaError(f"{path}.coeff", "must be a decimal integer string")
             terms.append((tuple(tup), coeff))
-        return cls(degree, terms)
+        return cls._from_checked(degree, terms)
 
 
 def boundary_rack(chain, quandle):
@@ -228,37 +220,29 @@ def boundary_rack(chain, quandle):
     if chain.degree < 2:
         raise DegreeError(f"boundary requires degree >= 2, got {chain.degree}")
     n = chain.degree
-    terms = {}
+    order = quandle.order
+    table = quandle.table
 
-    def add(tup, coeff):
-        c = terms.get(tup, 0) + coeff
-        if c:
-            terms[tup] = c
-        elif tup in terms:
-            del terms[tup]
-
-    for tup, coeff in chain.items():
-        for e in tup:
-            if e >= quandle.order:
+    def terms():
+        for tup, coeff in chain._terms.items():
+            if max(tup) >= order:
                 raise ValueError(
-                    f"tuple entry {e} out of range for quandle of order {quandle.order}"
+                    f"tuple entry {max(tup)} out of range for quandle of order {order}"
                 )
-        for ii in range(1, n):  # ii is the 0-based index of x_i, i = ii + 1
-            sign = 1 if ii % 2 else -1
-            omitted = tup[:ii] + tup[ii + 1 :]
-            acted = (
-                tuple(quandle.act(tup[j], tup[ii]) for j in range(ii)) + tup[ii + 1 :]
-            )
-            add(omitted, sign * coeff)
-            add(acted, -sign * coeff)
-    return Chain(n - 1, terms)
+            for ii in range(1, n):  # ii is the 0-based index of x_i, i = ii + 1
+                c = coeff if ii % 2 else -coeff
+                xi = tup[ii]
+                yield tup[:ii] + tup[ii + 1 :], c
+                yield tuple(table[x][xi] for x in tup[:ii]) + tup[ii + 1 :], -c
+
+    return Chain._from_checked(n - 1, terms())
 
 
 def project_quandle(chain):
     """Project into the quandle complex by dropping degenerate generators."""
-    return Chain(
+    return Chain._from_checked(
         chain.degree,
-        {t: c for t, c in chain.items() if not is_degenerate(t)},
+        ((t, c) for t, c in chain._terms.items() if not is_degenerate(t)),
     )
 
 
@@ -305,10 +289,12 @@ def matrix_of_boundary(quandle, degree):
     row_index = {t: i for i, t in enumerate(row_basis)}
     data = [[0] * len(col_basis) for _ in row_basis]
     for j, gen in enumerate(col_basis):
-        image = boundary_quandle(Chain.generator(gen), quandle)
-        for tup, coeff in image.items():
+        # basis generators are non-degenerate: no need for boundary_quandle's check
+        gen_chain = Chain._from_checked(degree, [(gen, 1)])
+        image = project_quandle(boundary_rack(gen_chain, quandle))
+        for tup, coeff in image._terms.items():
             data[row_index[tup]][j] = coeff
-    return IntMatrix(data, cols=len(col_basis))
+    return IntMatrix._from_rows(data, len(col_basis))
 
 
 def coordinates(chain, quandle):

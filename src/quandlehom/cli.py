@@ -28,7 +28,6 @@ from .pseudocycles import (
     pseudo_cycle_report,
     quandle_from_json,
 )
-from .quandle import Quandle
 
 EXIT_OK = 0
 EXIT_VERDICT_FAIL = 1
@@ -69,16 +68,14 @@ def _parse_quandle_spec(spec):
     kind, sep, param = spec.partition(":")
     if not sep:
         raise SchemaError("quandle", f"expected <kind>:<param>, got {spec!r}")
-    if kind == "dihedral":
-        try:
-            order = int(param, 10)
-        except ValueError:
-            raise SchemaError("quandle", f"dihedral order {param!r} is not an integer")
-        return Quandle.dihedral(order), None
     if kind == "table":
         obj, digest = _load_json(param)
-        return quandle_from_json(obj, path="quandle"), digest
-    raise SchemaError("quandle", f"unknown quandle kind {kind!r}")
+        return quandle_from_json(obj), digest
+    try:
+        order = int(param, 10)
+    except ValueError:
+        order = param  # quandle_from_json checks the kind first, then the order
+    return quandle_from_json({"kind": kind, "order": order}), None
 
 
 def _parse_cocycle_spec(spec):

@@ -93,13 +93,14 @@ def pair(cocycle, chain):
     if chain.degree != 3:
         raise DegreeError(f"pairing requires a degree-3 chain, got {chain.degree}")
     n = cocycle.quandle.order
+    values = cocycle._values
     total = 0
-    for tup, coeff in chain.items():
-        if any(e >= n for e in tup):
+    for (x, y, z), coeff in chain._terms.items():
+        if max(x, y, z) >= n:
             raise QuandleMismatchError(
-                f"tuple {tup} is not over a quandle of order {n}"
+                f"tuple {(x, y, z)} is not over a quandle of order {n}"
             )
-        total += coeff * cocycle(*tup)
+        total += coeff * values[x][y][z]
     return total % cocycle.modulus
 
 
@@ -122,13 +123,14 @@ def is_quandle_3cocycle(cocycle):
     """
     q = cocycle.quandle
     n = q.order
+    values = cocycle._values
     for x, y in product(range(n), repeat=2):
-        if cocycle(x, x, y) != 0:
+        if values[x][x][y] != 0:
             return CocycleCheck(False, (x, x, y))
-        if cocycle(x, y, y) != 0:
+        if values[x][y][y] != 0:
             return CocycleCheck(False, (x, y, y))
     for gen in product(range(n), repeat=4):
-        bd = project_quandle(boundary_rack(Chain.generator(gen), q))
+        bd = project_quandle(boundary_rack(Chain._from_checked(4, [(gen, 1)]), q))
         if pair(cocycle, bd) != 0:
             return CocycleCheck(False, gen)
     return CocycleCheck(True, None)

@@ -1,4 +1,5 @@
-"""Exception types raised by the library.
+"""Exception types raised by the library, and the JSON key check that
+every parser shares.
 
 Everything user-facing derives from QuandlehomError so the CLI can map
 library failures to its input-error exit code in one place.
@@ -59,12 +60,26 @@ class EnumerationCapError(QuandlehomError):
     """The dataset has more triple points than the enumeration cap."""
 
 
-class SchemaError(QuandlehomError):
-    """A JSON document violates the expected schema.
+class SchemaError(QuandlehomError, ValueError):
+    """A JSON document or a constructor argument violates the expected schema.
 
-    `path` locates the offending field, e.g. "triple_points[0].sign".
+    `path` locates the offending field, e.g. "triple_points[0].sign", and
+    `message` is the text without it.  It is also a ValueError, so public
+    constructors that report a bad field with it still raise ValueError.
     """
 
     def __init__(self, path, message):
         super().__init__(f"{path}: {message}" if path else message)
         self.path = path
+        self.message = message
+
+
+def expect_keys(obj, allowed, required, path):
+    """Raise SchemaError at the first unknown, then the first missing, key of
+    a JSON object found at `path` ("" for the document root)."""
+    for key in obj:
+        if key not in allowed:
+            raise SchemaError(f"{path}.{key}" if path else key, "unknown field")
+    for key in required:
+        if key not in obj:
+            raise SchemaError(f"{path}.{key}" if path else key, "missing field")

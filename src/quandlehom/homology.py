@@ -8,7 +8,9 @@ image-membership query, not by reducing against computed torsion.
 
 from dataclasses import dataclass
 
-from .chains import boundary_quandle, coordinates, matrix_of_boundary, quandle_basis
+from .chains import (
+    boundary_rack, coordinates, matrix_of_boundary, project_quandle, quandle_basis
+)
 from .errors import DegreeError, NotACycleError
 from .intlinalg import snf, solve_in_image
 
@@ -69,9 +71,9 @@ def is_null_homologous(chain, quandle):
     Raises NotACycleError if the input is not a cycle: the two halves of
     the pseudo-cycle definition are kept separate on purpose.
     """
-    vec = coordinates(chain, quandle)  # also rejects degenerate generators
-    if chain.degree >= 2 and not boundary_quandle(chain, quandle).is_zero():
-        raise NotACycleError(
-            f"chain has nonzero quandle boundary: {boundary_quandle(chain, quandle)!r}"
-        )
+    vec = coordinates(chain, quandle)  # the one degeneracy and range check
+    if chain.degree >= 2:
+        bd = project_quandle(boundary_rack(chain, quandle))
+        if bd:
+            raise NotACycleError(f"chain has nonzero quandle boundary: {bd!r}")
     return solve_in_image(matrix_of_boundary(quandle, chain.degree + 1), vec) is not None

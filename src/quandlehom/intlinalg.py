@@ -38,6 +38,15 @@ class IntMatrix:
         object.__setattr__(self, "cols", width)
         object.__setattr__(self, "_data", data)
 
+    @classmethod
+    def _from_rows(cls, data, cols):
+        """Wrap, without copying or checking, int rows the package built."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", len(data))
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "_data", data)
+        return m
+
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
 
@@ -61,12 +70,6 @@ class IntMatrix:
         """A fresh list-of-lists copy of the entries."""
         return [row.copy() for row in self._data]
 
-    def transpose(self):
-        return IntMatrix(
-            [[self._data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
-
     def __matmul__(self, other):
         if not isinstance(other, IntMatrix):
             return NotImplemented
@@ -81,7 +84,7 @@ class IntMatrix:
                     for j in range(other.cols)
                 ]
             )
-        return IntMatrix(out, cols=other.cols)
+        return IntMatrix._from_rows(out, other.cols)
 
     def apply(self, vec):
         """Matrix-vector product as a list of ints."""
@@ -221,7 +224,9 @@ def snf(a):
                 u[k][j] = -u[k][j]
 
     return SmithDecomposition(
-        U=IntMatrix(u, cols=m), D=IntMatrix(d, cols=n), V=IntMatrix(v, cols=n)
+        U=IntMatrix._from_rows(u, m),
+        D=IntMatrix._from_rows(d, n),
+        V=IntMatrix._from_rows(v, n),
     )
 
 

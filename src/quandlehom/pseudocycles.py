@@ -4,14 +4,25 @@ A subset of triple points is a pseudo-cycle when its signed color chain is
 a nonzero cycle of the quandle complex that does not bound.  Enumeration
 is exhaustive over subsets (bitmask order, capped), with null-homology
 verdicts memoized by the sign-normalized chain; the maximum disjoint
-family is found by depth-first search with a best-bound prune.
+family is found by depth-first search.
+
+Each triple point is validated once: TriplePoint checks its fields, the
+dataset checks unique ids and color range, and dataset_from_json checks the
+JSON shape and adds field paths to their errors.  Later code trusts them.
+
+The packing DFS picks members in lexicographic order (recursion depth = the
+family size) and cuts a branch when len(chosen) + min(candidates left, free
+points // smallest candidate size) <= len(best): an exact bound, so the first
+maximum family found is still the lexicographically least.
 """
 
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .chains import Chain, boundary_quandle, project_quandle
-from .errors import EnumerationCapError, QuandleAxiomError, SchemaError, UnknownIdError
+from .chains import Chain, boundary_rack, project_quandle
+from .errors import (
+    EnumerationCapError, QuandleAxiomError, SchemaError, UnknownIdError, expect_keys
+)
 from .homology import is_null_homologous
 from .quandle import Quandle
 
@@ -30,14 +41,14 @@ class TriplePoint:
     def __post_init__(self):
         object.__setattr__(self, "colors", tuple(self.colors))
         if not isinstance(self.id, str) or not self.id:
-            raise ValueError(f"triple point id must be a nonempty string, got {self.id!r}")
-        if self.sign not in (1, -1) or isinstance(self.sign, bool):
-            raise ValueError(f"sign must be 1 or -1, got {self.sign!r}")
+            raise SchemaError("id", "must be a nonempty string")
+        if type(self.sign) is not int or self.sign not in (1, -1):
+            raise SchemaError("sign", "must be exactly 1 or -1")
         if len(self.colors) != 3:
-            raise ValueError(f"colors must be a triple, got {self.colors!r}")
-        for c in self.colors:
+            raise SchemaError("colors", "must be a list of 3 integers")
+        for j, c in enumerate(self.colors):
             if not isinstance(c, int) or isinstance(c, bool) or c < 0:
-                raise ValueError(f"color {c!r} is not a nonnegative int")
+                raise SchemaError(f"colors[{j}]", "must be a nonnegative integer")
 
 
 @dataclass(frozen=True)
@@ -49,16 +60,16 @@ class TriplePointDataset:
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
+        order = self.quandle.order
         by_id = {}
-        for pt in self.points:
+        for i, pt in enumerate(self.points):
             if pt.id in by_id:
-                raise ValueError(f"duplicate triple point id {pt.id!r}")
+                raise SchemaError(f"points[{i}].id", f"duplicate id {pt.id!r}")
             by_id[pt.id] = pt
-            for c in pt.colors:
-                if c >= self.quandle.order:
-                    raise ValueError(
-                        f"color {c} of {pt.id!r} out of range for quandle "
-                        f"of order {self.quandle.order}"
+            for j, c in enumerate(pt.colors):
+                if c >= order:
+                    raise SchemaError(
+                        f"points[{i}].colors[{j}]", f"must be an integer in 0..{order - 1}"
                     )
         object.__setattr__(self, "_by_id", by_id)
 
@@ -81,15 +92,6 @@ class TriplePointDataset:
         }
 
 
-def _expect_keys(obj, allowed, required, path):
-    for key in obj:
-        if key not in allowed:
-            raise SchemaError(f"{path}.{key}" if path else key, "unknown field")
-    for key in required:
-        if key not in obj:
-            raise SchemaError(f"{path}.{key}" if path else key, "missing field")
-
-
 def quandle_from_json(obj, path="quandle"):
     """Parse {"kind": "dihedral", "order": n} or {"kind": "table", ...}."""
     if not isinstance(obj, dict):
@@ -98,21 +100,20 @@ def quandle_from_json(obj, path="quandle"):
         raise SchemaError(f"{path}.kind", "missing field")
     kind = obj["kind"]
     if kind == "dihedral":
-        _expect_keys(obj, {"kind", "order"}, {"order"}, path)
-        order = obj["order"]
-        if not isinstance(order, int) or isinstance(order, bool) or order < 1:
-            raise SchemaError(f"{path}.order", "must be a positive integer")
-        return Quandle.dihedral(order)
-    if kind == "table":
-        _expect_keys(obj, {"kind", "table"}, {"table"}, path)
+        expect_keys(obj, {"kind", "order"}, ("order",), path)
+        field, build = "order", Quandle.dihedral
+    elif kind == "table":
+        expect_keys(obj, {"kind", "table"}, ("table",), path)
         table = obj["table"]
         if not isinstance(table, list) or not all(isinstance(r, list) for r in table):
             raise SchemaError(f"{path}.table", "must be a list of rows")
-        try:
-            return Quandle.from_table(table)
-        except (ValueError, QuandleAxiomError) as exc:
-            raise SchemaError(f"{path}.table", str(exc))
-    raise SchemaError(f"{path}.kind", f"unknown quandle kind {kind!r}")
+        field, build = "table", Quandle.from_table
+    else:
+        raise SchemaError(f"{path}.kind", f"unknown quandle kind {kind!r}")
+    try:
+        return build(obj[field])
+    except (ValueError, QuandleAxiomError) as exc:
+        raise SchemaError(f"{path}.{field}", str(exc))
 
 
 def dataset_from_json(obj):
@@ -123,38 +124,29 @@ def dataset_from_json(obj):
     """
     if not isinstance(obj, dict):
         raise SchemaError("", "dataset document must be a JSON object")
-    _expect_keys(obj, {"quandle", "triple_points"}, {"quandle", "triple_points"}, "")
+    expect_keys(obj, {"quandle", "triple_points"}, ("quandle", "triple_points"), "")
     quandle = quandle_from_json(obj["quandle"])
     tps = obj["triple_points"]
     if not isinstance(tps, list):
         raise SchemaError("triple_points", "must be a list")
     points = []
-    seen = set()
     for i, entry in enumerate(tps):
         path = f"triple_points[{i}]"
         if not isinstance(entry, dict):
             raise SchemaError(path, "must be an object")
-        _expect_keys(entry, {"id", "sign", "colors"}, {"id", "sign", "colors"}, path)
-        pid = entry["id"]
-        if not isinstance(pid, str) or not pid:
-            raise SchemaError(f"{path}.id", "must be a nonempty string")
-        if pid in seen:
-            raise SchemaError(f"{path}.id", f"duplicate id {pid!r}")
-        seen.add(pid)
-        sign = entry["sign"]
-        if isinstance(sign, bool) or sign not in (1, -1):
-            raise SchemaError(f"{path}.sign", "must be exactly 1 or -1")
-        colors = entry["colors"]
-        if not isinstance(colors, list) or len(colors) != 3:
+        expect_keys(entry, {"id", "sign", "colors"}, ("id", "sign", "colors"), path)
+        if not isinstance(entry["colors"], list):
             raise SchemaError(f"{path}.colors", "must be a list of 3 integers")
-        for j, c in enumerate(colors):
-            if not isinstance(c, int) or isinstance(c, bool) or not 0 <= c < quandle.order:
-                raise SchemaError(
-                    f"{path}.colors[{j}]",
-                    f"must be an integer in 0..{quandle.order - 1}",
-                )
-        points.append(TriplePoint(id=pid, sign=sign, colors=tuple(colors)))
-    return TriplePointDataset(quandle=quandle, points=tuple(points))
+        try:
+            points.append(TriplePoint(entry["id"], entry["sign"], entry["colors"]))
+        except SchemaError as exc:
+            raise SchemaError(f"{path}.{exc.path}", exc.message) from None
+    try:
+        return TriplePointDataset(quandle=quandle, points=points)
+    except SchemaError as exc:
+        # TriplePointDataset reports "points[i]...", which the JSON document
+        # calls "triple_points[i]...": the two names must stay in step
+        raise SchemaError("triple_points" + exc.path[len("points"):], exc.message) from None
 
 
 def chain_of(subset, dataset):
@@ -162,11 +154,19 @@ def chain_of(subset, dataset):
 
     Colliding tuples combine; the subset is treated as a set of ids.
     """
-    terms = []
-    for pid in set(subset):
-        pt = dataset.point(pid)
-        terms.append((pt.colors, pt.sign))
-    return Chain(3, terms)
+    points = [dataset.point(pid) for pid in set(subset)]
+    return Chain._from_checked(3, [(pt.colors, pt.sign) for pt in points])
+
+
+def _pseudo_cycle_test(chain, quandle, is_null):
+    # the pseudo-cycle predicate on a subset's chain; `is_null` decides
+    # null-homology so that enumeration can memoize the verdicts
+    chain = project_quandle(chain)
+    return (
+        bool(chain)
+        and not project_quandle(boundary_rack(chain, quandle))
+        and not is_null(chain, quandle)
+    )
 
 
 def is_pseudo_cycle(subset, dataset):
@@ -177,21 +177,9 @@ def is_pseudo_cycle(subset, dataset):
     the quandle complex, so the chain is projected before testing.  The
     zero chain is a cycle but bounds, hence is never a pseudo-cycle.
     """
-    chain = project_quandle(chain_of(subset, dataset))
-    if chain.is_zero():
-        return False
-    if not boundary_quandle(chain, dataset.quandle).is_zero():
-        return False
-    return not is_null_homologous(chain, dataset.quandle)
-
-
-def _normalized_key(chain):
-    # sign-normalize so c and -c share one memo entry: negate when the
-    # lexicographically first term has a negative coefficient
-    items = chain.items()
-    if items and items[0][1] < 0:
-        items = [(t, -c) for t, c in items]
-    return tuple(items)
+    return _pseudo_cycle_test(
+        chain_of(subset, dataset), dataset.quandle, is_null_homologous
+    )
 
 
 def enumerate_pseudo_cycles(dataset, cap=DEFAULT_POINT_CAP):
@@ -205,18 +193,20 @@ def enumerate_pseudo_cycles(dataset, cap=DEFAULT_POINT_CAP):
             f"dataset has {k} triple points, enumeration cap is {cap}"
         )
     null_verdicts = {}
+
+    def is_null(chain, quandle):
+        # sign-normalize so c and -c share one memo entry: negate when the
+        # lexicographically first term has a negative coefficient
+        items = chain.items()
+        key = tuple(items if items[0][1] > 0 else [(t, -c) for t, c in items])
+        if key not in null_verdicts:
+            null_verdicts[key] = is_null_homologous(chain, quandle)
+        return null_verdicts[key]
+
     found = []
     for mask in range(1, 1 << k):
         subset = tuple(ids[i] for i in range(k) if mask >> i & 1)
-        chain = project_quandle(chain_of(subset, dataset))
-        if chain.is_zero():
-            continue
-        if not boundary_quandle(chain, dataset.quandle).is_zero():
-            continue
-        key = _normalized_key(chain)
-        if key not in null_verdicts:
-            null_verdicts[key] = is_null_homologous(chain, dataset.quandle)
-        if not null_verdicts[key]:
+        if _pseudo_cycle_test(chain_of(subset, dataset), dataset.quandle, is_null):
             found.append(subset)
     return found
 
@@ -227,29 +217,30 @@ class PackingResult(NamedTuple):
 
 
 def _pack_disjoint(ids, subsets):
-    # include-first DFS over lexicographically sorted candidates with a
-    # best-bound prune; the first maximal family found is the least one
+    # DFS that picks each next family member from the later candidates in
+    # lexicographic order, so the first maximum family found is the least
+    # one; the bound in the module docstring cuts branches that cannot win
     index = {pid: i for i, pid in enumerate(ids)}
     candidates = sorted(subsets)
     masks = [sum(1 << index[pid] for pid in subset) for subset in candidates]
+    smallest = min(map(len, candidates), default=1)
 
     best = []
     chosen = []
 
-    def dfs(i, used):
+    def dfs(start, used, free):
         nonlocal best
         if len(chosen) > len(best):
             best = chosen.copy()
-        # bound: even taking every remaining candidate cannot strictly win
-        if i == len(candidates) or len(chosen) + len(candidates) - i <= len(best):
-            return
-        if not masks[i] & used:
-            chosen.append(candidates[i])
-            dfs(i + 1, used | masks[i])
-            chosen.pop()
-        dfs(i + 1, used)
+        for i in range(start, len(candidates)):
+            if len(chosen) + min(len(candidates) - i, free // smallest) <= len(best):
+                return
+            if not masks[i] & used:
+                chosen.append(candidates[i])
+                dfs(i + 1, used | masks[i], free - len(candidates[i]))
+                chosen.pop()
 
-    dfs(0, 0)
+    dfs(0, 0, len(ids))
     return PackingResult(count=len(best), witness=tuple(best))
 
 

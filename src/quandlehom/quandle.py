@@ -3,6 +3,10 @@
 The convention throughout the package is table[x][y] = x * y, i.e. the row
 index is the left operand.  Every constructor validates the three quandle
 axioms eagerly, so no invalid quandle ever reaches the chain machinery.
+
+Input is validated once, where it enters: public constructors and JSON
+parsers check it, and internal code trusts what they accepted.  So hot
+loops read `table` directly, while `act` range-checks outside callers.
 """
 
 from itertools import product
@@ -86,9 +90,6 @@ class Quandle:
             if not isinstance(e, int) or isinstance(e, bool) or not 0 <= e < n:
                 raise ValueError(f"element {e!r} is not in 0..{n - 1}")
         return self.table[x][y]
-
-    def elements(self):
-        return range(self.order)
 
     def __eq__(self, other):
         if not isinstance(other, Quandle):

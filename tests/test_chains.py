@@ -6,6 +6,7 @@ import pytest
 
 from quandlehom import (
     Chain,
+    Quandle,
     boundary_quandle,
     boundary_rack,
     is_degenerate,
@@ -230,3 +231,48 @@ class TestChainJson:
         with pytest.raises(SchemaError) as exc:
             Chain.from_json_dict(doc)
         assert exc.value.path == "terms[0].tuple"
+
+
+class TestTrustedConstruction:
+    """Results built without __init__'s checks must still be canonical chains."""
+
+    @staticmethod
+    def random_chain(rng, order, degree):
+        # degenerate tuples and repeated tuples included, so projection and
+        # cancellation both happen
+        return Chain(
+            degree,
+            [
+                (tuple(rng.randrange(order) for _ in range(degree)), rng.randint(-3, 3))
+                for _ in range(rng.randint(0, 8))
+            ],
+        )
+
+    @staticmethod
+    def assert_canonical(result):
+        assert all(coeff != 0 for _, coeff in result.items())
+        rebuilt = Chain(result.degree, list(result.items()))
+        assert result == rebuilt
+        assert result.to_json_dict() == rebuilt.to_json_dict()
+
+    @pytest.mark.parametrize("order", [3, 5])
+    def test_arithmetic_and_boundaries(self, order):
+        q = Quandle.dihedral(order)
+        rng = random.Random(f"trusted:{order}")
+        for _ in range(200):
+            degree = rng.randint(2, 4)
+            a = self.random_chain(rng, order, degree)
+            b = self.random_chain(rng, order, degree)
+            for result in (
+                a + b,
+                a + (-a),
+                a - b,
+                a - a,
+                -a,
+                rng.randint(-3, 3) * a,
+                0 * a,
+                boundary_rack(a, q),
+                project_quandle(a),
+                project_quandle(boundary_rack(a, q)),
+            ):
+                self.assert_canonical(result)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from importlib import resources
 
 import pytest
 
@@ -90,6 +92,18 @@ class TestHomologyCommand:
         assert code == 2
         assert out == ""
         assert "error:" in err
+
+    def test_unknown_kind_reported_before_its_parameter(self, capsys):
+        code, out, err = run(capsys, "homology", "--quandle", "foo:abc", "--degree", "3")
+        assert code == 2
+        assert out == ""
+        assert "unknown quandle kind 'foo'" in err
+
+    def test_non_integer_dihedral_order_is_input_error(self, capsys):
+        code, out, err = run(capsys, "homology", "--quandle", "dihedral:abc", "--degree", "3")
+        assert code == 2
+        assert out == ""
+        assert "quandle.order" in err
 
     def test_table_quandle_from_file(self, capsys, tmp_path):
         path = write_json(
@@ -207,6 +221,18 @@ class TestEvalCocycleCommand:
         code, _, err = run(capsys, "eval-cocycle", "--cocycle", "mochizuki:3", "--chain", path)
         assert code == 2
 
+    def test_float_sign_in_dataset_exits_2(self, capsys, tmp_path):
+        doc = json.loads(json.dumps(DPRIME))
+        doc["triple_points"][0]["sign"] = 1.0
+        path = write_json(tmp_path / "float_sign.json", doc)
+        code, out, err = run(
+            capsys, "eval-cocycle", "--cocycle", "mochizuki:3",
+            "--input", path, "--subset", "t2,t3",
+        )
+        assert code == 2
+        assert out == ""
+        assert "triple_points[0].sign" in err
+
     def test_unknown_cocycle_spec_rejected(self, capsys, tmp_path):
         path = write_json(tmp_path / "zero.json", {"degree": 3, "terms": []})
         code, _, err = run(capsys, "eval-cocycle", "--cocycle", "carter:3", "--chain", path)
@@ -252,3 +278,36 @@ class TestCliContract:
             _, first, _ = run(capsys, *argv)
             _, second, _ = run(capsys, *argv)
             assert first == second
+
+
+BUNDLED_DPRIME = str(resources.files("quandlehom.data").joinpath("yashiro_dprime.json"))
+
+# sha256 of the exact stdout bytes: reports are byte-stable, so any change
+# here is a change to the CLI's output contract
+GOLDEN_STDOUT = [
+    (["verify-paper"], "1f76920c69e01bbb44da57b0796871f990ab99833096dec6f14d45881a8a6610"),
+    (
+        ["homology", "--quandle", "dihedral:3", "--degree", "3"],
+        "803e749f8a054457a82e9f83436c6ed2a24f2019e1b7e1933a25439bb46f6faf",
+    ),
+    (
+        ["pseudo-cycles", "--input", BUNDLED_DPRIME, "--all"],
+        "f45611d33b2b3a44782f7bd6c5707d9300f4763676df50eb0afbd79735fa38bd",
+    ),
+    (
+        ["eval-cocycle", "--cocycle", "mochizuki:3", "--input", BUNDLED_DPRIME,
+         "--subset", "t2,t3"],
+        "8ce221734d17a360fa1bd384f76418ddc85aab29babbea11a359f2f7e1b56b53",
+    ),
+    (
+        ["check-cocycle", "--cocycle", "mochizuki:3", "--dump-table"],
+        "55128dc28ced611cc2bc1865a787916d676bd38579f2bdf02aed841de6ae004d",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT, ids=[a[0] for a, _ in GOLDEN_STDOUT])
+def test_golden_stdout(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -36,6 +36,8 @@ class TestTriplePointValidation:
             TriplePoint(id="t1", sign=2, colors=(0, 1, 2))
         with pytest.raises(ValueError):
             TriplePoint(id="t1", sign=True, colors=(0, 1, 2))
+        with pytest.raises(ValueError):
+            TriplePoint(id="t1", sign=1.0, colors=(0, 1, 2))
 
     def test_id_must_be_nonempty(self):
         with pytest.raises(ValueError):
@@ -297,6 +299,16 @@ class TestDatasetJson:
             )
         assert exc.value.path == "triple_points[0].sign"
 
+    def test_float_sign_rejected_with_path(self):
+        with pytest.raises(SchemaError) as exc:
+            dataset_from_json(
+                {
+                    "quandle": {"kind": "dihedral", "order": 3},
+                    "triple_points": [{"id": "a", "sign": 1.0, "colors": [0, 1, 2]}],
+                }
+            )
+        assert exc.value.path == "triple_points[0].sign"
+
     def test_color_out_of_range_rejected_with_path(self):
         with pytest.raises(SchemaError) as exc:
             dataset_from_json(
@@ -338,3 +350,74 @@ class TestDatasetJson:
             }
         )
         assert ds.quandle == Quandle.dihedral(3)
+
+
+def brute_force_packing(ids, subsets):
+    """Every family of pairwise disjoint subsets, by deciding for the least
+    free point whether it is left out or which subset covers it; returns the
+    largest family size and the lexicographically least family of that size."""
+
+    def families(free):
+        if not free:
+            yield ()
+            return
+        p = min(free)
+        yield from families(free - {p})
+        for s in subsets:
+            if p in s and set(s) <= free:
+                for rest in families(free - set(s)):
+                    yield (s,) + rest
+
+    best = min((tuple(sorted(f)) for f in families(frozenset(ids))), key=lambda f: (-len(f), f))
+    return len(best), best
+
+
+class TestPackingOptimality:
+    def test_pack_deep_family_of_seven(self):
+        # 2,157 pseudo-cycles: a DFS that recurses once per candidate
+        # overflows the interpreter stack here
+        ds = make_dataset(
+            [(f"t{i:02d}", 1, (2, 0, 2)) for i in range(7)]
+            + [(f"t{i:02d}", 1, (2, 1, 0)) for i in range(7, 14)]
+        )
+        report = pseudo_cycle_report(ds)
+        assert report.distinct_count == 2157
+        assert report.max_disjoint_count == 7
+        assert report.witness_packing == tuple(
+            (f"t{i:02d}", f"t{i + 7:02d}") for i in range(7)
+        )
+
+    @pytest.mark.parametrize("name", ["R3", "T2"])
+    def test_matches_brute_force_on_random_datasets(self, name):
+        if name == "R3":
+            quandle = Quandle.dihedral(3)
+            # the two halves of two-term R3 cycles, and a color in neither
+            pairs = [((2, 0, 2), (2, 1, 0)), ((1, 0, 1), (1, 2, 0))]
+            singles = [(2, 0, 2), (1, 2, 0), (0, 1, 2)]
+        else:
+            quandle = Quandle.from_table([[0, 0], [1, 1]])
+            pairs = [((0, 1, 0), (1, 0, 1))]
+            singles = [(0, 1, 0), (1, 0, 1), (0, 0, 1)]
+        rng = random.Random(f"packing:{name}")
+        nontrivial = 0
+        for _ in range(30):
+            k = rng.randint(1, 8)
+            colored = []
+            while len(colored) < k:
+                if k - len(colored) >= 2 and rng.random() < 0.6:
+                    sign = rng.choice([1, -1])
+                    colored += [(sign, c) for c in rng.choice(pairs)]
+                else:
+                    colored.append((rng.choice([1, -1]), rng.choice(singles)))
+            rng.shuffle(colored)
+            ds = TriplePointDataset(
+                quandle=quandle,
+                points=tuple(
+                    TriplePoint(id=f"p{i}", sign=sign, colors=c)
+                    for i, (sign, c) in enumerate(colored)
+                ),
+            )
+            expected = brute_force_packing(ds.sorted_ids(), enumerate_pseudo_cycles(ds))
+            assert tuple(max_disjoint_packing(ds)) == expected
+            nontrivial += expected[0] >= 2
+        assert nontrivial >= 5
