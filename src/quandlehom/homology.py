@@ -1,9 +1,12 @@
 """Quandle homology groups over the integers and the null-homology test.
 
 H_n is ker(d_n) / im(d_{n+1}) in the quandle complex; d_1 is the zero map.
-Free rank and torsion come from Smith normal forms of the two boundary
-matrices.  Null-homology of a cycle is decided directly as an integer
-image-membership query, not by reducing against computed torsion.
+Free rank and torsion come from the ranks and invariant factors of the two
+boundary matrices.  intlinalg finds them by eliminating the unit pivots
+sparsely and taking the Smith normal form of the small core left over, so
+no Smith form of a whole boundary matrix is ever built.  Null-homology of
+a cycle is decided directly as an integer image-membership query, not by
+reducing against computed torsion.
 """
 
 from dataclasses import dataclass
@@ -12,7 +15,7 @@ from .chains import (
     boundary_rack, coordinates, matrix_of_boundary, project_quandle, quandle_basis
 )
 from .errors import DegreeError, NotACycleError
-from .intlinalg import snf, solve_in_image
+from .intlinalg import _rank_and_torsion, solve_in_image
 
 
 @dataclass(frozen=True)
@@ -58,10 +61,9 @@ def homology_group(quandle, degree):
     if degree == 1:
         rank_down = 0
     else:
-        rank_down = snf(matrix_of_boundary(quandle, degree)).rank
-    up = snf(matrix_of_boundary(quandle, degree + 1))
-    torsion = tuple(d for d in up.diagonal if d >= 2)
-    return HomologyGroup(free_rank=dim - rank_down - up.rank, torsion=torsion)
+        rank_down, _ = _rank_and_torsion(matrix_of_boundary(quandle, degree))
+    rank_up, torsion = _rank_and_torsion(matrix_of_boundary(quandle, degree + 1))
+    return HomologyGroup(free_rank=dim - rank_down - rank_up, torsion=torsion)
 
 
 def is_null_homologous(chain, quandle):

@@ -2,8 +2,14 @@
 transforms, determinants, and integer linear-system solving.
 
 Entries are Python ints throughout; nothing here ever touches floating
-point.  Matrices at this project's scale are tiny, so the implementation
-favors a single fully-tested code path over speed.
+point.  Rank, invariant factors and image membership all go through one
+sparse front end (_eliminate): boundary matrices are sparse and most of
+their pivots are +-1, so each unit pivot is eliminated by exact row
+operations on row and column dicts, one row and one column at a time.
+Only the small core left without unit entries reaches the dense `snf`,
+the one Smith normal form kernel (Dumas, Heckenbach, Saunders and
+Welker, "Computing simplicial homology based on efficient Smith normal
+form algorithms", 2003).
 """
 
 from dataclasses import dataclass
@@ -230,6 +236,87 @@ def snf(a):
     )
 
 
+def _eliminate(a):
+    """Eliminate the +-1 pivots of `a` sparsely; returns (steps, core,
+    core_rows, core_cols, zero_rows), and a is equivalent to I_r + core
+    with r = len(steps).
+
+    Sweeps the columns in order and, in each, pivots on the unit entry
+    with the shortest row, until a whole sweep finds no unit entry left.
+    A step (p, j, u, rest, multipliers) pivoted on a[p][j] = u = +-1:
+    rest holds row p's other (column, entry) pairs as they stood then, and
+    multipliers the (row i, f) of the operations row_i -= f * row_p that
+    cleared column j.  core is the submatrix on the rows and columns left
+    nonzero, in their original order; zero_rows are the rows that the
+    operations emptied, or that were zero from the start.
+    """
+    rows = {i: {j: e for j, e in enumerate(row) if e} for i, row in enumerate(a._data)}
+    cols = {j: set() for j in range(a.cols)}
+    for i, row in rows.items():
+        for j in row:
+            cols[j].add(i)
+    steps = []
+    swept = True
+    while swept:
+        swept = False
+        for j in range(a.cols):
+            col = cols.get(j)
+            if not col:
+                continue
+            units = [i for i in col if rows[i][j] in (1, -1)]
+            if not units:
+                continue
+            p = min(units, key=lambda i: (len(rows[i]), i))
+            prow = rows.pop(p)
+            u = prow.pop(j)
+            for k in prow:
+                cols[k].remove(p)
+            del cols[j]
+            col.remove(p)
+            rest = list(prow.items())
+            multipliers = []
+            for i in col:
+                row = rows[i]
+                f = row.pop(j) * u  # u is its own inverse
+                multipliers.append((i, f))
+                for k, e in rest:
+                    if k in row:
+                        v = row[k] - f * e
+                        if v:
+                            row[k] = v
+                        else:
+                            del row[k]
+                            cols[k].remove(i)
+                    else:
+                        row[k] = -f * e
+                        cols[k].add(i)
+            steps.append((p, j, u, rest, multipliers))
+            swept = True
+    core_rows = sorted(i for i, row in rows.items() if row)
+    core_cols = sorted(j for j, col in cols.items() if col)
+    index = {j: k for k, j in enumerate(core_cols)}
+    data = []
+    for i in core_rows:
+        line = [0] * len(core_cols)
+        for j, e in rows[i].items():
+            line[index[j]] = e
+        data.append(line)
+    zero_rows = sorted(i for i, row in rows.items() if not row)
+    return steps, IntMatrix._from_rows(data, len(core_cols)), core_rows, core_cols, zero_rows
+
+
+def _rank_and_torsion(a):
+    """Rank of `a` and its invariant factors >= 2 in ascending order: the
+    unit pivots plus the Smith form of the core.
+
+    >>> _rank_and_torsion(IntMatrix([[1, 2], [3, 0]]))
+    (2, (6,))
+    """
+    steps, core, _, _, _ = _eliminate(a)
+    diagonal = snf(core).diagonal
+    return len(steps) + sum(1 for d in diagonal if d), tuple(d for d in diagonal if d >= 2)
+
+
 def det(a):
     """Exact determinant of a square integer matrix (Bareiss algorithm)."""
     if not isinstance(a, IntMatrix):
@@ -266,6 +353,10 @@ def is_unimodular(a):
 def solve_in_image(a, b):
     """An integer x with a @ x == b, or None if b is not in the image of
     `a` over the integers.  The solution is re-verified before returning.
+
+    The unit pivots' row operations carry b along; b must then vanish on
+    the rows they emptied, the core is solved through its Smith form, and
+    the pivot columns are back-substituted, last pivot first.
     """
     if not isinstance(a, IntMatrix):
         a = IntMatrix(a)
@@ -275,22 +366,32 @@ def solve_in_image(a, b):
     for i, e in enumerate(b):
         if not isinstance(e, int) or isinstance(e, bool):
             raise ValueError(f"b[{i}] = {e!r} is not an int")
-    dec = snf(a)
-    c = dec.U.apply(b)
-    y = [0] * a.cols
-    for i in range(min(a.rows, a.cols)):
-        di = dec.D[i, i]
+    steps, core, core_rows, core_cols, zero_rows = _eliminate(a)
+    dec = snf(core)
+    c = b.copy()
+    for p, _, _, _, multipliers in steps:
+        cp = c[p]
+        if cp:
+            for i, f in multipliers:
+                c[i] -= f * cp
+    if any(c[i] for i in zero_rows):
+        return None
+    c_core = dec.U.apply([c[i] for i in core_rows])
+    y = [0] * core.cols
+    for i in range(core.rows):
+        di = dec.D[i, i] if i < core.cols else 0
         if di == 0:
-            if c[i] != 0:
+            if c_core[i] != 0:
                 return None
         else:
-            if c[i] % di:
+            if c_core[i] % di:
                 return None
-            y[i] = c[i] // di
-    for i in range(min(a.rows, a.cols), a.rows):
-        if c[i] != 0:
-            return None
-    x = dec.V.apply(y)
+            y[i] = c_core[i] // di
+    x = [0] * a.cols
+    for j, v in zip(core_cols, dec.V.apply(y)):
+        x[j] = v
+    for p, j, u, rest, _ in reversed(steps):
+        x[j] = u * (c[p] - sum(e * x[k] for k, e in rest))
     if a.apply(x) != b:  # exactness guard; should be unreachable
         raise AssertionError("solve_in_image produced a non-solution")
     return x

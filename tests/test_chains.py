@@ -159,8 +159,28 @@ class TestQuandleBasis:
         with pytest.raises(DegreeError):
             quandle_basis(r3, 0)
 
+    def test_non_int_degree_rejected_cold_and_warm(self):
+        # 2.0 == 2 hashes alike: the check must come before the cache lookup
+        q = Quandle.from_table([[x] * 6 for x in range(6)])  # no other test uses it
+        for degree in (2.0, True):
+            with pytest.raises(DegreeError):
+                quandle_basis(q, degree)  # cold
+        assert len(quandle_basis(q, 2)) == 30
+        for degree in (2.0, True):
+            with pytest.raises(DegreeError):
+                quandle_basis(q, degree)  # warm
+
 
 class TestMatrixOfBoundary:
+    def test_non_int_degree_rejected_cold_and_warm(self):
+        q = Quandle.from_table([[x] * 5 for x in range(5)])  # no other test uses it
+        for degree in (3.0, 1, 0):
+            with pytest.raises(DegreeError):
+                matrix_of_boundary(q, degree)  # cold
+        assert matrix_of_boundary(q, 3).shape == (20, 80)
+        with pytest.raises(DegreeError):
+            matrix_of_boundary(q, 3.0)  # warm
+
     def test_r3_degree3_shape_and_known_column(self, r3):
         m = matrix_of_boundary(r3, 3)
         assert m.shape == (6, 12)

@@ -311,3 +311,19 @@ def test_golden_stdout(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# digests taken with the dense Smith normal form of each whole boundary
+# matrix, before the unit-pivot elimination; kept apart from GOLDEN_STDOUT,
+# whose ids are the bare command names
+GOLDEN_HOMOLOGY_STDOUT = [
+    ("dihedral:4", "8c6779d68d3ed70251e0ac688da4afbec4b87e34e37ecb58120c7145a163d5f3"),
+    ("dihedral:5", "a1794152f16501a7ddb78b1fda60bbcff91ac882c0174e85863615bd7050094b"),
+]
+
+
+@pytest.mark.parametrize("quandle,digest", GOLDEN_HOMOLOGY_STDOUT, ids=[q for q, _ in GOLDEN_HOMOLOGY_STDOUT])
+def test_golden_homology_degree_4_stdout(capsys, quandle, digest):
+    code, out, _ = run(capsys, "homology", "--quandle", quandle, "--degree", "4")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

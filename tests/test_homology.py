@@ -49,6 +49,21 @@ def sympy_homology(q, degree):
     return dim - rank_down - rank_up, tuple(sorted(torsion))
 
 
+def orbit_count(q):
+    """Orbits of the inner automorphism group: x and x*y share an orbit."""
+    parent = list(range(q.order))
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for x in range(q.order):
+        for y in range(q.order):
+            parent[root(q.table[x][y])] = root(x)
+    return len({root(x) for x in range(q.order)})
+
+
 class TestHomologyGroupType:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -86,6 +101,23 @@ class TestHomologyGroups:
                 rank, torsion = sympy_homology(q, degree)
                 assert g.free_rank == rank, (name, degree)
                 assert tuple(sorted(g.torsion)) == torsion, (name, degree)
+
+    def test_free_rank_oracle(self, inventory):
+        # rank H^Q_n = k(k-1)^(n-1) for a quandle with k orbits
+        # (Litherland-Nelson 2003, Etingof-Grana 2003)
+        quandles = inventory + [(f"R{n}", Quandle.dihedral(n)) for n in (5, 6, 7)]
+        assert [orbit_count(q) for _, q in quandles] == [1, 2, 3, 4, 1, 2, 1, 1, 2, 1]
+        for name, q in quandles:
+            k = orbit_count(q)
+            for degree in (1, 2, 3, 4) if q.order <= 5 else (1, 2, 3):
+                g = homology_group(q, degree)
+                assert g.free_rank == k * (k - 1) ** (degree - 1), (name, degree)
+
+    def test_larger_dihedral_regression_values(self):
+        # H_3(R_p) = Z/p and H_4(R5) = Z/5 (Mochizuki's 3-cocycle has order p)
+        assert homology_group(Quandle.dihedral(5), 3) == HomologyGroup(0, (5,))
+        assert homology_group(Quandle.dihedral(5), 4) == HomologyGroup(0, (5,))
+        assert homology_group(Quandle.dihedral(7), 3) == HomologyGroup(0, (7,))
 
     def test_degree_must_be_positive(self, r3):
         with pytest.raises(DegreeError):

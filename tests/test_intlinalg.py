@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
-from quandlehom import IntMatrix, det, snf, solve_in_image
-from quandlehom.intlinalg import is_unimodular
+from quandlehom import IntMatrix, det, matrix_of_boundary, snf, solve_in_image
+from quandlehom.intlinalg import _eliminate, _rank_and_torsion, is_unimodular
 
 
 def random_matrix(rng, max_dim=8, bound=9):
@@ -183,3 +185,126 @@ class TestSolveInImage:
                 else:
                     solvable = solvable and c[i] % d == 0
             assert (solve_in_image(a, b) is not None) == solvable
+
+
+# Cross-checks of the sparse unit-pivot front end against the dense Smith
+# normal form of the whole matrix, which it replaced in rank, torsion and
+# image-membership computations.
+
+# mostly zeros, with unit and non-unit entries mixed
+SPARSE_ENTRY = st.sampled_from([0] * 8 + [1, -1, 1, -1, 2, -2, 3, -4, 6])
+
+
+@st.composite
+def sparse_matrices(draw, max_dim=10):
+    m = draw(st.integers(0, max_dim))
+    n = draw(st.integers(0, max_dim))
+    rows = draw(
+        st.lists(st.lists(SPARSE_ENTRY, min_size=n, max_size=n), min_size=m, max_size=m)
+    )
+    return IntMatrix(rows, cols=n)
+
+
+def assert_front_end_matches_dense_snf(a):
+    steps, core, core_rows, core_cols, zero_rows = _eliminate(a)
+    core_factors = [d for d in snf(core).diagonal if d]
+    dense_factors = [d for d in snf(a).diagonal if d]
+    assert [1] * len(steps) + core_factors == dense_factors
+    rank, torsion = _rank_and_torsion(a)
+    assert rank == len(dense_factors)
+    assert torsion == tuple(d for d in dense_factors if d >= 2)
+    # the core has no zero line and no unit entry left
+    assert core.shape == (len(core_rows), len(core_cols))
+    entries = core.to_rows()
+    assert all(any(row) for row in entries)
+    assert all(any(row[j] for row in entries) for j in range(core.cols))
+    assert all(abs(e) != 1 for row in entries for e in row)
+    assert len(steps) + core.rows + len(zero_rows) == a.rows
+
+
+def dense_divisibility_criterion(a, b):
+    """b is in the integer image of a iff (U b)_i is divisible by d_i, with
+    d_i = 0 beyond the rank, for the Smith form U a V = D of the whole a."""
+    dec = snf(a)
+    c = dec.U.apply(b)
+    for i in range(a.rows):
+        d = dec.D[i, i] if i < a.cols else 0
+        if (c[i] != 0) if d == 0 else (c[i] % d != 0):
+            return False
+    return True
+
+
+class TestEliminationFrontEnd:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(sparse_matrices())
+    def test_rank_and_torsion_match_dense_snf(self, a):
+        assert_front_end_matches_dense_snf(a)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4, 0), (3, 3)])
+    def test_empty_and_zero_shapes(self, shape):
+        a = IntMatrix.zeros(*shape)
+        steps, core, _, _, zero_rows = _eliminate(a)
+        assert steps == [] and core.shape == (0, 0)
+        assert zero_rows == list(range(shape[0]))
+        assert _rank_and_torsion(a) == (0, ())
+        assert_front_end_matches_dense_snf(a)
+
+    def test_planted_zero_rows_and_columns(self):
+        a = IntMatrix([
+            [0, 2, 0, 1, 0],
+            [0, 0, 0, 0, 0],
+            [0, 4, 0, 3, 0],
+            [0, 0, 0, 0, 0],
+            [0, 6, 0, 0, 0],
+        ])
+        _, _, _, core_cols, zero_rows = _eliminate(a)
+        assert 1 in zero_rows and 3 in zero_rows
+        assert 0 not in core_cols and 2 not in core_cols
+        assert_front_end_matches_dense_snf(a)
+        assert _rank_and_torsion(a) == (2, (2,))
+
+    def test_no_unit_entry_leaves_the_whole_matrix_as_core(self):
+        a = IntMatrix([[2, 4], [6, 3]])
+        steps, core, _, _, _ = _eliminate(a)
+        assert steps == [] and core == a
+        assert_front_end_matches_dense_snf(a)
+
+    def test_every_inventory_boundary_matrix(self, inventory):
+        for _, q in inventory:
+            for degree in (2, 3, 4):
+                assert_front_end_matches_dense_snf(matrix_of_boundary(q, degree))
+
+
+class TestSolveInImageAgainstDenseSnf:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(sparse_matrices(max_dim=8), st.data())
+    def test_solvable_systems(self, a, data):
+        x0 = data.draw(st.lists(st.integers(-5, 5), min_size=a.cols, max_size=a.cols))
+        b = a.apply(x0)
+        x = solve_in_image(a, b)
+        assert x is not None and a.apply(x) == b
+        assert dense_divisibility_criterion(a, b)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(sparse_matrices(max_dim=8), st.data())
+    def test_perturbed_systems(self, a, data):
+        x0 = data.draw(st.lists(st.integers(-5, 5), min_size=a.cols, max_size=a.cols))
+        noise = data.draw(st.lists(st.integers(-2, 2), min_size=a.rows, max_size=a.rows))
+        b = [e + n for e, n in zip(a.apply(x0), noise)]
+        x = solve_in_image(a, b)
+        if x is not None:
+            assert a.apply(x) == b
+        assert (x is not None) == dense_divisibility_criterion(a, b)
+
+    def test_boundary_matrices_of_the_inventory(self, inventory):
+        rng = random.Random(41)
+        for name, q in inventory:
+            a = matrix_of_boundary(q, 4)
+            for _ in range(5):
+                b = a.apply([rng.randint(-3, 3) for _ in range(a.cols)])
+                if b:
+                    b[rng.randrange(a.rows)] += rng.choice([0, 1, 2, 3])
+                x = solve_in_image(a, b)
+                assert (x is not None) == dense_divisibility_criterion(a, b), name
+                if x is not None:
+                    assert a.apply(x) == b
