@@ -327,3 +327,87 @@ def test_golden_homology_degree_4_stdout(capsys, quandle, digest):
     code, out, _ = run(capsys, "homology", "--quandle", quandle, "--degree", "4")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of the exact stderr bytes of the GOLDEN_STDOUT commands, in the
+# same order: the human summary is part of the CLI contract too
+GOLDEN_STDERR = [
+    "728397eb8b7080d0b8d69d7dc9b68d2e1b0580f15097d1771f5a61f560ac9357",
+    "ad4f091ad20a6ea3bbbd4829659d34ca9b11d83471fa44a22a1832d3576ebbdb",
+    "6bd55e191cb6edd0394e4c5aa0f0c74d52abc00ab8c87cc5a790024652c517e1",
+    "452071b3863cbb20dddc52d6100b4eedd58bffa90f2563b4079483cb1489f461",
+    "d75792ea651d5358dc84662ebbf323cd6fd176329f0b786b31bf1a0eb414ce85",
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [(argv, digest) for (argv, _), digest in zip(GOLDEN_STDOUT, GOLDEN_STDERR)],
+    ids=[a[0] for a, _ in GOLDEN_STDOUT],
+)
+def test_golden_stderr(capsys, argv, digest):
+    code, _, err = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(err.encode()).hexdigest() == digest
+
+
+GOLDEN_PSEUDO_CYCLES_MODES = [
+    ("--max", "0ad7b4f9d086db5cf69b59d36a35e9150654b5fa637bcbbbfdd7309b829aea17"),
+    ("--list", "dd5dee2736a29378e9ab6a7f8b231f957bcb5fc6f557f9197fa4af766a74ae65"),
+]
+
+
+@pytest.mark.parametrize("mode,digest", GOLDEN_PSEUDO_CYCLES_MODES, ids=["max", "list"])
+def test_golden_pseudo_cycles_mode_stdout(capsys, mode, digest):
+    code, out, _ = run(capsys, "pseudo-cycles", "--input", BUNDLED_DPRIME, mode)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _flipped_dprime(tmp_path):
+    doc = json.loads(json.dumps(DPRIME))
+    doc["triple_points"][2]["sign"] = 1  # t5: cbar2 is no longer -cbar1
+    return write_json(tmp_path / "flipped.json", doc)
+
+
+# each case: the exit code it must give and its argv, built from tmp_path;
+# together they cover pass, fail, no-verdict and input-error outcomes
+CONTRACT_CASES = {
+    "verify-paper": (0, lambda tmp: ["verify-paper"]),
+    "verify-paper-fail": (1, lambda tmp: ["verify-paper", "--dprime", _flipped_dprime(tmp)]),
+    "homology": (0, lambda tmp: ["homology", "--quandle", "dihedral:3", "--degree", "3"]),
+    "homology-bad-order": (2, lambda tmp: ["homology", "--quandle", "dihedral:0", "--degree", "3"]),
+    "pseudo-cycles-all": (0, lambda tmp: ["pseudo-cycles", "--input", BUNDLED_DPRIME]),
+    "pseudo-cycles-max": (0, lambda tmp: ["pseudo-cycles", "--input", BUNDLED_DPRIME, "--max"]),
+    "pseudo-cycles-list": (0, lambda tmp: ["pseudo-cycles", "--input", BUNDLED_DPRIME, "--list"]),
+    "pseudo-cycles-missing-file": (
+        2, lambda tmp: ["pseudo-cycles", "--input", str(tmp / "nope.json")],
+    ),
+    "eval-cocycle": (0, lambda tmp: [
+        "eval-cocycle", "--cocycle", "mochizuki:3", "--input", BUNDLED_DPRIME, "--subset", "t5,t6",
+    ]),
+    "eval-cocycle-bad-spec": (2, lambda tmp: [
+        "eval-cocycle", "--cocycle", "carter:3", "--input", BUNDLED_DPRIME, "--subset", "t2",
+    ]),
+    "check-cocycle": (0, lambda tmp: ["check-cocycle", "--cocycle", "mochizuki:5"]),
+    "check-cocycle-not-prime": (2, lambda tmp: ["check-cocycle", "--cocycle", "mochizuki:9"]),
+}
+
+
+@pytest.mark.parametrize("case", CONTRACT_CASES)
+def test_report_envelope_and_exit_code(capsys, tmp_path, case):
+    expected_code, make_argv = CONTRACT_CASES[case]
+    argv = make_argv(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == expected_code
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error:")
+        return
+    report = json.loads(out)
+    keys = list(report)
+    assert keys[:3] == ["command", "inputs_digest", "results"]
+    assert keys[3:] in ([], ["verdict"])
+    assert report["command"] == argv[0]
+    assert code == (1 if report.get("verdict") == "fail" else 0)
+    assert err
