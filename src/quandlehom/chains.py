@@ -260,20 +260,16 @@ def boundary_quandle(chain, quandle):
     return project_quandle(boundary_rack(chain, quandle))
 
 
+@lru_cache(maxsize=None, typed=True)
 def quandle_basis(quandle, degree):
     """All non-degenerate degree-n tuples over the quandle, lexicographic.
 
     >>> len(quandle_basis(Quandle.dihedral(3), 3))
     12
     """
-    # checked before the cache: 2.0 == 2 would otherwise hit degree 2's entry
+    # typed: 2.0 == 2 would otherwise hit degree 2's entry, skipping this check
     if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
         raise DegreeError(f"basis degree must be a positive integer, got {degree!r}")
-    return _quandle_basis(quandle, degree)
-
-
-@lru_cache(maxsize=None)
-def _quandle_basis(quandle, degree):
     return tuple(
         t
         for t in product(range(quandle.order), repeat=degree)
@@ -281,6 +277,7 @@ def _quandle_basis(quandle, degree):
     )
 
 
+@lru_cache(maxsize=None, typed=True)
 def matrix_of_boundary(quandle, degree):
     """Matrix of the quandle boundary from degree n to n-1, with columns
     indexed by quandle_basis(quandle, n) and rows by the degree-(n-1)
@@ -288,13 +285,8 @@ def matrix_of_boundary(quandle, degree):
     """
     if not isinstance(degree, int) or isinstance(degree, bool) or degree < 2:
         raise DegreeError(f"boundary matrix requires an integer degree >= 2, got {degree!r}")
-    return _matrix_of_boundary(quandle, degree)
-
-
-@lru_cache(maxsize=None)
-def _matrix_of_boundary(quandle, degree):
-    col_basis = _quandle_basis(quandle, degree)
-    row_basis = _quandle_basis(quandle, degree - 1)
+    col_basis = quandle_basis(quandle, degree)
+    row_basis = quandle_basis(quandle, degree - 1)
     row_index = {t: i for i, t in enumerate(row_basis)}
     data = [[0] * len(col_basis) for _ in row_basis]
     for j, gen in enumerate(col_basis):

@@ -4,6 +4,10 @@ JSON reports go to stdout (byte-stable for identical inputs); a short
 human summary goes to stderr.  Exit codes: 0 success / verdict pass,
 1 verification verdict fail, 2 input error.
 
+Each command returns (inputs_digest, results, summary_lines, verdict);
+main alone builds the {"command", "inputs_digest", "results"[, "verdict"]}
+report, writes both streams and picks the exit code.
+
 Commands:
   verify-paper    run the bundled counterexample pipeline end to end
   homology        homology group of a quandle at a degree
@@ -17,12 +21,14 @@ import hashlib
 import json
 import sys
 from importlib import resources
+from pathlib import Path
 
 from .chains import Chain, boundary_quandle, project_quandle
 from .cocycles import is_quandle_3cocycle, mochizuki_theta_p, pair
 from .errors import QuandlehomError, SchemaError
 from .homology import homology_group, is_null_homologous
 from .pseudocycles import (
+    DEFAULT_POINT_CAP,
     chain_of,
     dataset_from_json,
     pseudo_cycle_report,
@@ -38,15 +44,9 @@ def _bundled_path(name):
     return resources.files("quandlehom.data").joinpath(name)
 
 
-def _read_bytes(path):
-    if hasattr(path, "read_bytes"):
-        return path.read_bytes()
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
 def _load_json(path):
-    raw = _read_bytes(path)
+    """Parse a JSON file (a Path or a bundled resource) and hash its bytes."""
+    raw = path.read_bytes()
     try:
         return json.loads(raw.decode("utf-8")), hashlib.sha256(raw).hexdigest()
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -58,18 +58,12 @@ def _load_dataset(path):
     return dataset_from_json(obj), digest
 
 
-def _emit(report, summary_lines):
-    sys.stdout.write(json.dumps(report, indent=2) + "\n")
-    for line in summary_lines:
-        print(line, file=sys.stderr)
-
-
 def _parse_quandle_spec(spec):
     kind, sep, param = spec.partition(":")
     if not sep:
         raise SchemaError("quandle", f"expected <kind>:<param>, got {spec!r}")
     if kind == "table":
-        obj, digest = _load_json(param)
+        obj, digest = _load_json(Path(param))
         return quandle_from_json(obj), digest
     try:
         order = int(param, 10)
@@ -90,14 +84,14 @@ def _parse_cocycle_spec(spec):
 
 
 def cmd_verify_paper(args):
-    d_path = args.d if args.d else _bundled_path("yashiro_d.json")
-    dprime_path = args.dprime if args.dprime else _bundled_path("yashiro_dprime.json")
-    ds_d, digest_d = _load_dataset(d_path)
-    ds_dp, digest_dp = _load_dataset(dprime_path)
+    ds_d, digest_d = _load_dataset(args.d)
+    ds_dp, digest_dp = _load_dataset(args.dprime)
 
     theta = mochizuki_theta_p(3)
-    cbar1 = chain_of({"t2", "t3"}, ds_dp)
-    cbar2 = chain_of({"t5", "t6"}, ds_dp)
+    # an edited dataset that lacks one of the paper's ids fails that chain's check
+    ids = set(ds_dp.sorted_ids())
+    cbar1 = chain_of({"t2", "t3"}, ds_dp) if {"t2", "t3"} <= ids else None
+    cbar2 = chain_of({"t5", "t6"}, ds_dp) if {"t5", "t6"} <= ids else None
     report_d = pseudo_cycle_report(ds_d)
     report_dp = pseudo_cycle_report(ds_dp)
 
@@ -116,9 +110,12 @@ def cmd_verify_paper(args):
 
     run(
         "cbar1_is_quandle_cycle",
-        lambda: {"pass": boundary_quandle(project_quandle(cbar1), ds_dp.quandle).is_zero()},
+        lambda: {
+            "pass": cbar1 is not None
+            and boundary_quandle(project_quandle(cbar1), ds_dp.quandle).is_zero()
+        },
     )
-    run("cbar2_is_minus_cbar1", lambda: {"pass": cbar2 == -cbar1})
+    run("cbar2_is_minus_cbar1", lambda: {"pass": cbar2 is not None and cbar2 == -cbar1})
     run("theta_is_3cocycle", lambda: {"pass": bool(is_quandle_3cocycle(theta))})
 
     def pairing_check():
@@ -158,63 +155,39 @@ def cmd_verify_paper(args):
     )
 
     verdict = "pass" if first_failure is None else "fail"
-    report = {
-        "command": "verify-paper",
-        "inputs_digest": {"d": digest_d, "dprime": digest_dp},
-        "results": {"checks": checks, "first_failure": first_failure},
-        "verdict": verdict,
-    }
     summary = [f"verify-paper: {c['name']}: {'ok' if c['pass'] else 'FAIL'}" for c in checks]
     summary.append(f"verify-paper: verdict {verdict}")
-    _emit(report, summary)
-    return EXIT_OK if verdict == "pass" else EXIT_VERDICT_FAIL
+    results = {"checks": checks, "first_failure": first_failure}
+    return {"d": digest_d, "dprime": digest_dp}, results, summary, verdict
 
 
 def cmd_homology(args):
     quandle, digest = _parse_quandle_spec(args.quandle)
     group = homology_group(quandle, args.degree)
-    report = {
-        "command": "homology",
-        "inputs_digest": digest,
-        "results": {
-            "quandle": args.quandle,
-            "degree": args.degree,
-            "homology": group.to_json_dict(),
-        },
-    }
-    _emit(report, [f"H_{args.degree} = {group}"])
-    return EXIT_OK
+    results = {"quandle": args.quandle, "degree": args.degree, "homology": group.to_json_dict()}
+    return digest, results, [f"H_{args.degree} = {group}"], None
+
+
+# the report fields and the stderr summary lines of each pseudo-cycles mode
+PSEUDO_CYCLE_MODES = {
+    "max": (
+        ("max_disjoint_count", "witness_packing"),
+        ["max disjoint pseudo-cycles: {max_disjoint_count}"],
+    ),
+    "list": (("pseudo_cycles", "distinct_count"), ["pseudo-cycles: {pseudo_cycles}"]),
+    "all": (("pseudo_cycles", "distinct_count", "max_disjoint_count", "witness_packing"), [
+        "pseudo-cycles: {pseudo_cycles}",
+        "max disjoint: {max_disjoint_count} via {witness_packing}",
+    ]),
+}
 
 
 def cmd_pseudo_cycles(args):
     dataset, digest = _load_dataset(args.input)
-    report_obj = pseudo_cycle_report(dataset, cap=args.cap)
-    full = report_obj.to_json_dict()
-    if args.mode == "max":
-        results = {
-            "max_disjoint_count": full["max_disjoint_count"],
-            "witness_packing": full["witness_packing"],
-        }
-        summary = [f"max disjoint pseudo-cycles: {full['max_disjoint_count']}"]
-    elif args.mode == "list":
-        results = {
-            "pseudo_cycles": full["pseudo_cycles"],
-            "distinct_count": full["distinct_count"],
-        }
-        summary = [f"pseudo-cycles: {full['pseudo_cycles']}"]
-    else:
-        results = full
-        summary = [
-            f"pseudo-cycles: {full['pseudo_cycles']}",
-            f"max disjoint: {full['max_disjoint_count']} via {full['witness_packing']}",
-        ]
-    report = {
-        "command": "pseudo-cycles",
-        "inputs_digest": digest,
-        "results": results,
-    }
-    _emit(report, summary)
-    return EXIT_OK
+    full = pseudo_cycle_report(dataset, cap=args.cap).to_json_dict()
+    fields, summary = PSEUDO_CYCLE_MODES[args.mode]
+    results = {k: full[k] for k in fields}
+    return digest, results, [line.format(**full) for line in summary], None
 
 
 def cmd_eval_cocycle(args):
@@ -232,18 +205,13 @@ def cmd_eval_cocycle(args):
         subset = [s for s in args.subset.split(",") if s]
         chain = chain_of(subset, dataset)
     value = pair(cocycle, chain)
-    report = {
-        "command": "eval-cocycle",
-        "inputs_digest": digest,
-        "results": {
-            "cocycle": args.cocycle,
-            "modulus": cocycle.modulus,
-            "chain": chain.to_json_dict(),
-            "value": value,
-        },
+    results = {
+        "cocycle": args.cocycle,
+        "modulus": cocycle.modulus,
+        "chain": chain.to_json_dict(),
+        "value": value,
     }
-    _emit(report, [f"<{args.cocycle}, chain> = {value} (mod {cocycle.modulus})"])
-    return EXIT_OK
+    return digest, results, [f"<{args.cocycle}, chain> = {value} (mod {cocycle.modulus})"], None
 
 
 def cmd_check_cocycle(args):
@@ -258,14 +226,8 @@ def cmd_check_cocycle(args):
     }
     if args.dump_table:
         results["values"] = cocycle.table()
-    report = {
-        "command": "check-cocycle",
-        "inputs_digest": None,
-        "results": results,
-        "verdict": "pass" if check.ok else "fail",
-    }
-    _emit(report, [f"check-cocycle {args.cocycle}: {report['verdict']}"])
-    return EXIT_OK if check.ok else EXIT_VERDICT_FAIL
+    verdict = "pass" if check.ok else "fail"
+    return None, results, [f"check-cocycle {args.cocycle}: {verdict}"], verdict
 
 
 def build_parser():
@@ -276,8 +238,10 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-paper", help="run the bundled counterexample pipeline")
-    p.add_argument("--d", help="override the no-triple-point dataset file")
-    p.add_argument("--dprime", help="override the four-triple-point dataset file")
+    p.add_argument("--d", type=Path, default=_bundled_path("yashiro_d.json"),
+                   help="override the no-triple-point dataset file")
+    p.add_argument("--dprime", type=Path, default=_bundled_path("yashiro_dprime.json"),
+                   help="override the four-triple-point dataset file")
     p.set_defaults(func=cmd_verify_paper)
 
     p = sub.add_parser("homology", help="quandle homology group")
@@ -286,28 +250,23 @@ def build_parser():
     p.set_defaults(func=cmd_homology)
 
     p = sub.add_parser("pseudo-cycles", help="search a triple-point dataset")
-    p.add_argument("--input", required=True, help="dataset JSON file")
+    p.add_argument("--input", type=Path, required=True, help="dataset JSON file")
     mode = p.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--max", dest="mode", action="store_const", const="max",
-        help="only the maximum disjoint count and witness",
-    )
-    mode.add_argument(
-        "--list", dest="mode", action="store_const", const="list",
-        help="only the list of pseudo-cycle subsets",
-    )
-    mode.add_argument(
-        "--all", dest="mode", action="store_const", const="all",
-        help="full report (default)",
-    )
-    p.add_argument("--cap", type=int, default=20, help="triple-point enumeration cap")
+    for name, text in (
+        ("max", "only the maximum disjoint count and witness"),
+        ("list", "only the list of pseudo-cycle subsets"),
+        ("all", "full report (default)"),
+    ):
+        mode.add_argument(f"--{name}", dest="mode", action="store_const", const=name, help=text)
+    p.add_argument("--cap", type=int, default=DEFAULT_POINT_CAP,
+                   help="triple-point enumeration cap")
     p.set_defaults(func=cmd_pseudo_cycles, mode="all")
 
     p = sub.add_parser("eval-cocycle", help="pair a cocycle with a 3-chain")
     p.add_argument("--cocycle", required=True, help="mochizuki:<p>")
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--chain", help="chain JSON file")
-    src.add_argument("--input", help="dataset JSON file (with --subset)")
+    src.add_argument("--chain", type=Path, help="chain JSON file")
+    src.add_argument("--input", type=Path, help="dataset JSON file (with --subset)")
     p.add_argument("--subset", default="", help="comma-separated triple point ids")
     p.set_defaults(func=cmd_eval_cocycle)
 
@@ -320,13 +279,19 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        digest, results, summary, verdict = args.func(args)
     except (QuandlehomError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    report = {"command": args.command, "inputs_digest": digest, "results": results}
+    if verdict is not None:
+        report["verdict"] = verdict
+    sys.stdout.write(json.dumps(report, indent=2) + "\n")
+    for line in summary:
+        print(line, file=sys.stderr)
+    return EXIT_VERDICT_FAIL if verdict == "fail" else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -56,8 +56,14 @@ class UnknownIdError(QuandlehomError):
     """A subset references a triple-point id absent from the dataset."""
 
 
-class EnumerationCapError(QuandlehomError):
-    """The dataset has more triple points than the enumeration cap."""
+class ResourceLimitError(QuandlehomError, ValueError):
+    """A request is over a documented size limit; it is refused before
+    anything is built for it."""
+
+
+class EnumerationCapError(ResourceLimitError):
+    """The dataset has more triple points than the enumeration cap, or the
+    cap is over its ceiling."""
 
 
 class SchemaError(QuandlehomError, ValueError):

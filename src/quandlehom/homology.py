@@ -14,8 +14,16 @@ from dataclasses import dataclass
 from .chains import (
     boundary_rack, coordinates, matrix_of_boundary, project_quandle, quandle_basis
 )
-from .errors import DegreeError, NotACycleError
+from .errors import DegreeError, NotACycleError, ResourceLimitError
 from .intlinalg import _rank_and_torsion, solve_in_image
+
+# homology_group refuses, before any basis is built, a degree above
+# MAX_HOMOLOGY_DEGREE (for orders 1 and 2 the matrices stay tiny, but the
+# basis scan visits n^d tuples of length d) and a d_{d+1} of more than
+# MAX_BOUNDARY_ENTRIES entries: an n(n-1)^(d-1) x n(n-1)^d matrix for a
+# quandle of order n, 320x1280 for H_4(R5) and 252x1512 for H_3(R7)
+MAX_HOMOLOGY_DEGREE = 16
+MAX_BOUNDARY_ENTRIES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -57,6 +65,18 @@ def homology_group(quandle, degree):
     """
     if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
         raise DegreeError(f"homology degree must be a positive integer, got {degree!r}")
+    if degree > MAX_HOMOLOGY_DEGREE:
+        raise ResourceLimitError(
+            f"homology degree {degree} is over the limit MAX_HOMOLOGY_DEGREE = "
+            f"{MAX_HOMOLOGY_DEGREE}"
+        )
+    n = quandle.order
+    rows, cols = n * (n - 1) ** (degree - 1), n * (n - 1) ** degree
+    if rows * cols > MAX_BOUNDARY_ENTRIES:
+        raise ResourceLimitError(
+            f"H_{degree} needs the {rows}x{cols} boundary matrix d_{degree + 1}, over the "
+            f"limit MAX_BOUNDARY_ENTRIES = {MAX_BOUNDARY_ENTRIES} entries"
+        )
     dim = len(quandle_basis(quandle, degree))
     if degree == 1:
         rank_down = 0

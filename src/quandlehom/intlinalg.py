@@ -346,10 +346,6 @@ def det(a):
     return sign * w[n - 1][n - 1]
 
 
-def is_unimodular(a):
-    return a.rows == a.cols and abs(det(a)) == 1
-
-
 def solve_in_image(a, b):
     """An integer x with a @ x == b, or None if b is not in the image of
     `a` over the integers.  The solution is re-verified before returning.

@@ -26,6 +26,7 @@ from .errors import (
 from .homology import is_null_homologous
 from .quandle import Quandle
 
+# the default enumeration cap and its ceiling: 2^20 - 1 subsets
 DEFAULT_POINT_CAP = 20
 
 
@@ -186,6 +187,10 @@ def enumerate_pseudo_cycles(dataset, cap=DEFAULT_POINT_CAP):
     """All nonempty pseudo-cycle subsets, in ascending bitmask order over
     the id-sorted point list.  Subsets are returned as sorted id tuples.
     """
+    if cap > DEFAULT_POINT_CAP:
+        raise EnumerationCapError(
+            f"enumeration cap {cap} is over the ceiling DEFAULT_POINT_CAP = {DEFAULT_POINT_CAP}"
+        )
     ids = dataset.sorted_ids()
     k = len(ids)
     if k > cap:

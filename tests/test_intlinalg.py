@@ -7,7 +7,9 @@ from sympy import Matrix
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
 from quandlehom import IntMatrix, det, matrix_of_boundary, snf, solve_in_image
-from quandlehom.intlinalg import _eliminate, _rank_and_torsion, is_unimodular
+from quandlehom.intlinalg import _eliminate, _rank_and_torsion
+
+from conftest import is_unimodular
 
 
 def random_matrix(rng, max_dim=8, bound=9):

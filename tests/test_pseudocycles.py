@@ -15,6 +15,7 @@ from quandlehom import (
     max_disjoint_packing,
     pseudo_cycle_report,
 )
+from quandlehom import pseudocycles
 from quandlehom.errors import EnumerationCapError, SchemaError, UnknownIdError
 from quandlehom.pseudocycles import PseudoCycleReport
 
@@ -142,6 +143,16 @@ class TestEnumerate:
             enumerate_pseudo_cycles(ds)
         with pytest.raises(EnumerationCapError):
             enumerate_pseudo_cycles(make_dataset(points[:6]), cap=5)
+
+    def test_cap_over_ceiling_refused_before_any_subset(self, monkeypatch):
+        def visited(*args):
+            raise AssertionError("a subset was visited")
+
+        monkeypatch.setattr(pseudocycles, "chain_of", visited)
+        monkeypatch.setattr(pseudocycles, "_pseudo_cycle_test", visited)
+        ds = make_dataset([("a", 1, (2, 0, 2)), ("b", 1, (2, 1, 0))])
+        with pytest.raises(EnumerationCapError, match="DEFAULT_POINT_CAP = 20"):
+            enumerate_pseudo_cycles(ds, cap=21)
 
 
 class TestMaxDisjointPacking:

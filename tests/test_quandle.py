@@ -3,7 +3,8 @@ from itertools import product
 import pytest
 
 from quandlehom import Quandle
-from quandlehom.errors import QuandleAxiomError
+from quandlehom.errors import QuandleAxiomError, ResourceLimitError
+from quandlehom.quandle import MAX_DIHEDRAL_ORDER
 
 from conftest import trivial_table
 
@@ -50,6 +51,17 @@ def test_act_rejects_out_of_range(r3):
         r3.act(0, -1)
     with pytest.raises(ValueError):
         r3.act(0, True)
+
+
+def test_dihedral_order_limit_refused_before_the_table(monkeypatch):
+    def built(self, table):
+        raise AssertionError("the table was built")
+
+    Quandle.dihedral(MAX_DIHEDRAL_ORDER)
+    monkeypatch.setattr(Quandle, "__init__", built)
+    for n in (MAX_DIHEDRAL_ORDER + 1, 100_000):
+        with pytest.raises(ResourceLimitError, match=f"MAX_DIHEDRAL_ORDER = {MAX_DIHEDRAL_ORDER}"):
+            Quandle.dihedral(n)
 
 
 def test_dihedral_rejects_nonpositive_order():
