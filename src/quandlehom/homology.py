@@ -17,11 +17,11 @@ from .chains import (
 from .errors import DegreeError, NotACycleError, ResourceLimitError
 from .intlinalg import _rank_and_torsion, solve_in_image
 
-# homology_group refuses, before any basis is built, a degree above
-# MAX_HOMOLOGY_DEGREE (for orders 1 and 2 the matrices stay tiny, but the
-# basis scan visits n^d tuples of length d) and a d_{d+1} of more than
-# MAX_BOUNDARY_ENTRIES entries: an n(n-1)^(d-1) x n(n-1)^d matrix for a
-# quandle of order n, 320x1280 for H_4(R5) and 252x1512 for H_3(R7)
+# homology_group and is_null_homologous refuse, before any basis is built,
+# a degree above MAX_HOMOLOGY_DEGREE (for orders 1 and 2 the matrices stay
+# tiny, but the basis scan visits n^d tuples of length d) and a d_{d+1} of
+# more than MAX_BOUNDARY_ENTRIES entries: an n(n-1)^(d-1) x n(n-1)^d matrix
+# for a quandle of order n, 320x1280 for H_4(R5) and 252x1512 for H_3(R7)
 MAX_HOMOLOGY_DEGREE = 16
 MAX_BOUNDARY_ENTRIES = 1_000_000
 
@@ -56,15 +56,7 @@ class HomologyGroup:
         return {"free_rank": self.free_rank, "torsion": list(self.torsion)}
 
 
-def homology_group(quandle, degree):
-    """H_degree of the quandle complex with integer coefficients.
-
-    >>> from quandlehom import Quandle
-    >>> str(homology_group(Quandle.dihedral(3), 3))
-    'Z/3'
-    """
-    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
-        raise DegreeError(f"homology degree must be a positive integer, got {degree!r}")
+def _check_limits(quandle, degree):
     if degree > MAX_HOMOLOGY_DEGREE:
         raise ResourceLimitError(
             f"homology degree {degree} is over the limit MAX_HOMOLOGY_DEGREE = "
@@ -77,6 +69,18 @@ def homology_group(quandle, degree):
             f"H_{degree} needs the {rows}x{cols} boundary matrix d_{degree + 1}, over the "
             f"limit MAX_BOUNDARY_ENTRIES = {MAX_BOUNDARY_ENTRIES} entries"
         )
+
+
+def homology_group(quandle, degree):
+    """H_degree of the quandle complex with integer coefficients.
+
+    >>> from quandlehom import Quandle
+    >>> str(homology_group(Quandle.dihedral(3), 3))
+    'Z/3'
+    """
+    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
+        raise DegreeError(f"homology degree must be a positive integer, got {degree!r}")
+    _check_limits(quandle, degree)
     dim = len(quandle_basis(quandle, degree))
     if degree == 1:
         rank_down = 0
@@ -93,6 +97,7 @@ def is_null_homologous(chain, quandle):
     Raises NotACycleError if the input is not a cycle: the two halves of
     the pseudo-cycle definition are kept separate on purpose.
     """
+    _check_limits(quandle, chain.degree)
     vec = coordinates(chain, quandle)  # the one degeneracy and range check
     if chain.degree >= 2:
         bd = project_quandle(boundary_rack(chain, quandle))

@@ -9,10 +9,23 @@ operations on row and column dicts, one row and one column at a time.
 Only the small core left without unit entries reaches the dense `snf`,
 the one Smith normal form kernel (Dumas, Heckenbach, Saunders and
 Welker, "Computing simplicial homology based on efficient Smith normal
-form algorithms", 2003).
+form algorithms", 2003).  The core keeps one column of each set that is
+equal up to sign, which leaves its image, rank and invariant factors
+unchanged; a solution is 0 on the dropped columns.  An IntMatrix is
+immutable, so its elimination is computed on first use and kept on the
+matrix: every later rank or image query on it reuses the pivots, and
+each query still takes the Smith form of the (small) core afresh.
 """
 
 from dataclasses import dataclass
+from itertools import compress
+
+
+def _identity_rows(n):
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+    return rows
 
 
 class IntMatrix:
@@ -22,7 +35,7 @@ class IntMatrix:
     IntMatrix([[1, 2], [3, 4]])
     """
 
-    __slots__ = ("rows", "cols", "_data")
+    __slots__ = ("rows", "cols", "_data", "_reduction")
 
     def __init__(self, data, cols=None):
         data = [list(row) for row in data]
@@ -43,6 +56,7 @@ class IntMatrix:
         object.__setattr__(self, "rows", len(data))
         object.__setattr__(self, "cols", width)
         object.__setattr__(self, "_data", data)
+        object.__setattr__(self, "_reduction", None)
 
     @classmethod
     def _from_rows(cls, data, cols):
@@ -51,6 +65,7 @@ class IntMatrix:
         object.__setattr__(m, "rows", len(data))
         object.__setattr__(m, "cols", cols)
         object.__setattr__(m, "_data", data)
+        object.__setattr__(m, "_reduction", None)
         return m
 
     def __setattr__(self, name, value):
@@ -62,7 +77,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
+        return cls._from_rows(_identity_rows(n), n)
 
     @property
     def shape(self):
@@ -96,7 +111,8 @@ class IntMatrix:
         """Matrix-vector product as a list of ints."""
         if len(vec) != self.cols:
             raise ValueError(f"vector length {len(vec)} != cols {self.cols}")
-        return [sum(row[k] * vec[k] for k in range(self.cols)) for row in self._data]
+        support = list(compress(range(self.cols), vec))
+        return [sum(row[k] * vec[k] for k in support) for row in self._data]
 
     def is_zero(self):
         return all(e == 0 for row in self._data for e in row)
@@ -157,8 +173,8 @@ def snf(a):
         a = IntMatrix(a)
     m, n = a.rows, a.cols
     d = a.to_rows()
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
+    u = _identity_rows(m)
+    v = _identity_rows(n)
 
     def swap_rows(i1, i2):
         d[i1], d[i2] = d[i2], d[i1]
@@ -247,10 +263,13 @@ def _eliminate(a):
     rest holds row p's other (column, entry) pairs as they stood then, and
     multipliers the (row i, f) of the operations row_i -= f * row_p that
     cleared column j.  core is the submatrix on the rows and columns left
-    nonzero, in their original order; zero_rows are the rows that the
-    operations emptied, or that were zero from the start.
+    nonzero, in their original order, keeping only the first of any columns
+    equal up to sign (they span the same image); zero_rows are the rows
+    that the operations emptied, or that were zero from the start.
     """
-    rows = {i: {j: e for j, e in enumerate(row) if e} for i, row in enumerate(a._data)}
+    rows = {
+        i: {j: row[j] for j in compress(range(a.cols), row)} for i, row in enumerate(a._data)
+    }
     cols = {j: set() for j in range(a.cols)}
     for i, row in rows.items():
         for j in row:
@@ -293,16 +312,26 @@ def _eliminate(a):
             steps.append((p, j, u, rest, multipliers))
             swept = True
     core_rows = sorted(i for i, row in rows.items() if row)
-    core_cols = sorted(j for j, col in cols.items() if col)
-    index = {j: k for k, j in enumerate(core_cols)}
-    data = []
-    for i in core_rows:
-        line = [0] * len(core_cols)
-        for j, e in rows[i].items():
-            line[index[j]] = e
-        data.append(line)
+    first = {}  # column up to sign -> the first core column equal to it
+    for j in sorted(j for j, col in cols.items() if col):
+        column = sorted((i, rows[i][j]) for i in cols[j])
+        sign = 1 if column[0][1] > 0 else -1
+        first.setdefault(tuple((i, sign * e) for i, e in column), j)
+    core_cols = list(first.values())
+    index = {i: k for k, i in enumerate(core_rows)}
+    data = [[0] * len(core_cols) for _ in core_rows]
+    for k, j in enumerate(core_cols):
+        for i in cols[j]:
+            data[index[i]][k] = rows[i][j]
     zero_rows = sorted(i for i, row in rows.items() if not row)
     return steps, IntMatrix._from_rows(data, len(core_cols)), core_rows, core_cols, zero_rows
+
+
+def _reduced(a):
+    """_eliminate(a), computed on first use and kept on the matrix."""
+    if a._reduction is None:
+        object.__setattr__(a, "_reduction", _eliminate(a))
+    return a._reduction
 
 
 def _rank_and_torsion(a):
@@ -312,7 +341,7 @@ def _rank_and_torsion(a):
     >>> _rank_and_torsion(IntMatrix([[1, 2], [3, 0]]))
     (2, (6,))
     """
-    steps, core, _, _, _ = _eliminate(a)
+    steps, core, _, _, _ = _reduced(a)
     diagonal = snf(core).diagonal
     return len(steps) + sum(1 for d in diagonal if d), tuple(d for d in diagonal if d >= 2)
 
@@ -362,7 +391,7 @@ def solve_in_image(a, b):
     for i, e in enumerate(b):
         if not isinstance(e, int) or isinstance(e, bool):
             raise ValueError(f"b[{i}] = {e!r} is not an int")
-    steps, core, core_rows, core_cols, zero_rows = _eliminate(a)
+    steps, core, core_rows, core_cols, zero_rows = _reduced(a)
     dec = snf(core)
     c = b.copy()
     for p, _, _, _, multipliers in steps:

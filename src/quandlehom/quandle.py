@@ -13,9 +13,10 @@ from itertools import product
 
 from .errors import QuandleAxiomError, ResourceLimitError
 
-# the largest dihedral order built: the axiom check visits n^3 triples, and
-# mochizuki_theta_p(p) checks p^4 boundaries (about 20 s at p = 31 in one
-# CPython 3.11 process on a 2-core host)
+# the largest dihedral order built, and the most rows a table may have: the
+# axiom check visits n^3 triples, and mochizuki_theta_p(p) checks p^4
+# boundaries (about 20 s at p = 31 in one CPython 3.11 process on a 2-core
+# host)
 MAX_DIHEDRAL_ORDER = 32
 
 
@@ -91,6 +92,12 @@ class Quandle:
     @classmethod
     def from_table(cls, table):
         """Build a quandle from an explicit operation table, validating it."""
+        table = list(table)
+        if len(table) > MAX_DIHEDRAL_ORDER:
+            raise ResourceLimitError(
+                f"quandle table has {len(table)} rows, over the limit MAX_DIHEDRAL_ORDER = "
+                f"{MAX_DIHEDRAL_ORDER}"
+            )
         return cls(table)
 
     def act(self, x, y):

@@ -314,10 +314,42 @@ class TestResourceGuards:
     def test_homology(self, capsys, argv, limit):
         self.refused(capsys, argv, limit)
 
+    def test_table_order(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(Quandle, "__init__", self.built)
+        table = [[x] * 33 for x in range(33)]
+        path = write_json(tmp_path / "q.json", {"kind": "table", "table": table})
+        argv = ["homology", "--quandle", f"table:{path}", "--degree", "1"]
+        self.refused(capsys, argv, "MAX_DIHEDRAL_ORDER = 32")
+
     def test_enumeration_cap(self, capsys, tmp_path):
         path = write_json(tmp_path / "dprime.json", DPRIME)
         argv = ["pseudo-cycles", "--input", path, "--cap", "21"]
         self.refused(capsys, argv, "DEFAULT_POINT_CAP = 20")
+
+
+# the quandle boundary of the generator (0, 1, 2, 3) over R9: a degree-3
+# cycle whose null-homology test would need the 576x4608 d_4
+R9_CYCLE = {
+    "quandle": {"kind": "dihedral", "order": 9},
+    "triple_points": [
+        {"id": "a", "sign": 1, "colors": [0, 1, 2]},
+        {"id": "b", "sign": -1, "colors": [0, 1, 3]},
+        {"id": "c", "sign": 1, "colors": [0, 2, 3]},
+        {"id": "d", "sign": -1, "colors": [6, 5, 4]},
+    ],
+}
+
+
+@pytest.mark.parametrize("command,flag", [("pseudo-cycles", "--input"), ("verify-paper", "--d")])
+def test_null_homology_guard_exits_2(capsys, tmp_path, monkeypatch, command, flag):
+    for module in (chains, homology):
+        monkeypatch.setattr(module, "matrix_of_boundary", TestResourceGuards.built)
+    path = write_json(tmp_path / "r9.json", R9_CYCLE)
+    code, out, err = run(capsys, command, flag, path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "576x4608 boundary matrix d_4, over the limit MAX_BOUNDARY_ENTRIES = 1000000" in err
 
 
 class TestCliContract:

@@ -14,7 +14,7 @@ from quandlehom import (
     matrix_of_boundary,
     quandle_basis,
 )
-from quandlehom import chains, homology
+from quandlehom import chains, homology, intlinalg
 from quandlehom.errors import (
     DegenerateGeneratorError, DegreeError, NotACycleError, ResourceLimitError
 )
@@ -189,6 +189,34 @@ class TestIsNullHomologous:
         assert is_null_homologous(6 * cbar1, r3) is True
 
 
+class TestBoundaryMatrixEliminatedOnce:
+    def test_r5_queries_reuse_the_elimination_of_d4(self, monkeypatch):
+        # the three-term cycle generates H_3(R5) = Z/5, so adding c times it
+        # to a boundary gives a cycle that bounds iff 5 divides c
+        r5 = Quandle.dihedral(5)
+        generator = Chain(3, [((0, 3, 0), -1), ((0, 3, 2), 1), ((1, 0, 1), 1)])
+        rng = random.Random(53)
+        basis4 = quandle_basis(r5, 4)
+        queries = []
+        for i in range(16):
+            d = Chain(4, [(rng.choice(basis4), rng.randint(-3, 3)) for _ in range(4)])
+            queries.append((boundary_quandle(d, r5) + (i % 5) * generator, i % 5 == 0))
+
+        eliminated = []
+
+        def counting(a):
+            eliminated.append(a)
+            return original(a)
+
+        original = intlinalg._eliminate
+        monkeypatch.setattr(intlinalg, "_eliminate", counting)
+        assert homology_group(r5, 3) == HomologyGroup(0, (5,))
+        before = len(eliminated)
+        for z, bounds in queries:
+            assert is_null_homologous(z, r5) is bounds
+        assert eliminated[before:] == []
+
+
 class TestResourceLimits:
     # the largest admitted requests, H_4(R5) and H_3(R7), are computed in
     # full by test_larger_dihedral_regression_values
@@ -205,6 +233,14 @@ class TestResourceLimits:
         # d_4 of R9 is 576x4608
         with pytest.raises(ResourceLimitError, match="576x4608.*MAX_BOUNDARY_ENTRIES = 1000000"):
             homology_group(Quandle.dihedral(9), 3)
+
+    def test_null_homology_query_refused_before_any_basis(self, no_basis):
+        r9 = Quandle.dihedral(9)
+        cycle = boundary_quandle(Chain.generator((0, 1, 2, 3)), r9)
+        with pytest.raises(ResourceLimitError, match="576x4608.*MAX_BOUNDARY_ENTRIES = 1000000"):
+            is_null_homologous(cycle, r9)
+        with pytest.raises(ResourceLimitError, match="MAX_HOMOLOGY_DEGREE = 16"):
+            is_null_homologous(Chain.zero(17), Quandle.dihedral(3))
 
     def test_degree_limit_refused_before_any_basis(self, no_basis):
         limit = homology.MAX_HOMOLOGY_DEGREE

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
-from quandlehom import IntMatrix, det, matrix_of_boundary, snf, solve_in_image
+from quandlehom import IntMatrix, det, intlinalg, matrix_of_boundary, snf, solve_in_image
 from quandlehom.intlinalg import _eliminate, _rank_and_torsion
 
 from conftest import is_unimodular
@@ -310,3 +310,113 @@ class TestSolveInImageAgainstDenseSnf:
                 assert (x is not None) == dense_divisibility_criterion(a, b), name
                 if x is not None:
                     assert a.apply(x) == b
+
+
+# The elimination is kept on the matrix and the core keeps one column of
+# each class equal up to sign; these cross-check both against the dense
+# Smith normal form of the whole matrix.
+
+@st.composite
+def matrices_with_repeated_columns(draw, max_dim=8):
+    """Sparse matrices with planted copies, negations and one-entry sign
+    flips of their columns; a flipped copy is a different column."""
+    base = draw(sparse_matrices(max_dim=max_dim).filter(lambda a: a.cols))
+    columns = [[row[j] for row in base.to_rows()] for j in range(base.cols)]
+    for _ in range(draw(st.integers(1, 6))):
+        column = columns[draw(st.integers(0, len(columns) - 1))]
+        kind = draw(st.sampled_from(["equal", "negated", "flipped"]))
+        if kind == "equal":
+            planted = list(column)
+        elif kind == "negated":
+            planted = [-e for e in column]
+        else:
+            planted = list(column)
+            if planted:
+                i = draw(st.integers(0, len(planted) - 1))
+                planted[i] = -planted[i]
+        columns.insert(draw(st.integers(0, len(columns))), planted)
+    return IntMatrix([list(row) for row in zip(*columns)], cols=len(columns))
+
+
+def sign_class(column):
+    first = next((e for e in column if e), 0)
+    return tuple(-e for e in column) if first < 0 else tuple(column)
+
+
+def assert_solution_is_zero_off_core_and_pivots(a, x):
+    steps, _, _, core_cols, _ = _eliminate(a)
+    kept = set(core_cols) | {j for _, j, _, _, _ in steps}
+    assert all(x[j] == 0 for j in range(a.cols) if j not in kept)
+
+
+class TestRepeatedCoreColumns:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(matrices_with_repeated_columns())
+    def test_pivots_and_deduplicated_core_match_dense_snf(self, a):
+        assert_front_end_matches_dense_snf(a)
+        core = _eliminate(a)[1]
+        classes = [sign_class([row[j] for row in core.to_rows()]) for j in range(core.cols)]
+        assert len(set(classes)) == len(classes)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(matrices_with_repeated_columns(), st.data())
+    def test_solve_agrees_with_dense_criterion(self, a, data):
+        x0 = data.draw(st.lists(st.integers(-5, 5), min_size=a.cols, max_size=a.cols))
+        noise = data.draw(st.lists(st.integers(-2, 2), min_size=a.rows, max_size=a.rows))
+        for b in (a.apply(x0), [e + n for e, n in zip(a.apply(x0), noise)]):
+            x = solve_in_image(a, b)
+            assert (x is not None) == dense_divisibility_criterion(a, b)
+            if x is not None:
+                assert a.apply(x) == b
+                assert_solution_is_zero_off_core_and_pivots(a, x)
+
+    def test_only_columns_equal_up_to_sign_are_dropped(self):
+        # columns 1 and 2 repeat column 0 up to sign; column 3 differs from
+        # it in one sign only and spans more of the image
+        a = IntMatrix([[2, 2, -2, 2, 0], [3, 3, -3, -3, 0]])
+        steps, core, core_rows, core_cols, _ = _eliminate(a)
+        assert steps == [] and core_rows == [0, 1] and core_cols == [0, 3]
+        assert _rank_and_torsion(a) == (2, (12,))
+        for x0 in ([0, 0, 1, 0, 0], [0, 1, 0, 1, 0], [1, 1, 1, 1, 1]):
+            b = a.apply(x0)
+            x = solve_in_image(a, b)
+            assert x is not None and a.apply(x) == b
+            assert x[1] == x[2] == x[4] == 0
+        assert solve_in_image(a, [2, 0]) is None
+
+
+class TestEliminationKeptOnTheMatrix:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(matrices_with_repeated_columns(), st.data())
+    def test_repeated_solves_on_one_matrix(self, a, data):
+        fresh_rank = _rank_and_torsion(IntMatrix(a.to_rows(), cols=a.cols))
+        for _ in range(3):
+            x0 = data.draw(st.lists(st.integers(-5, 5), min_size=a.cols, max_size=a.cols))
+            b = a.apply(x0)
+            x = solve_in_image(a, b)
+            assert x is not None and a.apply(x) == b
+        assert _rank_and_torsion(a) == fresh_rank
+
+    def test_same_shape_matrices_keep_their_own_elimination(self):
+        a = IntMatrix([[1, 0], [0, 2]])
+        b = IntMatrix([[2, 0], [0, 4]])
+        assert solve_in_image(a, [1, 2]) == [1, 1]
+        assert solve_in_image(b, [1, 2]) is None
+        assert _rank_and_torsion(a) == (2, (2,))
+        assert _rank_and_torsion(b) == (2, (2, 4))
+
+    def test_each_matrix_is_eliminated_once(self, monkeypatch):
+        eliminated = []
+
+        def counting(a):
+            eliminated.append(a)
+            return original(a)
+
+        original = intlinalg._eliminate
+        monkeypatch.setattr(intlinalg, "_eliminate", counting)
+        a = IntMatrix([[1, 2, 2], [3, 4, 4], [0, 6, -6]])
+        x = solve_in_image(a, [1, 3, 0])
+        assert x is not None and a.apply(x) == [1, 3, 0]
+        assert solve_in_image(a, [0, 1, 0]) is None
+        assert _rank_and_torsion(a) == (3, (2, 12))
+        assert len(eliminated) == 1 and eliminated[0] is a

@@ -3,7 +3,8 @@ from itertools import product
 import pytest
 
 from quandlehom import Quandle
-from quandlehom.errors import QuandleAxiomError, ResourceLimitError
+from quandlehom.errors import QuandleAxiomError, ResourceLimitError, SchemaError
+from quandlehom.pseudocycles import quandle_from_json
 from quandlehom.quandle import MAX_DIHEDRAL_ORDER
 
 from conftest import trivial_table
@@ -62,6 +63,18 @@ def test_dihedral_order_limit_refused_before_the_table(monkeypatch):
     for n in (MAX_DIHEDRAL_ORDER + 1, 100_000):
         with pytest.raises(ResourceLimitError, match=f"MAX_DIHEDRAL_ORDER = {MAX_DIHEDRAL_ORDER}"):
             Quandle.dihedral(n)
+
+
+def test_table_order_limit_refused_before_validation(monkeypatch):
+    def built(self, table):
+        raise AssertionError("the table was validated")
+
+    Quandle.from_table(trivial_table(MAX_DIHEDRAL_ORDER))
+    monkeypatch.setattr(Quandle, "__init__", built)
+    for n in (MAX_DIHEDRAL_ORDER + 1, 1000):
+        with pytest.raises(SchemaError, match=f"MAX_DIHEDRAL_ORDER = {MAX_DIHEDRAL_ORDER}") as exc:
+            quandle_from_json({"kind": "table", "table": trivial_table(n)})
+        assert exc.value.path == "quandle.table"
 
 
 def test_dihedral_rejects_nonpositive_order():
