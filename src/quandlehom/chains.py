@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import product
 
 from .errors import DegenerateGeneratorError, DegreeError, SchemaError, expect_keys
-from .intlinalg import IntMatrix
+from .intlinalg import SparseColumns
 from .quandle import Quandle
 
 
@@ -278,24 +278,42 @@ def quandle_basis(quandle, degree):
 
 
 @lru_cache(maxsize=None, typed=True)
+def boundary_columns(quandle, degree):
+    """The quandle boundary from degree n to n-1 as SparseColumns, read
+    straight off the quandle table: column j is the image of the j-th
+    tuple of quandle_basis(quandle, n), keyed by row in the degree-(n-1)
+    basis.  A degenerate face has no row there, so it drops out.
+    """
+    # typed, as for quandle_basis
+    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 2:
+        raise DegreeError(f"boundary matrix requires an integer degree >= 2, got {degree!r}")
+    row_index = {t: i for i, t in enumerate(quandle_basis(quandle, degree - 1))}
+    right = list(zip(*quandle.table))  # right[y][x] = x * y
+    columns = []
+    for gen in quandle_basis(quandle, degree):
+        column = {}
+        for ii in range(1, degree):  # as in boundary_rack
+            c = 1 if ii % 2 else -1
+            head, tail = gen[:ii], gen[ii + 1 :]
+            acted = tuple(map(right[gen[ii]].__getitem__, head))
+            for face, e in ((head + tail, c), (acted + tail, -c)):
+                i = row_index.get(face)
+                if i is not None:
+                    v = column.get(i, 0) + e
+                    if v:
+                        column[i] = v
+                    else:
+                        del column[i]
+        columns.append(column)
+    return SparseColumns(len(row_index), columns)
+
+
 def matrix_of_boundary(quandle, degree):
     """Matrix of the quandle boundary from degree n to n-1, with columns
     indexed by quandle_basis(quandle, n) and rows by the degree-(n-1)
-    basis, both lexicographic.
+    basis, both lexicographic: boundary_columns as a dense IntMatrix.
     """
-    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 2:
-        raise DegreeError(f"boundary matrix requires an integer degree >= 2, got {degree!r}")
-    col_basis = quandle_basis(quandle, degree)
-    row_basis = quandle_basis(quandle, degree - 1)
-    row_index = {t: i for i, t in enumerate(row_basis)}
-    data = [[0] * len(col_basis) for _ in row_basis]
-    for j, gen in enumerate(col_basis):
-        # basis generators are non-degenerate: no need for boundary_quandle's check
-        gen_chain = Chain._from_checked(degree, [(gen, 1)])
-        image = project_quandle(boundary_rack(gen_chain, quandle))
-        for tup, coeff in image._terms.items():
-            data[row_index[tup]][j] = coeff
-    return IntMatrix._from_rows(data, len(col_basis))
+    return boundary_columns(quandle, degree).to_dense()
 
 
 def coordinates(chain, quandle):

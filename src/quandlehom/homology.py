@@ -4,18 +4,30 @@ H_n is ker(d_n) / im(d_{n+1}) in the quandle complex; d_1 is the zero map.
 Free rank and torsion come from the ranks and invariant factors of the two
 boundary matrices.  intlinalg finds them by eliminating the unit pivots
 sparsely and taking the Smith normal form of the small core left over, so
-no Smith form of a whole boundary matrix is ever built.  Null-homology of
-a cycle is decided directly as an integer image-membership query, not by
-reducing against computed torsion.
+no Smith form of a whole boundary matrix is ever built.
+
+The complex is reduced as a whole, from d_2 up, as in Kaczynski, Mrozek
+and Slusarek ("Homology computation by reduction of chain complexes",
+1998): each unit pivot of d_n pairs a cell of C_n, its column j, with a
+cell of C_{n-1}, and d_{n+1} is eliminated without its rows j.  The pivot
+columns of d_n are independent, so a cycle is fixed by its coordinates off
+them, and those coordinates of ker d_n form a direct summand: deleting the
+rows keeps the rank and the torsion of d_{n+1} and adds no fill.  One
+reduction is kept per (quandle, degree).
+
+Null-homology of a cycle is decided directly as an integer
+image-membership query on the kept rows, not by reducing against computed
+torsion; the preimage found is checked on every row of d_{n+1}.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
+from . import intlinalg
 from .chains import (
-    boundary_rack, coordinates, matrix_of_boundary, project_quandle, quandle_basis
+    boundary_columns, boundary_rack, coordinates, project_quandle, quandle_basis
 )
 from .errors import DegreeError, NotACycleError, ResourceLimitError
-from .intlinalg import _rank_and_torsion, solve_in_image
 
 # homology_group and is_null_homologous refuse, before any basis is built,
 # a degree above MAX_HOMOLOGY_DEGREE (for orders 1 and 2 the matrices stay
@@ -71,6 +83,15 @@ def _check_limits(quandle, degree):
         )
 
 
+@lru_cache(maxsize=None)
+def _reduction(quandle, degree):
+    """The elimination of d_degree without the rows that the elimination
+    of d_{degree-1} paired: its pivot columns, cells of C_{degree-1}."""
+    below = _reduction(quandle, degree - 1)[0] if degree > 2 else ()
+    paired = {j for _, j, _, _, _ in below}
+    return intlinalg._eliminate(boundary_columns(quandle, degree), paired)
+
+
 def homology_group(quandle, degree):
     """H_degree of the quandle complex with integer coefficients.
 
@@ -85,8 +106,8 @@ def homology_group(quandle, degree):
     if degree == 1:
         rank_down = 0
     else:
-        rank_down, _ = _rank_and_torsion(matrix_of_boundary(quandle, degree))
-    rank_up, torsion = _rank_and_torsion(matrix_of_boundary(quandle, degree + 1))
+        rank_down, _ = intlinalg._rank_and_torsion(_reduction(quandle, degree))
+    rank_up, torsion = intlinalg._rank_and_torsion(_reduction(quandle, degree + 1))
     return HomologyGroup(free_rank=dim - rank_down - rank_up, torsion=torsion)
 
 
@@ -103,4 +124,5 @@ def is_null_homologous(chain, quandle):
         bd = project_quandle(boundary_rack(chain, quandle))
         if bd:
             raise NotACycleError(f"chain has nonzero quandle boundary: {bd!r}")
-    return solve_in_image(matrix_of_boundary(quandle, chain.degree + 1), vec) is not None
+    up = chain.degree + 1
+    return intlinalg._solve(boundary_columns(quandle, up), _reduction(quandle, up), vec) is not None

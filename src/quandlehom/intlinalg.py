@@ -15,6 +15,11 @@ unchanged; a solution is 0 on the dropped columns.  An IntMatrix is
 immutable, so its elimination is computed on first use and kept on the
 matrix: every later rank or image query on it reuses the pivots, and
 each query still takes the Smith form of the (small) core afresh.
+
+Boundary matrices are built as SparseColumns, which _eliminate reads
+without a dense copy.  It can leave rows out, as the reduction of the whole
+complex in homology does; _solve then reads b on the kept rows only and
+checks the solution against b on every row.
 """
 
 from dataclasses import dataclass
@@ -128,6 +133,38 @@ class IntMatrix:
         return f"IntMatrix({self._data!r})"
 
 
+class SparseColumns:
+    """An integer matrix kept as one {row: entry} dict per column, with no
+    zero entries: the form in which the package builds boundary matrices.
+    Read-only once built, like IntMatrix.
+    """
+
+    __slots__ = ("rows", "cols", "columns")
+
+    def __init__(self, rows, columns):
+        self.rows = rows
+        self.cols = len(columns)
+        self.columns = columns
+
+    def apply(self, vec):
+        """Matrix-vector product as a list of ints."""
+        if len(vec) != self.cols:
+            raise ValueError(f"vector length {len(vec)} != cols {self.cols}")
+        out = [0] * self.rows
+        for column, v in zip(self.columns, vec):
+            if v:
+                for i, e in column.items():
+                    out[i] += e * v
+        return out
+
+    def to_dense(self):
+        data = [[0] * self.cols for _ in range(self.rows)]
+        for j, column in enumerate(self.columns):
+            for i, e in column.items():
+                data[i][j] = e
+        return IntMatrix._from_rows(data, self.cols)
+
+
 @dataclass(frozen=True)
 class SmithDecomposition:
     """U @ A @ V == D with U, V unimodular and D diagonal with a
@@ -142,10 +179,6 @@ class SmithDecomposition:
         return tuple(
             self.D[i, i] for i in range(min(self.D.rows, self.D.cols))
         )
-
-    @property
-    def rank(self):
-        return sum(1 for d in self.diagonal if d != 0)
 
 
 def _find_pivot(d, k, m, n):
@@ -252,10 +285,11 @@ def snf(a):
     )
 
 
-def _eliminate(a):
-    """Eliminate the +-1 pivots of `a` sparsely; returns (steps, core,
-    core_rows, core_cols, zero_rows), and a is equivalent to I_r + core
-    with r = len(steps).
+def _eliminate(a, dropped=frozenset()):
+    """Eliminate the +-1 pivots of `a` (an IntMatrix or SparseColumns)
+    sparsely, leaving out the rows in `dropped`; returns (steps, core,
+    core_rows, core_cols, zero_rows), and a without those rows is
+    equivalent to I_r + core with r = len(steps).
 
     Sweeps the columns in order and, in each, pivots on the unit entry
     with the shortest row, until a whole sweep finds no unit entry left.
@@ -267,13 +301,19 @@ def _eliminate(a):
     equal up to sign (they span the same image); zero_rows are the rows
     that the operations emptied, or that were zero from the start.
     """
-    rows = {
-        i: {j: row[j] for j in compress(range(a.cols), row)} for i, row in enumerate(a._data)
-    }
-    cols = {j: set() for j in range(a.cols)}
-    for i, row in rows.items():
-        for j in row:
-            cols[j].add(i)
+    if isinstance(a, IntMatrix):
+        columns = [{i: row[j] for i, row in enumerate(a._data) if row[j]} for j in range(a.cols)]
+    else:
+        columns = a.columns
+    rows = {i: {} for i in range(a.rows) if i not in dropped}
+    cols = {}
+    for j, column in enumerate(columns):
+        cols[j] = col = set()
+        for i, e in column.items():
+            row = rows.get(i)
+            if row is not None:
+                row[j] = e
+                col.add(i)
     steps = []
     swept = True
     while swept:
@@ -334,14 +374,15 @@ def _reduced(a):
     return a._reduction
 
 
-def _rank_and_torsion(a):
-    """Rank of `a` and its invariant factors >= 2 in ascending order: the
-    unit pivots plus the Smith form of the core.
+def _rank_and_torsion(reduction):
+    """Rank and invariant factors >= 2, in ascending order, of the matrix
+    (less its dropped rows) that an _eliminate result reduced: the unit
+    pivots plus the Smith form of the core.
 
-    >>> _rank_and_torsion(IntMatrix([[1, 2], [3, 0]]))
+    >>> _rank_and_torsion(_eliminate(IntMatrix([[1, 2], [3, 0]])))
     (2, (6,))
     """
-    steps, core, _, _, _ = _reduced(a)
+    steps, core, _, _, _ = reduction
     diagonal = snf(core).diagonal
     return len(steps) + sum(1 for d in diagonal if d), tuple(d for d in diagonal if d >= 2)
 
@@ -379,9 +420,7 @@ def solve_in_image(a, b):
     """An integer x with a @ x == b, or None if b is not in the image of
     `a` over the integers.  The solution is re-verified before returning.
 
-    The unit pivots' row operations carry b along; b must then vanish on
-    the rows they emptied, the core is solved through its Smith form, and
-    the pivot columns are back-substituted, last pivot first.
+    This is _solve on the elimination of the whole of `a`.
     """
     if not isinstance(a, IntMatrix):
         a = IntMatrix(a)
@@ -391,7 +430,20 @@ def solve_in_image(a, b):
     for i, e in enumerate(b):
         if not isinstance(e, int) or isinstance(e, bool):
             raise ValueError(f"b[{i}] = {e!r} is not an int")
-    steps, core, core_rows, core_cols, zero_rows = _reduced(a)
+    return _solve(a, _reduced(a), b)
+
+
+def _solve(a, reduction, b):
+    """An integer x with a @ x == b, or None, from `reduction`, an
+    _eliminate result for `a` (an IntMatrix or SparseColumns).
+
+    The unit pivots' row operations carry b along; b must then vanish on
+    the rows they emptied, the core is solved through its Smith form, and
+    the pivot columns are back-substituted, last pivot first.  Rows that
+    the reduction dropped are not read until x is checked against b on
+    every row of `a`.
+    """
+    steps, core, core_rows, core_cols, zero_rows = reduction
     dec = snf(core)
     c = b.copy()
     for p, _, _, _, multipliers in steps:
@@ -417,6 +469,8 @@ def solve_in_image(a, b):
         x[j] = v
     for p, j, u, rest, _ in reversed(steps):
         x[j] = u * (c[p] - sum(e * x[k] for k, e in rest))
-    if a.apply(x) != b:  # exactness guard; should be unreachable
+    # exactness guard: unreachable when no row was dropped, and for a cycle
+    # b when the dropped rows are those homology drops
+    if a.apply(x) != b:
         raise AssertionError("solve_in_image produced a non-solution")
     return x

@@ -3,7 +3,8 @@ from importlib import resources
 
 import pytest
 
-from quandlehom import Chain, Quandle, dataset_from_json, det
+from quandlehom import Chain, Quandle, dataset_from_json, det, homology
+from quandlehom.errors import ResourceLimitError
 
 
 def is_unimodular(a):
@@ -35,6 +36,19 @@ def quandle_inventory():
         ("R4", Quandle.dihedral(4)),
         ("S4", Quandle.from_table(S4_TABLE)),
     ]
+
+
+def admitted_boundary_degrees(q):
+    """Each n whose d_n the limits let homology build: d_n is the upper
+    boundary matrix of H_{n-1}, and every lower one is smaller."""
+    degrees = []
+    for n in range(2, homology.MAX_HOMOLOGY_DEGREE + 2):
+        try:
+            homology._check_limits(q, n - 1)
+        except ResourceLimitError:
+            break
+        degrees.append(n)
+    return degrees
 
 
 def load_bundled(name):

@@ -16,6 +16,21 @@ from quandlehom import (
 )
 from quandlehom.errors import DegenerateGeneratorError, DegreeError, SchemaError
 
+from conftest import admitted_boundary_degrees
+
+
+def chain_boundary_matrix(quandle, degree):
+    """The boundary matrix as lists, built one Chain per generator through
+    boundary_rack and project_quandle: the slow reference for the sparse
+    columns that matrix_of_boundary densifies."""
+    col_basis = quandle_basis(quandle, degree)
+    row_index = {t: i for i, t in enumerate(quandle_basis(quandle, degree - 1))}
+    data = [[0] * len(col_basis) for _ in row_index]
+    for j, gen in enumerate(col_basis):
+        for tup, coeff in project_quandle(boundary_rack(Chain.generator(gen), quandle)).items():
+            data[row_index[tup]][j] = coeff
+    return data
+
 
 class TestChainArithmetic:
     def test_zero_coefficients_are_pruned(self):
@@ -209,6 +224,12 @@ class TestMatrixOfBoundary:
         m4 = matrix_of_boundary(r3, 4)
         assert m4.shape == (12, 24)
         assert (m3 @ m4).is_zero()
+
+    def test_sparse_columns_match_the_chain_built_matrix(self, inventory):
+        for name, q in inventory + [("R5", Quandle.dihedral(5))]:
+            for degree in admitted_boundary_degrees(q):
+                expected = chain_boundary_matrix(q, degree)
+                assert matrix_of_boundary(q, degree).to_rows() == expected, (name, degree)
 
     def test_boundary_squared_is_zero_matrix_for_inventory(self, inventory):
         for _, q in inventory:

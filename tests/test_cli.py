@@ -289,7 +289,8 @@ class TestResourceGuards:
     def nothing_built(self, monkeypatch):
         for module in (chains, homology):
             monkeypatch.setattr(module, "quandle_basis", self.built)
-            monkeypatch.setattr(module, "matrix_of_boundary", self.built)
+            monkeypatch.setattr(module, "boundary_columns", self.built)
+        monkeypatch.setattr(chains, "matrix_of_boundary", self.built)
         monkeypatch.setattr(pseudocycles, "chain_of", self.built)
 
     def refused(self, capsys, argv, limit):
@@ -343,7 +344,8 @@ R9_CYCLE = {
 @pytest.mark.parametrize("command,flag", [("pseudo-cycles", "--input"), ("verify-paper", "--d")])
 def test_null_homology_guard_exits_2(capsys, tmp_path, monkeypatch, command, flag):
     for module in (chains, homology):
-        monkeypatch.setattr(module, "matrix_of_boundary", TestResourceGuards.built)
+        monkeypatch.setattr(module, "boundary_columns", TestResourceGuards.built)
+    monkeypatch.setattr(chains, "matrix_of_boundary", TestResourceGuards.built)
     path = write_json(tmp_path / "r9.json", R9_CYCLE)
     code, out, err = run(capsys, command, flag, path)
     assert code == 2

@@ -1,6 +1,10 @@
 import random
+from functools import lru_cache
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
@@ -13,11 +17,16 @@ from quandlehom import (
     is_null_homologous,
     matrix_of_boundary,
     quandle_basis,
+    solve_in_image,
 )
 from quandlehom import chains, homology, intlinalg
+from quandlehom.chains import boundary_columns, coordinates
 from quandlehom.errors import (
     DegenerateGeneratorError, DegreeError, NotACycleError, ResourceLimitError
 )
+from quandlehom.intlinalg import _rank_and_torsion, _reduced
+
+from conftest import S4_TABLE, admitted_boundary_degrees, trivial_table
 
 # frozen from an independent Smith-normal-form computation (sympy) over
 # the same boundary matrices, done before this module was written
@@ -217,6 +226,119 @@ class TestBoundaryMatrixEliminatedOnce:
         assert eliminated[before:] == []
 
 
+    def test_each_degree_up_eliminates_one_more_matrix(self, monkeypatch):
+        homology._reduction.cache_clear()
+        eliminated = []
+
+        def counting(a, dropped=frozenset()):
+            eliminated.append(a)
+            return original(a, dropped)
+
+        original = intlinalg._eliminate
+        monkeypatch.setattr(intlinalg, "_eliminate", counting)
+        r5 = Quandle.dihedral(5)
+        assert homology_group(r5, 3) == HomologyGroup(0, (5,))
+        assert len(eliminated) == 3  # d_2, d_3 and d_4
+        assert homology_group(r5, 4) == HomologyGroup(0, (5,))
+        assert len(eliminated) == 4
+
+
+# The complex is reduced as a whole: d_{n+1} is eliminated without the rows
+# that are pivot columns of d_n.  These check it against the full boundary
+# matrices, which the pivots of the cells below are not taken from.
+
+NULL_TEST_QUANDLES = {
+    "R3": Quandle.dihedral(3),
+    "R4": Quandle.dihedral(4),
+    "R5": Quandle.dihedral(5),
+    "R6": Quandle.dihedral(6),
+    "S4": Quandle.from_table(S4_TABLE),
+    "T2": Quandle.from_table(trivial_table(2)),
+}
+NULL_TEST_CASES = [(name, degree) for name in NULL_TEST_QUANDLES for degree in (2, 3)]
+
+
+@lru_cache(maxsize=None)
+def full_upper_boundary(name, degree):
+    """The dense d_{degree+1}, kept so that its own elimination is reused,
+    and the primitive integer cycles of a rational kernel basis of
+    d_degree that it does not bound."""
+    q = NULL_TEST_QUANDLES[name]
+    upper = matrix_of_boundary(q, degree + 1)
+    cycles = []
+    for v in Matrix(matrix_of_boundary(q, degree).to_rows()).nullspace():
+        scale = lcm(*(int(e.q) for e in v))
+        w = [int(e * scale) for e in v]
+        w = [e // gcd(*w) for e in w]
+        if solve_in_image(upper, w) is None:
+            cycles.append(w)
+    return upper, cycles
+
+
+class TestReducedComplex:
+    def test_rank_and_torsion_match_the_full_matrices(self, inventory):
+        for name, q in inventory + [("R5", Quandle.dihedral(5))]:
+            for degree in admitted_boundary_degrees(q):
+                full = _rank_and_torsion(_reduced(matrix_of_boundary(q, degree)))
+                assert _rank_and_torsion(homology._reduction(q, degree)) == full, (name, degree)
+
+    @pytest.mark.parametrize("name,degree", NULL_TEST_CASES)
+    def test_non_bounding_cycles_exist_where_homology_is_nontrivial(self, name, degree):
+        _, cycles = full_upper_boundary(name, degree)
+        trivial = homology_group(NULL_TEST_QUANDLES[name], degree).is_trivial()
+        assert bool(cycles) is not trivial
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.sampled_from(NULL_TEST_CASES), st.data())
+    def test_verdict_matches_the_full_matrix(self, case, data):
+        name, degree = case
+        q = NULL_TEST_QUANDLES[name]
+        upper, cycles = full_upper_boundary(name, degree)
+        basis = quandle_basis(q, degree + 1)
+        terms = data.draw(st.lists(
+            st.tuples(st.sampled_from(basis), st.integers(-3, 3)), max_size=4
+        ))
+        z = boundary_quandle(Chain(degree + 1, terms), q)
+        if cycles:
+            multiples = data.draw(st.lists(
+                st.tuples(st.integers(0, len(cycles) - 1), st.integers(-6, 6)), max_size=2
+            ))
+            basis_n = quandle_basis(q, degree)
+            for k, c in multiples:
+                z = z + Chain(degree, [(t, c * e) for t, e in zip(basis_n, cycles[k]) if e])
+        expected = solve_in_image(upper, coordinates(z, q)) is not None
+        assert is_null_homologous(z, q) is expected
+
+    def test_full_column_guard_refuses_a_non_cycle_the_kept_rows_accept(self, r3):
+        d4 = boundary_columns(r3, 4)
+        reduction = homology._reduction(r3, 4)
+        paired = sorted({j for _, j, _, _, _ in homology._reduction(r3, 3)[0]})
+        assert paired
+        for j in paired:
+            b = d4.apply([1] + [0] * (d4.cols - 1))
+            assert intlinalg._solve(d4, reduction, b) is not None
+            b[j] += 1
+            with pytest.raises(AssertionError, match="non-solution"):
+                intlinalg._solve(d4, reduction, b)
+
+
+def delayed_fibonacci(n):
+    """f_1 = f_2 = 0, f_3 = 1 and f_n = f_{n-1} + f_{n-3}."""
+    f = [None, 0, 0, 1]
+    while len(f) <= n:
+        f.append(f[-1] + f[-3])
+    return f[n]
+
+
+@pytest.mark.parametrize("p,degrees", [(3, range(2, 9)), (5, range(2, 5)), (7, range(2, 4))])
+def test_odd_prime_dihedral_homology_is_delayed_fibonacci(p, degrees):
+    # H^Q_n(R_p) = (Z/p)^{f_n} for an odd prime p (conjectured by
+    # Niebrzydowski and Przytycki 2009, proved by Nosaka 2013)
+    q = Quandle.dihedral(p)
+    for n in degrees:
+        assert homology_group(q, n) == HomologyGroup(0, (p,) * delayed_fibonacci(n)), n
+
+
 class TestResourceLimits:
     # the largest admitted requests, H_4(R5) and H_3(R7), are computed in
     # full by test_larger_dihedral_regression_values
@@ -227,7 +349,8 @@ class TestResourceLimits:
 
         for module in (chains, homology):
             monkeypatch.setattr(module, "quandle_basis", built)
-            monkeypatch.setattr(module, "matrix_of_boundary", built)
+            monkeypatch.setattr(module, "boundary_columns", built)
+        monkeypatch.setattr(chains, "matrix_of_boundary", built)
 
     def test_oversized_boundary_refused_before_any_basis(self, no_basis):
         # d_4 of R9 is 576x4608
