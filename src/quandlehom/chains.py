@@ -17,9 +17,19 @@ where ^x_i omits the i-th entry and * is the quandle operation.
 from functools import lru_cache
 from itertools import product
 
-from .errors import DegenerateGeneratorError, DegreeError, SchemaError, expect_keys
+from .errors import (
+    DegenerateGeneratorError, DegreeError, ResourceLimitError, SchemaError, expect_keys
+)
 from .intlinalg import SparseColumns
 from .quandle import Quandle
+
+# homology_group, is_null_homologous and matrix_of_boundary refuse, before any
+# basis is built, a degree above MAX_HOMOLOGY_DEGREE (for orders 1 and 2 the
+# matrices stay tiny, but the basis scan visits n^d tuples of length d) and a
+# d_{d+1} of more than MAX_BOUNDARY_ENTRIES entries: an n(n-1)^(d-1) x n(n-1)^d
+# matrix for a quandle of order n, 320x1280 for H_4(R5) and 252x1512 for H_3(R7)
+MAX_HOMOLOGY_DEGREE = 16
+MAX_BOUNDARY_ENTRIES = 1_000_000
 
 
 def is_degenerate(tup):
@@ -277,6 +287,21 @@ def quandle_basis(quandle, degree):
     )
 
 
+def _check_limits(quandle, degree):
+    if degree > MAX_HOMOLOGY_DEGREE:
+        raise ResourceLimitError(
+            f"homology degree {degree} is over the limit MAX_HOMOLOGY_DEGREE = "
+            f"{MAX_HOMOLOGY_DEGREE}"
+        )
+    n = quandle.order
+    rows, cols = n * (n - 1) ** (degree - 1), n * (n - 1) ** degree
+    if rows * cols > MAX_BOUNDARY_ENTRIES:
+        raise ResourceLimitError(
+            f"H_{degree} needs the {rows}x{cols} boundary matrix d_{degree + 1}, over the "
+            f"limit MAX_BOUNDARY_ENTRIES = {MAX_BOUNDARY_ENTRIES} entries"
+        )
+
+
 @lru_cache(maxsize=None, typed=True)
 def boundary_columns(quandle, degree):
     """The quandle boundary from degree n to n-1 as SparseColumns, read
@@ -312,7 +337,10 @@ def matrix_of_boundary(quandle, degree):
     """Matrix of the quandle boundary from degree n to n-1, with columns
     indexed by quandle_basis(quandle, n) and rows by the degree-(n-1)
     basis, both lexicographic: boundary_columns as a dense IntMatrix.
+    Refused, before any basis is built, over the limits of homology_group.
     """
+    if isinstance(degree, int) and degree >= 2:  # boundary_columns refuses the rest
+        _check_limits(quandle, degree - 1)
     return boundary_columns(quandle, degree).to_dense()
 
 

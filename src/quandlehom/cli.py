@@ -20,7 +20,6 @@ import argparse
 import hashlib
 import json
 import sys
-from importlib import resources
 from pathlib import Path
 
 from .chains import Chain, boundary_quandle, project_quandle
@@ -41,11 +40,11 @@ EXIT_INPUT_ERROR = 2
 
 
 def _bundled_path(name):
-    return resources.files("quandlehom.data").joinpath(name)
+    return Path(__file__).with_name("data") / name
 
 
 def _load_json(path):
-    """Parse a JSON file (a Path or a bundled resource) and hash its bytes."""
+    """Parse a JSON file and hash its bytes."""
     raw = path.read_bytes()
     try:
         return json.loads(raw.decode("utf-8")), hashlib.sha256(raw).hexdigest()

@@ -15,8 +15,8 @@ classical certificate used to separate homology classes on the
 three-element dihedral quandle.
 """
 
+from collections import namedtuple
 from itertools import product
-from typing import NamedTuple, Optional
 
 from .chains import Chain, boundary_rack, project_quandle
 from .errors import CocycleValidationError, DegreeError, QuandleMismatchError
@@ -104,11 +104,11 @@ def pair(cocycle, chain):
     return total % cocycle.modulus
 
 
-class CocycleCheck(NamedTuple):
-    """Outcome of the 3-cocycle test; truthiness follows `ok`."""
+class CocycleCheck(namedtuple("CocycleCheck", "ok witness")):
+    """Outcome of the 3-cocycle test; truthiness follows `ok`.  The
+    witness is a tuple, or None when the check passed."""
 
-    ok: bool
-    witness: Optional[tuple]
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok

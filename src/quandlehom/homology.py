@@ -20,42 +20,35 @@ image-membership query on the kept rows, not by reducing against computed
 torsion; the preimage found is checked on every row of d_{n+1}.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from . import intlinalg
+# the limits live with the boundary builders; the README names them here
 from .chains import (
-    boundary_columns, boundary_rack, coordinates, project_quandle, quandle_basis
+    MAX_BOUNDARY_ENTRIES, MAX_HOMOLOGY_DEGREE, _check_limits, boundary_columns,
+    boundary_rack, coordinates, project_quandle, quandle_basis,
 )
-from .errors import DegreeError, NotACycleError, ResourceLimitError
-
-# homology_group and is_null_homologous refuse, before any basis is built,
-# a degree above MAX_HOMOLOGY_DEGREE (for orders 1 and 2 the matrices stay
-# tiny, but the basis scan visits n^d tuples of length d) and a d_{d+1} of
-# more than MAX_BOUNDARY_ENTRIES entries: an n(n-1)^(d-1) x n(n-1)^d matrix
-# for a quandle of order n, 320x1280 for H_4(R5) and 252x1512 for H_3(R7)
-MAX_HOMOLOGY_DEGREE = 16
-MAX_BOUNDARY_ENTRIES = 1_000_000
+from .errors import DegreeError, NotACycleError
 
 
-@dataclass(frozen=True)
-class HomologyGroup:
+class HomologyGroup(namedtuple("HomologyGroup", "free_rank torsion")):
     """A finitely generated abelian group: free rank plus invariant
     factors d_i >= 2 with d_i | d_{i+1}."""
 
-    free_rank: int
-    torsion: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "torsion", tuple(self.torsion))
-        if self.free_rank < 0:
+    def __new__(cls, free_rank, torsion):
+        torsion = tuple(torsion)
+        if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
-        for d in self.torsion:
+        for d in torsion:
             if d < 2:
                 raise ValueError(f"torsion coefficient {d} must be >= 2")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a:
                 raise ValueError(f"torsion chain broken: {a} does not divide {b}")
+        return super().__new__(cls, free_rank, torsion)
 
     def is_trivial(self):
         return self.free_rank == 0 and not self.torsion
@@ -66,21 +59,6 @@ class HomologyGroup:
 
     def to_json_dict(self):
         return {"free_rank": self.free_rank, "torsion": list(self.torsion)}
-
-
-def _check_limits(quandle, degree):
-    if degree > MAX_HOMOLOGY_DEGREE:
-        raise ResourceLimitError(
-            f"homology degree {degree} is over the limit MAX_HOMOLOGY_DEGREE = "
-            f"{MAX_HOMOLOGY_DEGREE}"
-        )
-    n = quandle.order
-    rows, cols = n * (n - 1) ** (degree - 1), n * (n - 1) ** degree
-    if rows * cols > MAX_BOUNDARY_ENTRIES:
-        raise ResourceLimitError(
-            f"H_{degree} needs the {rows}x{cols} boundary matrix d_{degree + 1}, over the "
-            f"limit MAX_BOUNDARY_ENTRIES = {MAX_BOUNDARY_ENTRIES} entries"
-        )
 
 
 @lru_cache(maxsize=None)

@@ -22,7 +22,7 @@ complex in homology does; _solve then reads b on the kept rows only and
 checks the solution against b on every row.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import compress
 
 
@@ -165,14 +165,11 @@ class SparseColumns:
         return IntMatrix._from_rows(data, self.cols)
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(namedtuple("SmithDecomposition", "U D V")):
     """U @ A @ V == D with U, V unimodular and D diagonal with a
     divisibility chain d1 | d2 | ... and trailing zeros."""
 
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
+    __slots__ = ()
 
     @property
     def diagonal(self):

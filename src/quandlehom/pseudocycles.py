@@ -16,8 +16,7 @@ points // smallest candidate size) <= len(best): an exact bound, so the first
 maximum family found is still the lexicographically least.
 """
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 from .chains import Chain, boundary_rack, project_quandle
 from .errors import (
@@ -30,39 +29,35 @@ from .quandle import Quandle
 DEFAULT_POINT_CAP = 20
 
 
-@dataclass(frozen=True)
-class TriplePoint:
+class TriplePoint(namedtuple("TriplePoint", "id sign colors")):
     """One signed, colored triple point: sign is +1 or -1 and colors are
     the three sheet colors (p, q, r) as quandle elements."""
 
-    id: str
-    sign: int
-    colors: tuple[int, int, int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "colors", tuple(self.colors))
-        if not isinstance(self.id, str) or not self.id:
+    def __new__(cls, id, sign, colors):
+        colors = tuple(colors)
+        if not isinstance(id, str) or not id:
             raise SchemaError("id", "must be a nonempty string")
-        if type(self.sign) is not int or self.sign not in (1, -1):
+        if type(sign) is not int or sign not in (1, -1):
             raise SchemaError("sign", "must be exactly 1 or -1")
-        if len(self.colors) != 3:
+        if len(colors) != 3:
             raise SchemaError("colors", "must be a list of 3 integers")
-        for j, c in enumerate(self.colors):
+        for j, c in enumerate(colors):
             if not isinstance(c, int) or isinstance(c, bool) or c < 0:
                 raise SchemaError(f"colors[{j}]", "must be a nonnegative integer")
+        return super().__new__(cls, id, sign, colors)
 
 
-@dataclass(frozen=True)
-class TriplePointDataset:
+class TriplePointDataset(namedtuple("TriplePointDataset", "quandle points")):
     """A fixed quandle plus a list of triple points with unique ids."""
 
-    quandle: Quandle
-    points: tuple[TriplePoint, ...]
+    # no __slots__ = (): the instance keeps its _by_id index in __dict__
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        order = self.quandle.order
-        by_id = {}
+    def __new__(cls, quandle, points):
+        self = super().__new__(cls, quandle, tuple(points))
+        order = quandle.order
+        by_id = self._by_id = {}
         for i, pt in enumerate(self.points):
             if pt.id in by_id:
                 raise SchemaError(f"points[{i}].id", f"duplicate id {pt.id!r}")
@@ -72,7 +67,7 @@ class TriplePointDataset:
                     raise SchemaError(
                         f"points[{i}].colors[{j}]", f"must be an integer in 0..{order - 1}"
                     )
-        object.__setattr__(self, "_by_id", by_id)
+        return self
 
     def point(self, point_id):
         try:
@@ -216,9 +211,7 @@ def enumerate_pseudo_cycles(dataset, cap=DEFAULT_POINT_CAP):
     return found
 
 
-class PackingResult(NamedTuple):
-    count: int
-    witness: tuple
+PackingResult = namedtuple("PackingResult", "count witness")
 
 
 def _pack_disjoint(ids, subsets):
@@ -261,17 +254,16 @@ def max_disjoint_packing(dataset, cap=DEFAULT_POINT_CAP):
     )
 
 
-@dataclass(frozen=True)
-class PseudoCycleReport:
+class PseudoCycleReport(namedtuple(
+    "PseudoCycleReport", "pseudo_cycles distinct_count max_disjoint_count witness_packing"
+)):
     """Full search output: every pseudo-cycle subset plus the two counts
     (distinct subsets, and the maximum disjoint family with witness)."""
 
-    pseudo_cycles: tuple
-    distinct_count: int
-    max_disjoint_count: int
-    witness_packing: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.distinct_count != len(self.pseudo_cycles):
             raise ValueError("distinct_count must equal the number of pseudo-cycles")
         if self.max_disjoint_count != len(self.witness_packing):
@@ -284,6 +276,7 @@ class PseudoCycleReport:
             if used & set(subset):
                 raise ValueError("witness subsets are not pairwise disjoint")
             used |= set(subset)
+        return self
 
     def to_json_dict(self):
         return {

@@ -36,12 +36,18 @@ class Quandle:
         """Validate `table` (a square array over {0..n-1}) and freeze it.
 
         Raises QuandleAxiomError naming the failed axiom and a witness,
-        or ValueError if the table is malformed.
+        or ValueError if the table is malformed; ResourceLimitError, before
+        any entry is checked, if it has more than MAX_DIHEDRAL_ORDER rows.
         """
         rows = tuple(tuple(row) for row in table)
         n = len(rows)
         if n == 0:
             raise ValueError("quandle order must be at least 1")
+        if n > MAX_DIHEDRAL_ORDER:
+            raise ResourceLimitError(
+                f"quandle table has {n} rows, over the limit MAX_DIHEDRAL_ORDER = "
+                f"{MAX_DIHEDRAL_ORDER}"
+            )
         for x, row in enumerate(rows):
             if len(row) != n:
                 raise ValueError(f"row {x} has length {len(row)}, expected {n}")
@@ -91,13 +97,7 @@ class Quandle:
 
     @classmethod
     def from_table(cls, table):
-        """Build a quandle from an explicit operation table, validating it."""
-        table = list(table)
-        if len(table) > MAX_DIHEDRAL_ORDER:
-            raise ResourceLimitError(
-                f"quandle table has {len(table)} rows, over the limit MAX_DIHEDRAL_ORDER = "
-                f"{MAX_DIHEDRAL_ORDER}"
-            )
+        """Build a quandle from an explicit operation table: Quandle(table)."""
         return cls(table)
 
     def act(self, x, y):

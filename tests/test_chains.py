@@ -9,12 +9,15 @@ from quandlehom import (
     Quandle,
     boundary_quandle,
     boundary_rack,
+    chains,
     is_degenerate,
     matrix_of_boundary,
     project_quandle,
     quandle_basis,
 )
-from quandlehom.errors import DegenerateGeneratorError, DegreeError, SchemaError
+from quandlehom.errors import (
+    DegenerateGeneratorError, DegreeError, ResourceLimitError, SchemaError
+)
 
 from conftest import admitted_boundary_degrees
 
@@ -189,12 +192,30 @@ class TestQuandleBasis:
 class TestMatrixOfBoundary:
     def test_non_int_degree_rejected_cold_and_warm(self):
         q = Quandle.from_table([[x] * 5 for x in range(5)])  # no other test uses it
-        for degree in (3.0, 1, 0):
+        for degree in (3.0, 1, 0, True, "3", None):
             with pytest.raises(DegreeError):
                 matrix_of_boundary(q, degree)  # cold
         assert matrix_of_boundary(q, 3).shape == (20, 80)
         with pytest.raises(DegreeError):
             matrix_of_boundary(q, 3.0)  # warm
+
+    def test_oversized_request_refused_before_any_basis(self, monkeypatch):
+        def built(*args):
+            raise AssertionError("a basis or boundary matrix was built")
+
+        monkeypatch.setattr(chains, "quandle_basis", built)
+        monkeypatch.setattr(chains, "boundary_columns", built)
+        # d_6 of R5 would densify 1280x5120 = 6.55 M entries
+        with pytest.raises(
+            ResourceLimitError,
+            match="H_5 needs the 1280x5120 boundary matrix d_6, over the limit "
+            "MAX_BOUNDARY_ENTRIES = 1000000",
+        ):
+            matrix_of_boundary(Quandle.dihedral(5), 6)
+        r2 = Quandle.dihedral(2)
+        for degree in (18, 10**9):
+            with pytest.raises(ResourceLimitError, match="MAX_HOMOLOGY_DEGREE = 16"):
+                matrix_of_boundary(r2, degree)
 
     def test_r3_degree3_shape_and_known_column(self, r3):
         m = matrix_of_boundary(r3, 3)

@@ -1,10 +1,13 @@
 import hashlib
 import json
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
-from quandlehom import Quandle, chains, cli, homology, pseudocycles
+from quandlehom import Quandle, chains, cli, homology, pseudocycles, quandle
 
 
 def run(capsys, *argv):
@@ -316,7 +319,8 @@ class TestResourceGuards:
         self.refused(capsys, argv, limit)
 
     def test_table_order(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(Quandle, "__init__", self.built)
+        # the row count is checked in Quandle.__init__, before its n^3 axiom scan
+        monkeypatch.setattr(quandle, "product", self.built)
         table = [[x] * 33 for x in range(33)]
         path = write_json(tmp_path / "q.json", {"kind": "table", "table": table})
         argv = ["homology", "--quandle", f"table:{path}", "--degree", "1"]
@@ -508,3 +512,19 @@ def test_report_envelope_and_exit_code(capsys, tmp_path, case):
     assert report["command"] == argv[0]
     assert code == (1 if report.get("verdict") == "fail" else 0)
     assert err
+
+
+def test_cli_import_leaves_out_slow_modules():
+    # each of these costs milliseconds of start-up on every command; -S keeps
+    # site's .pth files from importing any of them first and hiding a regression
+    src = Path(cli.__file__).resolve().parents[1]
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import quandlehom.cli; "
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'typing', 'importlib.resources') "
+        "if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

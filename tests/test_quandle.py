@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from quandlehom import Quandle
+from quandlehom import Quandle, quandle
 from quandlehom.errors import QuandleAxiomError, ResourceLimitError, SchemaError
 from quandlehom.pseudocycles import quandle_from_json
 from quandlehom.quandle import MAX_DIHEDRAL_ORDER
@@ -65,16 +65,35 @@ def test_dihedral_order_limit_refused_before_the_table(monkeypatch):
             Quandle.dihedral(n)
 
 
-def test_table_order_limit_refused_before_validation(monkeypatch):
-    def built(self, table):
-        raise AssertionError("the table was validated")
+@pytest.fixture
+def no_axiom_scan(monkeypatch):
+    # the distributivity scan walks product(range(n), repeat=3)
+    def scanned(*args, **kwargs):
+        raise AssertionError("the n^3 axiom scan was reached")
 
-    Quandle.from_table(trivial_table(MAX_DIHEDRAL_ORDER))
-    monkeypatch.setattr(Quandle, "__init__", built)
+    monkeypatch.setattr(quandle, "product", scanned)
+
+
+def test_table_order_limit_refused_before_validation(no_axiom_scan):
     for n in (MAX_DIHEDRAL_ORDER + 1, 1000):
         with pytest.raises(SchemaError, match=f"MAX_DIHEDRAL_ORDER = {MAX_DIHEDRAL_ORDER}") as exc:
             quandle_from_json({"kind": "table", "table": trivial_table(n)})
         assert exc.value.path == "quandle.table"
+
+
+def test_constructor_applies_the_table_order_limit(no_axiom_scan):
+    # Quandle(table) and Quandle.from_table share the one guard
+    for build in (Quandle, Quandle.from_table):
+        for n in (MAX_DIHEDRAL_ORDER + 1, 40):
+            with pytest.raises(
+                ResourceLimitError,
+                match=f"quandle table has {n} rows, over the limit MAX_DIHEDRAL_ORDER = 32",
+            ):
+                build(trivial_table(n))
+
+
+def test_table_order_limit_admits_its_bound():
+    assert Quandle(trivial_table(MAX_DIHEDRAL_ORDER)).order == MAX_DIHEDRAL_ORDER
 
 
 def test_dihedral_rejects_nonpositive_order():
