@@ -35,6 +35,24 @@ def chain_boundary_matrix(quandle, degree):
     return data
 
 
+def formula_boundary(tup, table, drop_degenerate):
+    """The module docstring's boundary of one generator, written out on its
+    own: d(x_1..x_n) = sum_{i=2..n} (-1)^i [(.., ^x_i, ..) -
+    (x_1*x_i, .., x_{i-1}*x_i, x_{i+1}, ..)], with 1-based i and
+    x * y = table[x][y].  drop_degenerate gives the quandle complex."""
+    out = {}
+    for i in range(2, len(tup) + 1):
+        sign = (-1) ** i
+        x_i = tup[i - 1]
+        omitted = tup[: i - 1] + tup[i:]
+        acted = tuple(table[x][x_i] for x in tup[: i - 1]) + tup[i:]
+        for term, c in ((omitted, sign), (acted, -sign)):
+            if drop_degenerate and any(a == b for a, b in zip(term, term[1:])):
+                continue
+            out[term] = out.get(term, 0) + c
+    return {t: c for t, c in out.items() if c}
+
+
 class TestChainArithmetic:
     def test_zero_coefficients_are_pruned(self):
         c = Chain(2, [((0, 1), 2), ((0, 1), -2)])
@@ -111,6 +129,14 @@ class TestBoundaryRack:
             lhs = boundary_rack(a * c1 + b * c2, r3)
             rhs = a * boundary_rack(c1, r3) + b * boundary_rack(c2, r3)
             assert lhs == rhs
+
+    def test_every_generator_follows_the_docstring_formula(self, inventory):
+        # degenerate tuples included: the rack boundary keeps every face
+        for name, q in inventory:
+            for degree in (2, 3, 4):
+                for tup in product(range(q.order), repeat=degree):
+                    got = dict(boundary_rack(Chain.generator(tup), q).items())
+                    assert got == formula_boundary(tup, q.table, False), (name, tup)
 
     def test_double_boundary_annihilates_generators(self, inventory):
         for _, q in inventory:
@@ -251,6 +277,18 @@ class TestMatrixOfBoundary:
             for degree in admitted_boundary_degrees(q):
                 expected = chain_boundary_matrix(q, degree)
                 assert matrix_of_boundary(q, degree).to_rows() == expected, (name, degree)
+
+    def test_sparse_columns_follow_the_docstring_formula(self, inventory):
+        for name, q in inventory + [("R5", Quandle.dihedral(5))]:
+            for degree in admitted_boundary_degrees(q):
+                rows = quandle_basis(q, degree - 1)
+                d = chains.boundary_columns(q, degree)
+                assert d.rows == len(rows)
+                assert d.cols == len(quandle_basis(q, degree))
+                for gen, column in zip(quandle_basis(q, degree), d.columns):
+                    got = {rows[i]: e for i, e in column.items()}
+                    assert 0 not in got.values(), (name, gen)
+                    assert got == formula_boundary(gen, q.table, True), (name, gen)
 
     def test_boundary_squared_is_zero_matrix_for_inventory(self, inventory):
         for _, q in inventory:
