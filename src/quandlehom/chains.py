@@ -6,7 +6,7 @@ chain complex is the quotient of the rack complex by tuples with two equal
 adjacent entries; since that subgroup is generator-spanned, the quotient is
 realized by simply dropping degenerate tuples (project_quandle).
 
-Boundary convention, fixed for the whole package:
+Boundary convention, fixed for the whole package and written once (_faces):
 
     d(x_1, ..., x_n) = sum_{i=2..n} (-1)^i [ (x_1, ..., ^x_i, ..., x_n)
                        - (x_1*x_i, ..., x_{i-1}*x_i, x_{i+1}, ..., x_n) ]
@@ -219,6 +219,17 @@ class Chain:
         return cls._from_checked(degree, terms)
 
 
+def _faces(tup, table):
+    """The (face, sign) terms of the docstring formula for one tuple,
+    degenerate faces included; table is quandle.table, trusted."""
+    for ii in range(1, len(tup)):  # ii is the 0-based index of x_i, i = ii + 1
+        c = 1 if ii % 2 else -1
+        xi = tup[ii]
+        head, tail = tup[:ii], tup[ii + 1 :]
+        yield head + tail, c
+        yield tuple([table[x][xi] for x in head]) + tail, -c
+
+
 def boundary_rack(chain, quandle):
     """Rack boundary of a chain, by linear extension of the generator
     formula in the module docstring.
@@ -239,11 +250,8 @@ def boundary_rack(chain, quandle):
                 raise ValueError(
                     f"tuple entry {max(tup)} out of range for quandle of order {order}"
                 )
-            for ii in range(1, n):  # ii is the 0-based index of x_i, i = ii + 1
-                c = coeff if ii % 2 else -coeff
-                xi = tup[ii]
-                yield tup[:ii] + tup[ii + 1 :], c
-                yield tuple(table[x][xi] for x in tup[:ii]) + tup[ii + 1 :], -c
+            for face, c in _faces(tup, table):
+                yield face, c * coeff
 
     return Chain._from_checked(n - 1, terms())
 
@@ -313,22 +321,17 @@ def boundary_columns(quandle, degree):
     if not isinstance(degree, int) or isinstance(degree, bool) or degree < 2:
         raise DegreeError(f"boundary matrix requires an integer degree >= 2, got {degree!r}")
     row_index = {t: i for i, t in enumerate(quandle_basis(quandle, degree - 1))}
-    right = list(zip(*quandle.table))  # right[y][x] = x * y
     columns = []
     for gen in quandle_basis(quandle, degree):
         column = {}
-        for ii in range(1, degree):  # as in boundary_rack
-            c = 1 if ii % 2 else -1
-            head, tail = gen[:ii], gen[ii + 1 :]
-            acted = tuple(map(right[gen[ii]].__getitem__, head))
-            for face, e in ((head + tail, c), (acted + tail, -c)):
-                i = row_index.get(face)
-                if i is not None:
-                    v = column.get(i, 0) + e
-                    if v:
-                        column[i] = v
-                    else:
-                        del column[i]
+        for face, e in _faces(gen, quandle.table):
+            i = row_index.get(face)
+            if i is not None:
+                v = column.get(i, 0) + e
+                if v:
+                    column[i] = v
+                else:
+                    del column[i]
         columns.append(column)
     return SparseColumns(len(row_index), columns)
 

@@ -15,9 +15,11 @@ them, and those coordinates of ker d_n form a direct summand: deleting the
 rows keeps the rank and the torsion of d_{n+1} and adds no fill.  One
 reduction is kept per (quandle, degree).
 
-Null-homology of a cycle is decided directly as an integer
-image-membership query on the kept rows, not by reducing against computed
-torsion; the preimage found is checked on every row of d_{n+1}.
+These are the package's only kept eliminations.  A degree-n chain z is
+tested on its coordinate vector alone: it is a cycle iff d_n z = 0, read
+off the cached columns, and a cycle bounds iff the vector lies in the
+integer image of d_{n+1}, a query on the kept rows of its reduction whose
+preimage is checked on every row.
 """
 
 from collections import namedtuple
@@ -27,7 +29,7 @@ from . import intlinalg
 # the limits live with the boundary builders; the README names them here
 from .chains import (
     MAX_BOUNDARY_ENTRIES, MAX_HOMOLOGY_DEGREE, _check_limits, boundary_columns,
-    boundary_rack, coordinates, project_quandle, quandle_basis,
+    boundary_quandle, coordinates, quandle_basis,
 )
 from .errors import DegreeError, NotACycleError
 
@@ -98,9 +100,9 @@ def is_null_homologous(chain, quandle):
     """
     _check_limits(quandle, chain.degree)
     vec = coordinates(chain, quandle)  # the one degeneracy and range check
-    if chain.degree >= 2:
-        bd = project_quandle(boundary_rack(chain, quandle))
-        if bd:
-            raise NotACycleError(f"chain has nonzero quandle boundary: {bd!r}")
+    # d_n is cached: the reduction of d_{n+1} below was built on it
+    if chain.degree >= 2 and any(boundary_columns(quandle, chain.degree).apply(vec)):
+        bd = boundary_quandle(chain, quandle)
+        raise NotACycleError(f"chain has nonzero quandle boundary: {bd!r}")
     up = chain.degree + 1
     return intlinalg._solve(boundary_columns(quandle, up), _reduction(quandle, up), vec) is not None

@@ -11,10 +11,9 @@ the one Smith normal form kernel (Dumas, Heckenbach, Saunders and
 Welker, "Computing simplicial homology based on efficient Smith normal
 form algorithms", 2003).  The core keeps one column of each set that is
 equal up to sign, which leaves its image, rank and invariant factors
-unchanged; a solution is 0 on the dropped columns.  An IntMatrix is
-immutable, so its elimination is computed on first use and kept on the
-matrix: every later rank or image query on it reuses the pivots, and
-each query still takes the Smith form of the (small) core afresh.
+unchanged; a solution is 0 on the dropped columns.  Nothing here keeps
+an elimination (solve_in_image eliminates afresh on each call): the kept
+ones are homology's, one per boundary matrix of the quandle complex.
 
 Boundary matrices are built as SparseColumns, which _eliminate reads
 without a dense copy.  It can leave rows out, as the reduction of the whole
@@ -40,7 +39,7 @@ class IntMatrix:
     IntMatrix([[1, 2], [3, 4]])
     """
 
-    __slots__ = ("rows", "cols", "_data", "_reduction")
+    __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, data, cols=None):
         data = [list(row) for row in data]
@@ -61,7 +60,6 @@ class IntMatrix:
         object.__setattr__(self, "rows", len(data))
         object.__setattr__(self, "cols", width)
         object.__setattr__(self, "_data", data)
-        object.__setattr__(self, "_reduction", None)
 
     @classmethod
     def _from_rows(cls, data, cols):
@@ -70,7 +68,6 @@ class IntMatrix:
         object.__setattr__(m, "rows", len(data))
         object.__setattr__(m, "cols", cols)
         object.__setattr__(m, "_data", data)
-        object.__setattr__(m, "_reduction", None)
         return m
 
     def __setattr__(self, name, value):
@@ -364,13 +361,6 @@ def _eliminate(a, dropped=frozenset()):
     return steps, IntMatrix._from_rows(data, len(core_cols)), core_rows, core_cols, zero_rows
 
 
-def _reduced(a):
-    """_eliminate(a), computed on first use and kept on the matrix."""
-    if a._reduction is None:
-        object.__setattr__(a, "_reduction", _eliminate(a))
-    return a._reduction
-
-
 def _rank_and_torsion(reduction):
     """Rank and invariant factors >= 2, in ascending order, of the matrix
     (less its dropped rows) that an _eliminate result reduced: the unit
@@ -427,7 +417,7 @@ def solve_in_image(a, b):
     for i, e in enumerate(b):
         if not isinstance(e, int) or isinstance(e, bool):
             raise ValueError(f"b[{i}] = {e!r} is not an int")
-    return _solve(a, _reduced(a), b)
+    return _solve(a, _eliminate(a), b)
 
 
 def _solve(a, reduction, b):
