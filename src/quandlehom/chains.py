@@ -99,6 +99,9 @@ class Chain:
     def __setattr__(self, name, value):
         raise AttributeError("Chain is immutable")
 
+    def __reduce__(self):  # copies and pickles are rebuilt through __init__
+        return type(self), (self.degree, self._terms)
+
     @classmethod
     def zero(cls, degree):
         return cls(degree)

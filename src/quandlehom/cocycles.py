@@ -52,6 +52,9 @@ class Cocycle3:
     def __setattr__(self, name, value):
         raise AttributeError("Cocycle3 is immutable")
 
+    def __reduce__(self):  # copies and pickles are rebuilt through __init__
+        return type(self), (self.quandle, self.modulus, self._values)
+
     @classmethod
     def from_function(cls, quandle, modulus, fn):
         n = quandle.order

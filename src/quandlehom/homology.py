@@ -52,6 +52,10 @@ class HomologyGroup(namedtuple("HomologyGroup", "free_rank torsion")):
                 raise ValueError(f"torsion chain broken: {a} does not divide {b}")
         return super().__new__(cls, free_rank, torsion)
 
+    @classmethod
+    def _make(cls, fields):  # namedtuple's skips __new__, and _replace calls it
+        return cls(*fields)
+
     def is_trivial(self):
         return self.free_rank == 0 and not self.torsion
 

@@ -73,6 +73,9 @@ class IntMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
 
+    def __reduce__(self):  # copies and pickles are rebuilt through __init__
+        return type(self), (self._data, self.cols)
+
     @classmethod
     def zeros(cls, rows, cols):
         return cls([[0] * cols for _ in range(rows)], cols=cols)

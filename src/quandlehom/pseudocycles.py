@@ -48,6 +48,10 @@ class TriplePoint(namedtuple("TriplePoint", "id sign colors")):
                 raise SchemaError(f"colors[{j}]", "must be a nonnegative integer")
         return super().__new__(cls, id, sign, colors)
 
+    @classmethod
+    def _make(cls, fields):  # namedtuple's skips __new__, and _replace calls it
+        return cls(*fields)
+
 
 class TriplePointDataset(namedtuple("TriplePointDataset", "quandle points")):
     """A fixed quandle plus a list of triple points with unique ids."""
@@ -68,6 +72,10 @@ class TriplePointDataset(namedtuple("TriplePointDataset", "quandle points")):
                         f"points[{i}].colors[{j}]", f"must be an integer in 0..{order - 1}"
                     )
         return self
+
+    @classmethod
+    def _make(cls, fields):  # namedtuple's skips __new__ and so the _by_id index
+        return cls(*fields)
 
     def point(self, point_id):
         try:
@@ -277,6 +285,10 @@ class PseudoCycleReport(namedtuple(
                 raise ValueError("witness subsets are not pairwise disjoint")
             used |= set(subset)
         return self
+
+    @classmethod
+    def _make(cls, fields):  # namedtuple's skips __new__, and _replace calls it
+        return cls(*fields)
 
     def to_json_dict(self):
         return {

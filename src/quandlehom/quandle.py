@@ -79,6 +79,9 @@ class Quandle:
     def __setattr__(self, name, value):
         raise AttributeError("Quandle is immutable")
 
+    def __reduce__(self):  # copies and pickles are rebuilt through __init__
+        return type(self), (self.table,)
+
     @classmethod
     def dihedral(cls, n):
         """The dihedral quandle on Z/nZ with x * y = (2y - x) mod n.
@@ -93,7 +96,7 @@ class Quandle:
                 f"dihedral quandle order {n} is over the limit MAX_DIHEDRAL_ORDER = "
                 f"{MAX_DIHEDRAL_ORDER}"
             )
-        return cls(((2 * y - x) % n for y in range(n)) for x in range(n))
+        return cls(tuple((2 * y - x) % n for y in range(n)) for x in range(n))
 
     @classmethod
     def from_table(cls, table):

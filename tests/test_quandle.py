@@ -31,6 +31,21 @@ def test_dihedral_validates_for_small_orders():
         brute_force_axioms(Quandle.dihedral(n))
 
 
+def test_dihedral_rows_do_not_depend_on_how_the_table_is_read(monkeypatch):
+    # a constructor that takes every row before reading any entry must
+    # still get R_n: each row is complete when it is handed over
+    original = Quandle.__init__
+
+    def rows_first(self, table):
+        original(self, list(table))
+
+    monkeypatch.setattr(Quandle, "__init__", rows_first)
+    for n in (3, 5, 8):
+        assert Quandle.dihedral(n).table == tuple(
+            tuple((2 * y - x) % n for y in range(n)) for x in range(n)
+        )
+
+
 def test_inventory_passes_brute_force_recheck(inventory):
     for _, q in inventory:
         brute_force_axioms(q)

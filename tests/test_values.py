@@ -1,10 +1,16 @@
 """The package's immutable value types: their repr, equality, hashing,
 immutability, the coercions their constructors apply and every message
-their validation raises."""
+their validation raises, also through `_make`, `_replace`, copies and
+pickles."""
+
+import copy
+import pickle
 
 import pytest
 
 from quandlehom import (
+    Chain,
+    Cocycle3,
     CocycleCheck,
     HomologyGroup,
     IntMatrix,
@@ -13,10 +19,13 @@ from quandlehom import (
     SmithDecomposition,
     TriplePoint,
     TriplePointDataset,
+    mochizuki_theta,
     snf,
 )
 from quandlehom.errors import SchemaError
 from quandlehom.pseudocycles import PackingResult
+
+from conftest import load_bundled
 
 
 def r3_dataset(points=(("a", 1, (0, 1, 2)), ("b", -1, (2, 1, 0)))):
@@ -240,3 +249,116 @@ class TestReportValidation:
             "max_disjoint_count": 2,
             "witness_packing": [["a", "b"], ["c"]],
         }
+
+
+# one instance of each immutable class that is not a namedtuple
+OBJECTS = {
+    "Quandle": lambda: Quandle.dihedral(5),
+    "Chain": lambda: Chain(3, [((2, 0, 2), 1), ((0, 1, 0), -12)]),
+    "IntMatrix": lambda: IntMatrix([[1, -2], [0, 3]]),
+    "empty IntMatrix": lambda: IntMatrix([], cols=2),
+    "Cocycle3": mochizuki_theta,
+}
+COPIES = {
+    "pickle": lambda v: pickle.loads(pickle.dumps(v)),
+    "pickle protocol 0": lambda v: pickle.loads(pickle.dumps(v, protocol=0)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+
+class TestCopyAndPickle:
+    @pytest.mark.parametrize("how", sorted(COPIES))
+    @pytest.mark.parametrize("name", sorted(OBJECTS) + sorted(VALUES))
+    def test_round_trip_equals_the_original(self, name, how):
+        make = OBJECTS[name] if name in OBJECTS else VALUES[name][0]
+        value = make()
+        twin = COPIES[how](value)
+        assert type(twin) is type(value)
+        assert twin == value
+        assert repr(twin) == repr(value)
+
+    @pytest.mark.parametrize("how", sorted(COPIES))
+    def test_loaded_dataset_keeps_its_index(self, how):
+        ds = COPIES[how](load_bundled("yashiro_dprime.json"))
+        assert ds == load_bundled("yashiro_dprime.json")
+        assert ds.point("t2").colors == (2, 0, 2)
+
+    @pytest.mark.parametrize("how", ["pickle", "copy", "deepcopy"])
+    @pytest.mark.parametrize("cls", [Quandle, Chain, IntMatrix, Cocycle3], ids=lambda c: c.__name__)
+    def test_copies_are_rebuilt_through_the_constructor(self, monkeypatch, cls, how):
+        value = OBJECTS[cls.__name__]()
+        built = []
+        original = cls.__init__
+
+        def counting(self, *args):
+            built.append(args)
+            original(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+        assert COPIES[how](value) == value
+        assert len(built) == 1
+
+    def test_copies_do_not_share_matrix_rows(self):
+        a = IntMatrix([[1, 2]])
+        b = copy.copy(a)
+        assert b._data is not a._data and b._data[0] is not a._data[0]
+
+
+class TestMakeAndReplaceValidate:
+    def test_replace_builds_a_checked_value(self):
+        assert HomologyGroup(0, (3,))._replace(free_rank=2) == HomologyGroup(2, (3,))
+        assert TriplePoint("a", 1, (0, 1, 2))._replace(sign=-1) == TriplePoint("a", -1, (0, 1, 2))
+        assert report()._replace(
+            witness_packing=(("c",),), max_disjoint_count=1
+        ) == report(witness_packing=(("c",),), max_disjoint_count=1)
+
+    def test_replaced_dataset_keeps_its_index(self):
+        ds = r3_dataset()._replace(points=[TriplePoint("t2", 1, (2, 0, 2))])
+        assert ds.points == (TriplePoint("t2", 1, (2, 0, 2)),)
+        assert ds.point("t2").colors == (2, 0, 2)
+
+    @pytest.mark.parametrize("build,error,message", [
+        pytest.param(
+            lambda: HomologyGroup(0, (3,))._replace(free_rank=-1),
+            ValueError, "free rank must be nonnegative", id="HomologyGroup._replace",
+        ),
+        pytest.param(
+            lambda: HomologyGroup._make([0, (1,)]),
+            ValueError, "torsion coefficient 1 must be >= 2", id="HomologyGroup._make",
+        ),
+        pytest.param(
+            lambda: TriplePoint("a", 1, (0, 1, 2))._replace(sign=0),
+            SchemaError, "sign: must be exactly 1 or -1", id="TriplePoint._replace",
+        ),
+        pytest.param(
+            lambda: TriplePoint._make(["a", 1, (0, 1)]),
+            SchemaError, "colors: must be a list of 3 integers", id="TriplePoint._make",
+        ),
+        pytest.param(
+            lambda: r3_dataset()._replace(quandle=Quandle.dihedral(2)),
+            SchemaError, "points[0].colors[2]: must be an integer in 0..1",
+            id="TriplePointDataset._replace",
+        ),
+        pytest.param(
+            lambda: TriplePointDataset._make(
+                [Quandle.dihedral(3), [TriplePoint("a", 1, (0, 1, 2))] * 2]
+            ),
+            SchemaError, "points[1].id: duplicate id 'a'", id="TriplePointDataset._make",
+        ),
+        pytest.param(
+            lambda: report()._replace(distinct_count=3),
+            ValueError, "distinct_count must equal the number of pseudo-cycles",
+            id="PseudoCycleReport._replace",
+        ),
+        pytest.param(
+            lambda: PseudoCycleReport._make([(("a",),), 1, 1, (("b",),)]),
+            ValueError, "witness subset ('b',) is not a pseudo-cycle",
+            id="PseudoCycleReport._make",
+        ),
+    ])
+    def test_bad_fields_raise_the_constructors_error(self, build, error, message):
+        with pytest.raises(error) as exc:
+            build()
+        assert type(exc.value) is error
+        assert str(exc.value) == message
