@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from quandlehom import Quandle, chains, cli, homology, pseudocycles, quandle
+from quandlehom import CocycleCheck, Quandle, chains, cli, cocycles, homology, pseudocycles, quandle
 
 
 def run(capsys, *argv):
@@ -273,6 +273,29 @@ class TestCheckCocycleCommand:
         code, report, _ = run_json(capsys, "check-cocycle", "--cocycle", "mochizuki:3", "--dump-table")
         assert code == 0
         assert report["results"]["values"][2][0][2] == 2
+
+    def test_brute_force_check_runs_once(self, capsys, monkeypatch):
+        calls = []
+        original = cocycles.is_quandle_3cocycle
+
+        def counting(cocycle):
+            calls.append(cocycle.modulus)
+            return original(cocycle)
+
+        for module in (cocycles, cli):
+            monkeypatch.setattr(module, "is_quandle_3cocycle", counting)
+        code, report, _ = run_json(capsys, "check-cocycle", "--cocycle", "mochizuki:5")
+        assert code == 0 and report["verdict"] == "pass"
+        assert calls == [5]
+
+    def test_failing_construction_check_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            cocycles, "is_quandle_3cocycle", lambda cocycle: CocycleCheck(False, (0, 1, 0, 2))
+        )
+        code, out, err = run(capsys, "check-cocycle", "--cocycle", "mochizuki:5")
+        assert code == 2
+        assert out == ""
+        assert "fails the 3-cocycle check at (0, 1, 0, 2)" in err
 
     def test_non_prime_parameter_is_input_error(self, capsys):
         code, out, err = run(capsys, "check-cocycle", "--cocycle", "mochizuki:4")
