@@ -14,6 +14,7 @@ Boundary convention, fixed for the whole package and written once (_faces):
 where ^x_i omits the i-th entry and * is the quandle operation.
 """
 
+import re
 from functools import lru_cache
 from itertools import product
 
@@ -211,11 +212,9 @@ class Chain:
                         f"{path}.tuple[{j}]", "must be a nonnegative integer"
                     )
             coeff = entry["coeff"]
-            if isinstance(coeff, str):
-                try:
-                    coeff = int(coeff, 10)
-                except ValueError:
-                    raise SchemaError(f"{path}.coeff", "must be a decimal integer string")
+            # int() alone would also take "1_0", " 5 " and non-ASCII digits
+            if isinstance(coeff, str) and re.fullmatch("-?[0-9]+", coeff):
+                coeff = int(coeff)
             elif not isinstance(coeff, int) or isinstance(coeff, bool):
                 raise SchemaError(f"{path}.coeff", "must be a decimal integer string")
             terms.append((tuple(tup), coeff))

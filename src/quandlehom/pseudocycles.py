@@ -197,9 +197,8 @@ def enumerate_pseudo_cycles(dataset, cap=DEFAULT_POINT_CAP):
     ids = dataset.sorted_ids()
     k = len(ids)
     if k > cap:
-        raise EnumerationCapError(
-            f"dataset has {k} triple points, enumeration cap is {cap}"
-        )
+        limit = f"DEFAULT_POINT_CAP = {cap}" if cap == DEFAULT_POINT_CAP else cap
+        raise EnumerationCapError(f"dataset has {k} triple points, enumeration cap is {limit}")
     null_verdicts = {}
 
     def is_null(chain, quandle):

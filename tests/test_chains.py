@@ -326,6 +326,22 @@ class TestChainJson:
             Chain.from_json_dict(doc)
         assert exc.value.path == "terms[0].coeff"
 
+    @pytest.mark.parametrize("coeff", ["-12", "0", "007", 5, -3])
+    def test_decimal_coefficients_accepted(self, coeff):
+        doc = {"degree": 2, "terms": [{"tuple": [0, 1], "coeff": coeff}]}
+        assert Chain.from_json_dict(doc) == Chain(2, [((0, 1), int(coeff))])
+
+    # digit separators, padding, a sign other than "-", non-ASCII digits
+    # (Arabic-Indic three) and the like are not ASCII -?[0-9]+
+    @pytest.mark.parametrize("coeff", [
+        "1_0", " 5 ", "5\n", "\u0663", "\uff15", "+5", "--5", "-", "", "1.0", "0x10", 1.0, True, None,
+    ])
+    def test_other_coefficient_forms_rejected_with_path(self, coeff):
+        doc = {"degree": 2, "terms": [{"tuple": [0, 1], "coeff": coeff}]}
+        with pytest.raises(SchemaError) as exc:
+            Chain.from_json_dict(doc)
+        assert exc.value.path == "terms[0].coeff"
+
     def test_tuple_length_must_match_degree(self):
         doc = {"degree": 3, "terms": [{"tuple": [0, 1], "coeff": "1"}]}
         with pytest.raises(SchemaError) as exc:

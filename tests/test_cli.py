@@ -244,6 +244,15 @@ class TestEvalCocycleCommand:
         code, _, err = run(capsys, "eval-cocycle", "--cocycle", "mochizuki:3", "--chain", path)
         assert code == 2
 
+    @pytest.mark.parametrize("coeff", ["1_0", " 5 ", "\u0663", "+5", "1.0", ""])
+    def test_non_decimal_coefficient_string_exits_2(self, capsys, tmp_path, coeff):
+        doc = {"degree": 3, "terms": [{"tuple": [2, 0, 2], "coeff": coeff}]}
+        path = write_json(tmp_path / "chain.json", doc)
+        code, out, err = run(capsys, "eval-cocycle", "--cocycle", "mochizuki:3", "--chain", path)
+        assert code == 2
+        assert out == ""
+        assert "terms[0].coeff" in err
+
     def test_float_sign_in_dataset_exits_2(self, capsys, tmp_path):
         doc = json.loads(json.dumps(DPRIME))
         doc["triple_points"][0]["sign"] = 1.0
@@ -353,6 +362,15 @@ class TestResourceGuards:
         path = write_json(tmp_path / "dprime.json", DPRIME)
         argv = ["pseudo-cycles", "--input", path, "--cap", "21"]
         self.refused(capsys, argv, "DEFAULT_POINT_CAP = 20")
+
+    def test_dataset_over_the_default_cap(self, capsys, tmp_path):
+        points = [{"id": f"p{i:02d}", "sign": 1, "colors": [0, 1, 2]} for i in range(21)]
+        doc = {"quandle": {"kind": "dihedral", "order": 3}, "triple_points": points}
+        path = write_json(tmp_path / "many.json", doc)
+        self.refused(
+            capsys, ["pseudo-cycles", "--input", path],
+            "dataset has 21 triple points, enumeration cap is DEFAULT_POINT_CAP = 20",
+        )
 
 
 # the quandle boundary of the generator (0, 1, 2, 3) over R9: a degree-3

@@ -144,6 +144,17 @@ class TestEnumerate:
         with pytest.raises(EnumerationCapError):
             enumerate_pseudo_cycles(make_dataset(points[:6]), cap=5)
 
+    def test_cap_message_names_the_default_limit(self):
+        points = [(f"p{i:02d}", 1, (0, 1, 2)) for i in range(21)]
+        with pytest.raises(EnumerationCapError) as exc:
+            enumerate_pseudo_cycles(make_dataset(points))
+        assert str(exc.value) == (
+            "dataset has 21 triple points, enumeration cap is DEFAULT_POINT_CAP = 20"
+        )
+        with pytest.raises(EnumerationCapError) as exc:
+            enumerate_pseudo_cycles(make_dataset(points[:6]), cap=5)
+        assert str(exc.value) == "dataset has 6 triple points, enumeration cap is 5"
+
     def test_cap_over_ceiling_refused_before_any_subset(self, monkeypatch):
         def visited(*args):
             raise AssertionError("a subset was visited")
