@@ -1,4 +1,5 @@
 import doctest
+from pathlib import Path
 
 import pytest
 
@@ -19,4 +20,11 @@ import quandlehom.quandle
 )
 def test_module_doctests(module):
     failures, _ = doctest.testmod(module, verbose=False)
+    assert failures == 0
+
+
+def test_readme_examples():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    failures, tried = doctest.testfile(str(readme), module_relative=False)
+    assert tried > 0
     assert failures == 0
