@@ -222,8 +222,8 @@ class Chain:
 
 
 def _faces(tup, table):
-    """The (face, sign) terms of the docstring formula for one tuple,
-    degenerate faces included; table is quandle.table, trusted."""
+    """The (face, sign) terms of the module docstring's formula for one
+    tuple, degenerate faces included; table is quandle.table, trusted."""
     for ii in range(1, len(tup)):  # ii is the 0-based index of x_i, i = ii + 1
         c = 1 if ii % 2 else -1
         xi = tup[ii]
