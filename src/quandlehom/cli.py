@@ -26,13 +26,7 @@ from .chains import Chain, boundary_quandle, project_quandle
 from .cocycles import is_quandle_3cocycle, mochizuki_theta_p, pair
 from .errors import QuandlehomError, SchemaError
 from .homology import homology_group, is_null_homologous
-from .pseudocycles import (
-    DEFAULT_POINT_CAP,
-    chain_of,
-    dataset_from_json,
-    pseudo_cycle_report,
-    quandle_from_json,
-)
+from .pseudocycles import chain_of, dataset_from_json, pseudo_cycle_report, quandle_from_json
 
 EXIT_OK = 0
 EXIT_VERDICT_FAIL = 1
@@ -183,7 +177,7 @@ PSEUDO_CYCLE_MODES = {
 
 def cmd_pseudo_cycles(args):
     dataset, digest = _load_dataset(args.input)
-    full = pseudo_cycle_report(dataset, cap=args.cap).to_json_dict()
+    full = pseudo_cycle_report(dataset).to_json_dict()
     fields, summary = PSEUDO_CYCLE_MODES[args.mode]
     results = {k: full[k] for k in fields}
     return digest, results, [line.format(**full) for line in summary], None
@@ -257,8 +251,6 @@ def build_parser():
         ("all", "full report (default)"),
     ):
         mode.add_argument(f"--{name}", dest="mode", action="store_const", const=name, help=text)
-    p.add_argument("--cap", type=int, default=DEFAULT_POINT_CAP,
-                   help="triple-point enumeration cap")
     p.set_defaults(func=cmd_pseudo_cycles, mode="all")
 
     p = sub.add_parser("eval-cocycle", help="pair a cocycle with a 3-chain")

@@ -62,8 +62,8 @@ class ResourceLimitError(QuandlehomError, ValueError):
 
 
 class EnumerationCapError(ResourceLimitError):
-    """The dataset has more triple points than the enumeration cap, or the
-    cap is over its ceiling."""
+    """The dataset has more triple points than the enumeration cap,
+    DEFAULT_POINT_CAP."""
 
 
 class SchemaError(QuandlehomError, ValueError):

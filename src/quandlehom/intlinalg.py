@@ -35,8 +35,8 @@ def _identity_rows(n):
 class IntMatrix:
     """A dense, effectively immutable integer matrix.
 
-    >>> IntMatrix([[1, 2], [3, 4]]) @ IntMatrix.identity(2)
-    IntMatrix([[1, 2], [3, 4]])
+    >>> IntMatrix([[1, 2], [3, 4]]).apply([1, -1])
+    [-1, -1]
     """
 
     __slots__ = ("rows", "cols", "_data")
@@ -76,14 +76,6 @@ class IntMatrix:
     def __reduce__(self):  # copies and pickles are rebuilt through __init__
         return type(self), (self._data, self.cols)
 
-    @classmethod
-    def zeros(cls, rows, cols):
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
-
-    @classmethod
-    def identity(cls, n):
-        return cls._from_rows(_identity_rows(n), n)
-
     @property
     def shape(self):
         return (self.rows, self.cols)
@@ -96,31 +88,12 @@ class IntMatrix:
         """A fresh list-of-lists copy of the entries."""
         return [row.copy() for row in self._data]
 
-    def __matmul__(self, other):
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-        ot = other._data
-        out = []
-        for row in self._data:
-            out.append(
-                [
-                    sum(row[k] * ot[k][j] for k in range(self.cols))
-                    for j in range(other.cols)
-                ]
-            )
-        return IntMatrix._from_rows(out, other.cols)
-
     def apply(self, vec):
         """Matrix-vector product as a list of ints."""
         if len(vec) != self.cols:
             raise ValueError(f"vector length {len(vec)} != cols {self.cols}")
         support = list(compress(range(self.cols), vec))
         return [sum(row[k] * vec[k] for k in support) for row in self._data]
-
-    def is_zero(self):
-        return all(e == 0 for row in self._data for e in row)
 
     def __eq__(self, other):
         if not isinstance(other, IntMatrix):
@@ -166,7 +139,7 @@ class SparseColumns:
 
 
 class SmithDecomposition(namedtuple("SmithDecomposition", "U D V")):
-    """U @ A @ V == D with U, V unimodular and D diagonal with a
+    """U·A·V = D with U, V unimodular and D diagonal with a
     divisibility chain d1 | d2 | ... and trailing zeros."""
 
     __slots__ = ()
@@ -407,7 +380,7 @@ def det(a):
 
 
 def solve_in_image(a, b):
-    """An integer x with a @ x == b, or None if b is not in the image of
+    """An integer x with a.apply(x) == b, or None if b is not in the image of
     `a` over the integers.  The solution is re-verified before returning.
 
     This is _solve on the elimination of the whole of `a`.
@@ -424,7 +397,7 @@ def solve_in_image(a, b):
 
 
 def _solve(a, reduction, b):
-    """An integer x with a @ x == b, or None, from `reduction`, an
+    """An integer x with a.apply(x) == b, or None, from `reduction`, an
     _eliminate result for `a` (an IntMatrix or SparseColumns).
 
     The unit pivots' row operations carry b along; b must then vanish on

@@ -25,7 +25,7 @@ from .errors import (
 from .homology import is_null_homologous
 from .quandle import Quandle
 
-# the default enumeration cap and its ceiling: 2^20 - 1 subsets
+# the enumeration cap: 2^20 - 1 subsets
 DEFAULT_POINT_CAP = 20
 
 
@@ -96,28 +96,28 @@ class TriplePointDataset(namedtuple("TriplePointDataset", "quandle points")):
         }
 
 
-def quandle_from_json(obj, path="quandle"):
+def quandle_from_json(obj):
     """Parse {"kind": "dihedral", "order": n} or {"kind": "table", ...}."""
     if not isinstance(obj, dict):
-        raise SchemaError(path, "must be an object")
+        raise SchemaError("quandle", "must be an object")
     if "kind" not in obj:
-        raise SchemaError(f"{path}.kind", "missing field")
+        raise SchemaError("quandle.kind", "missing field")
     kind = obj["kind"]
     if kind == "dihedral":
-        expect_keys(obj, {"kind", "order"}, ("order",), path)
+        expect_keys(obj, {"kind", "order"}, ("order",), "quandle")
         field, build = "order", Quandle.dihedral
     elif kind == "table":
-        expect_keys(obj, {"kind", "table"}, ("table",), path)
+        expect_keys(obj, {"kind", "table"}, ("table",), "quandle")
         table = obj["table"]
         if not isinstance(table, list) or not all(isinstance(r, list) for r in table):
-            raise SchemaError(f"{path}.table", "must be a list of rows")
+            raise SchemaError("quandle.table", "must be a list of rows")
         field, build = "table", Quandle.from_table
     else:
-        raise SchemaError(f"{path}.kind", f"unknown quandle kind {kind!r}")
+        raise SchemaError("quandle.kind", f"unknown quandle kind {kind!r}")
     try:
         return build(obj[field])
     except (ValueError, QuandleAxiomError) as exc:
-        raise SchemaError(f"{path}.{field}", str(exc))
+        raise SchemaError(f"quandle.{field}", str(exc))
 
 
 def dataset_from_json(obj):
@@ -186,19 +186,17 @@ def is_pseudo_cycle(subset, dataset):
     )
 
 
-def enumerate_pseudo_cycles(dataset, cap=DEFAULT_POINT_CAP):
+def enumerate_pseudo_cycles(dataset):
     """All nonempty pseudo-cycle subsets, in ascending bitmask order over
     the id-sorted point list.  Subsets are returned as sorted id tuples.
     """
-    if cap > DEFAULT_POINT_CAP:
-        raise EnumerationCapError(
-            f"enumeration cap {cap} is over the ceiling DEFAULT_POINT_CAP = {DEFAULT_POINT_CAP}"
-        )
     ids = dataset.sorted_ids()
     k = len(ids)
-    if k > cap:
-        limit = f"DEFAULT_POINT_CAP = {cap}" if cap == DEFAULT_POINT_CAP else cap
-        raise EnumerationCapError(f"dataset has {k} triple points, enumeration cap is {limit}")
+    if k > DEFAULT_POINT_CAP:
+        raise EnumerationCapError(
+            f"dataset has {k} triple points, enumeration cap is "
+            f"DEFAULT_POINT_CAP = {DEFAULT_POINT_CAP}"
+        )
     null_verdicts = {}
 
     def is_null(chain, quandle):
@@ -249,16 +247,14 @@ def _pack_disjoint(ids, subsets):
     return PackingResult(count=len(best), witness=tuple(best))
 
 
-def max_disjoint_packing(dataset, cap=DEFAULT_POINT_CAP):
+def max_disjoint_packing(dataset):
     """Maximum cardinality of a family of pairwise disjoint pseudo-cycles,
     with the lexicographically least maximal family as witness.
 
     Covering every triple point is not required; the empty family is the
     witness when no pseudo-cycle exists.
     """
-    return _pack_disjoint(
-        dataset.sorted_ids(), enumerate_pseudo_cycles(dataset, cap=cap)
-    )
+    return _pack_disjoint(dataset.sorted_ids(), enumerate_pseudo_cycles(dataset))
 
 
 class PseudoCycleReport(namedtuple(
@@ -298,8 +294,8 @@ class PseudoCycleReport(namedtuple(
         }
 
 
-def pseudo_cycle_report(dataset, cap=DEFAULT_POINT_CAP):
-    subsets = enumerate_pseudo_cycles(dataset, cap=cap)
+def pseudo_cycle_report(dataset):
+    subsets = enumerate_pseudo_cycles(dataset)
     packing = _pack_disjoint(dataset.sorted_ids(), subsets)
     return PseudoCycleReport(
         pseudo_cycles=tuple(subsets),

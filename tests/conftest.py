@@ -2,6 +2,7 @@ import json
 from importlib import resources
 
 import pytest
+from sympy import Matrix
 
 from quandlehom import Chain, Quandle, dataset_from_json, det, homology
 from quandlehom.errors import ResourceLimitError
@@ -9,6 +10,12 @@ from quandlehom.errors import ResourceLimitError
 
 def is_unimodular(a):
     return a.rows == a.cols and abs(det(a)) == 1
+
+
+def sympy_matrix(a):
+    """An IntMatrix as a sympy Matrix: the independent oracle computes the
+    matrix products that the tests check."""
+    return Matrix(a.rows, a.cols, [e for row in a.to_rows() for e in row])
 
 
 def trivial_table(n):

@@ -358,11 +358,6 @@ class TestResourceGuards:
         argv = ["homology", "--quandle", f"table:{path}", "--degree", "1"]
         self.refused(capsys, argv, "MAX_DIHEDRAL_ORDER = 32")
 
-    def test_enumeration_cap(self, capsys, tmp_path):
-        path = write_json(tmp_path / "dprime.json", DPRIME)
-        argv = ["pseudo-cycles", "--input", path, "--cap", "21"]
-        self.refused(capsys, argv, "DEFAULT_POINT_CAP = 20")
-
     def test_dataset_over_the_default_cap(self, capsys, tmp_path):
         points = [{"id": f"p{i:02d}", "sign": 1, "colors": [0, 1, 2]} for i in range(21)]
         doc = {"quandle": {"kind": "dihedral", "order": 3}, "triple_points": points}

@@ -9,7 +9,7 @@ from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 from quandlehom import IntMatrix, det, matrix_of_boundary, snf, solve_in_image
 from quandlehom.intlinalg import _eliminate, _rank_and_torsion
 
-from conftest import is_unimodular
+from conftest import is_unimodular, sympy_matrix
 
 
 def random_matrix(rng, max_dim=8, bound=9):
@@ -19,7 +19,7 @@ def random_matrix(rng, max_dim=8, bound=9):
 
 
 def assert_smith_invariants(a, dec):
-    assert (dec.U @ a @ dec.V) == dec.D
+    assert sympy_matrix(dec.U) * sympy_matrix(a) * sympy_matrix(dec.V) == sympy_matrix(dec.D)
     assert is_unimodular(dec.U)
     assert is_unimodular(dec.V)
     diag = dec.diagonal
@@ -44,8 +44,6 @@ class TestIntMatrix:
     def test_shapes_and_multiplication(self):
         a = IntMatrix([[1, 2], [3, 4], [5, 6]])
         assert a.shape == (3, 2)
-        assert (a @ IntMatrix.identity(2)) == a
-        assert (IntMatrix.identity(3) @ a) == a
         assert a.apply([1, -1]) == [-1, -1, -1]
 
     def test_empty_matrix_needs_explicit_cols(self):
@@ -97,7 +95,7 @@ class TestSmithNormalForm:
         assert_smith_invariants(IntMatrix([[2, 0], [0, 3]]), dec)
 
     def test_zero_matrix(self):
-        a = IntMatrix.zeros(3, 2)
+        a = IntMatrix([[0] * 2 for _ in range(3)], cols=2)
         dec = snf(a)
         assert dec.D == a
         assert_smith_invariants(a, dec)
@@ -244,7 +242,8 @@ class TestEliminationFrontEnd:
 
     @pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4, 0), (3, 3)])
     def test_empty_and_zero_shapes(self, shape):
-        a = IntMatrix.zeros(*shape)
+        rows, cols = shape
+        a = IntMatrix([[0] * cols for _ in range(rows)], cols=cols)
         steps, core, _, _, zero_rows = _eliminate(a)
         assert steps == [] and core.shape == (0, 0)
         assert zero_rows == list(range(shape[0]))

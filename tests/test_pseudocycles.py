@@ -136,7 +136,12 @@ class TestEnumerate:
             for subset in all_nonempty_subsets(ds.sorted_ids()):
                 assert (subset in listed) == is_pseudo_cycle(set(subset), ds)
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
+        def visited(*args):
+            raise AssertionError("a subset was visited")
+
+        monkeypatch.setattr(pseudocycles, "chain_of", visited)
+        monkeypatch.setattr(pseudocycles, "_pseudo_cycle_test", visited)
         points = [(f"p{i:02d}", 1, (0, 1, 2)) for i in range(21)]
         ds = make_dataset(points)
         with pytest.raises(EnumerationCapError) as exc:
@@ -144,19 +149,6 @@ class TestEnumerate:
         assert str(exc.value) == (
             "dataset has 21 triple points, enumeration cap is DEFAULT_POINT_CAP = 20"
         )
-        with pytest.raises(EnumerationCapError) as exc:
-            enumerate_pseudo_cycles(make_dataset(points[:6]), cap=5)
-        assert str(exc.value) == "dataset has 6 triple points, enumeration cap is 5"
-
-    def test_cap_over_ceiling_refused_before_any_subset(self, monkeypatch):
-        def visited(*args):
-            raise AssertionError("a subset was visited")
-
-        monkeypatch.setattr(pseudocycles, "chain_of", visited)
-        monkeypatch.setattr(pseudocycles, "_pseudo_cycle_test", visited)
-        ds = make_dataset([("a", 1, (2, 0, 2)), ("b", 1, (2, 1, 0))])
-        with pytest.raises(EnumerationCapError, match="DEFAULT_POINT_CAP = 20"):
-            enumerate_pseudo_cycles(ds, cap=21)
 
 
 class TestMaxDisjointPacking:

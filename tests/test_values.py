@@ -145,7 +145,7 @@ class TestCoercions:
     def test_smith_decomposition_diagonal(self):
         assert snf(IntMatrix([[2, 0], [0, 3]])).diagonal == (1, 6)
         decomposition = SmithDecomposition(
-            U=IntMatrix.identity(1), D=IntMatrix([[4]]), V=IntMatrix.identity(1)
+            U=IntMatrix([[1]]), D=IntMatrix([[4]]), V=IntMatrix([[1]])
         )
         assert decomposition.diagonal == (4,)
 
