@@ -14,12 +14,12 @@ Boundary convention, fixed for the whole package and written once (_faces):
 where ^x_i omits the i-th entry and * is the quandle operation.
 """
 
-import re
 from functools import lru_cache
 from itertools import product
 
 from .errors import (
-    DegenerateGeneratorError, DegreeError, ResourceLimitError, SchemaError, expect_keys
+    DegenerateGeneratorError, DegreeError, QuandleMismatchError, ResourceLimitError,
+    SchemaError, decimal_int, expect_keys,
 )
 from .intlinalg import SparseColumns
 from .quandle import Quandle
@@ -212,10 +212,9 @@ class Chain:
                         f"{path}.tuple[{j}]", "must be a nonnegative integer"
                     )
             coeff = entry["coeff"]
-            # int() alone would also take "1_0", " 5 " and non-ASCII digits
-            if isinstance(coeff, str) and re.fullmatch("-?[0-9]+", coeff):
-                coeff = int(coeff)
-            elif not isinstance(coeff, int) or isinstance(coeff, bool):
+            if isinstance(coeff, str):
+                coeff = decimal_int(coeff)
+            if not isinstance(coeff, int) or isinstance(coeff, bool):
                 raise SchemaError(f"{path}.coeff", "must be a decimal integer string")
             terms.append((tuple(tup), coeff))
         return cls._from_checked(degree, terms)
@@ -249,7 +248,7 @@ def boundary_rack(chain, quandle):
     def terms():
         for tup, coeff in chain._terms.items():
             if max(tup) >= order:
-                raise ValueError(
+                raise QuandleMismatchError(
                     f"tuple entry {max(tup)} out of range for quandle of order {order}"
                 )
             for face, c in _faces(tup, table):
@@ -360,7 +359,7 @@ def coordinates(chain, quandle):
                 raise DegenerateGeneratorError(
                     f"generator {tup} is degenerate, not a quandle-basis element"
                 )
-            raise ValueError(
+            raise QuandleMismatchError(
                 f"tuple {tup} out of range for quandle of order {quandle.order}"
             )
         vec[index[tup]] = coeff

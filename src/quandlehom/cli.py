@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .chains import Chain, boundary_quandle, project_quandle
 from .cocycles import is_quandle_3cocycle, mochizuki_theta_p, pair
-from .errors import QuandlehomError, SchemaError
+from .errors import QuandleMismatchError, QuandlehomError, SchemaError, decimal_int
 from .homology import homology_group, is_null_homologous
 from .pseudocycles import chain_of, dataset_from_json, pseudo_cycle_report, quandle_from_json
 
@@ -58,20 +58,18 @@ def _parse_quandle_spec(spec):
     if kind == "table":
         obj, digest = _load_json(Path(param))
         return quandle_from_json(obj), digest
-    try:
-        order = int(param, 10)
-    except ValueError:
-        order = param  # quandle_from_json checks the kind first, then the order
-    return quandle_from_json({"kind": kind, "order": order}), None
+    # text that is not decimal goes on as it is: quandle_from_json checks the
+    # kind first, then the order
+    order = decimal_int(param)
+    return quandle_from_json({"kind": kind, "order": param if order is None else order}), None
 
 
 def _parse_cocycle_spec(spec):
     name, sep, param = spec.partition(":")
     if not sep or name != "mochizuki":
         raise SchemaError("cocycle", f"unknown cocycle spec {spec!r}")
-    try:
-        p = int(param, 10)
-    except ValueError:
+    p = decimal_int(param)
+    if p is None:
         raise SchemaError("cocycle", f"cocycle parameter {param!r} is not an integer")
     return mochizuki_theta_p(p)
 
@@ -155,10 +153,13 @@ def cmd_verify_paper(args):
 
 
 def cmd_homology(args):
+    degree = decimal_int(args.degree)
+    if degree is None:
+        raise SchemaError("degree", f"{args.degree!r} is not a decimal integer")
     quandle, digest = _parse_quandle_spec(args.quandle)
-    group = homology_group(quandle, args.degree)
-    results = {"quandle": args.quandle, "degree": args.degree, "homology": group.to_json_dict()}
-    return digest, results, [f"H_{args.degree} = {group}"], None
+    group = homology_group(quandle, degree)
+    results = {"quandle": args.quandle, "degree": degree, "homology": group.to_json_dict()}
+    return digest, results, [f"H_{degree} = {group}"], None
 
 
 # the report fields and the stderr summary lines of each pseudo-cycles mode
@@ -191,7 +192,7 @@ def cmd_eval_cocycle(args):
     else:
         dataset, digest = _load_dataset(args.input)
         if dataset.quandle != cocycle.quandle:
-            raise QuandlehomError(
+            raise QuandleMismatchError(
                 f"dataset quandle (order {dataset.quandle.order}) does not match "
                 f"cocycle quandle (order {cocycle.quandle.order})"
             )
@@ -239,7 +240,7 @@ def build_parser():
 
     p = sub.add_parser("homology", help="quandle homology group")
     p.add_argument("--quandle", required=True, help="dihedral:<n> or table:<path>")
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", required=True)
     p.set_defaults(func=cmd_homology)
 
     p = sub.add_parser("pseudo-cycles", help="search a triple-point dataset")

@@ -27,9 +27,10 @@ class Cocycle3:
     """A Z/m-valued function on element triples, materialized as a full
     n*n*n table at construction so evaluation is pure lookup.
 
-    The constructor stores values reduced mod m; it does not enforce the
-    cocycle condition (that is is_quandle_3cocycle's job), so invalid
-    candidate tables can be built and then rejected.
+    The constructor checks that every value is an int and stores it reduced
+    mod m; it does not enforce the cocycle condition (that is
+    is_quandle_3cocycle's job), so invalid candidate tables can be built
+    and then rejected.
     """
 
     __slots__ = ("quandle", "modulus", "_values")
@@ -42,8 +43,11 @@ class Cocycle3:
         for x in range(n):
             plane = []
             for y in range(n):
-                row = tuple(values[x][y][z] % modulus for z in range(n))
-                plane.append(row)
+                row = tuple(values[x][y][z] for z in range(n))
+                for z, e in enumerate(row):
+                    if not isinstance(e, int) or isinstance(e, bool):
+                        raise ValueError(f"values[{x}][{y}][{z}] = {e!r} is not an int")
+                plane.append(tuple(e % modulus for e in row))
             table.append(tuple(plane))
         object.__setattr__(self, "quandle", quandle)
         object.__setattr__(self, "modulus", modulus)

@@ -1,9 +1,11 @@
-"""Exception types raised by the library, and the JSON key check that
-every parser shares.
+"""Exception types raised by the library, and the JSON key check and the
+integer rule that every parser shares.
 
 Everything user-facing derives from QuandlehomError so the CLI can map
 library failures to its input-error exit code in one place.
 """
+
+import re
 
 
 class QuandlehomError(Exception):
@@ -37,7 +39,7 @@ class NotACycleError(QuandlehomError):
     """A chain required to be a cycle has nonzero quandle boundary."""
 
 
-class QuandleMismatchError(QuandlehomError):
+class QuandleMismatchError(QuandlehomError, ValueError):
     """A chain or dataset does not live over the expected quandle."""
 
 
@@ -89,3 +91,14 @@ def expect_keys(obj, allowed, required, path):
     for key in required:
         if key not in obj:
             raise SchemaError(f"{path}.{key}" if path else key, "missing field")
+
+
+def decimal_int(text):
+    """The int that text names when it is ASCII decimal, -?[0-9]+, else None.
+
+    int() alone would also take "1_0", " 5 ", "+5" and non-ASCII digits.
+
+    >>> decimal_int("-12"), decimal_int(" 3"), decimal_int("\u0663")
+    (-12, None, None)
+    """
+    return int(text) if re.fullmatch("-?[0-9]+", text) else None

@@ -42,9 +42,13 @@ class HomologyGroup(namedtuple("HomologyGroup", "free_rank torsion")):
 
     def __new__(cls, free_rank, torsion):
         torsion = tuple(torsion)
+        if not isinstance(free_rank, int) or isinstance(free_rank, bool):
+            raise ValueError(f"free rank {free_rank!r} is not an int")
         if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
         for d in torsion:
+            if not isinstance(d, int) or isinstance(d, bool):
+                raise ValueError(f"torsion coefficient {d!r} is not an int")
             if d < 2:
                 raise ValueError(f"torsion coefficient {d} must be >= 2")
         for a, b in zip(torsion, torsion[1:]):

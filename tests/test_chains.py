@@ -16,7 +16,7 @@ from quandlehom import (
     quandle_basis,
 )
 from quandlehom.errors import (
-    DegenerateGeneratorError, DegreeError, ResourceLimitError, SchemaError
+    DegenerateGeneratorError, DegreeError, QuandleMismatchError, ResourceLimitError, SchemaError
 )
 
 from conftest import admitted_boundary_degrees, sympy_matrix
@@ -116,8 +116,10 @@ class TestBoundaryRack:
             boundary_rack(Chain.generator((1,)), r3)
 
     def test_out_of_range_entries_rejected(self, r3):
-        with pytest.raises(ValueError):
+        with pytest.raises(QuandleMismatchError) as exc:
             boundary_rack(Chain.generator((0, 5)), r3)
+        assert isinstance(exc.value, ValueError)
+        assert str(exc.value) == "tuple entry 5 out of range for quandle of order 3"
 
     def test_linearity_on_random_combinations(self, r3):
         rng = random.Random(7)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from quandlehom import CocycleCheck, Quandle, chains, cli, cocycles, homology, pseudocycles, quandle
+from quandlehom.errors import QuandleMismatchError
 
 
 def run(capsys, *argv):
@@ -128,6 +129,20 @@ class TestHomologyCommand:
         assert out == ""
         assert "quandle.order" in err
 
+    # int() would read each of these parameters; the CLI takes only -?[0-9]+,
+    # as Chain.from_json_dict does for coefficients
+    @pytest.mark.parametrize("argv", [
+        ["homology", "--quandle", "dihedral: 3", "--degree", "3"],
+        ["homology", "--quandle", "dihedral:1_0", "--degree", "1"],
+        ["homology", "--quandle", "dihedral:3", "--degree", " 3"],
+        ["check-cocycle", "--cocycle", "mochizuki:\u0663"],
+    ], ids=["spaced-order", "underscored-order", "spaced-degree", "arabic-indic-prime"])
+    def test_non_decimal_integer_parameter_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_table_quandle_from_file(self, capsys, tmp_path):
         path = write_json(
             tmp_path / "q.json",
@@ -237,6 +252,13 @@ class TestEvalCocycleCommand:
         assert code == 2
         assert out == ""
         assert "does not match" in err
+
+    def test_quandle_mismatch_raises_its_error(self, tmp_path):
+        path = write_json(tmp_path / "dprime.json", DPRIME)
+        argv = ["eval-cocycle", "--cocycle", "mochizuki:5", "--input", path, "--subset", "t2"]
+        args = cli.build_parser().parse_args(argv)
+        with pytest.raises(QuandleMismatchError, match="does not match"):
+            args.func(args)
 
     def test_chain_entries_out_of_cocycle_range_rejected(self, capsys, tmp_path):
         doc = {"degree": 3, "terms": [{"tuple": [0, 4, 0], "coeff": "1"}]}

@@ -144,8 +144,9 @@ class TestPairing:
                 assert is_null_homologous(cycle, r3) is False
 
     def test_quandle_mismatch_rejected(self, theta):
-        with pytest.raises(QuandleMismatchError):
+        with pytest.raises(QuandleMismatchError) as exc:
             pair(theta, Chain.generator((0, 4, 0)))
+        assert isinstance(exc.value, ValueError)
 
     def test_wrong_degree_rejected(self, theta):
         with pytest.raises(DegreeError):

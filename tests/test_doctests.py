@@ -1,25 +1,23 @@
 import doctest
+import importlib
+import pkgutil
 from pathlib import Path
 
 import pytest
 
-import quandlehom.chains
-import quandlehom.homology
-import quandlehom.intlinalg
-import quandlehom.quandle
+import quandlehom
+
+# every module of the package; importing __main__ would run the CLI
+MODULES = ["quandlehom"] + [
+    f"quandlehom.{name}"
+    for _, name, _ in pkgutil.iter_modules(quandlehom.__path__)
+    if name != "__main__"
+]
 
 
-@pytest.mark.parametrize(
-    "module",
-    [
-        quandlehom.quandle,
-        quandlehom.chains,
-        quandlehom.intlinalg,
-        quandlehom.homology,
-    ],
-)
-def test_module_doctests(module):
-    failures, _ = doctest.testmod(module, verbose=False)
+@pytest.mark.parametrize("name", MODULES)
+def test_module_doctests(name):
+    failures, _ = doctest.testmod(importlib.import_module(name), verbose=False)
     assert failures == 0
 
 

@@ -22,7 +22,8 @@ from quandlehom import (
 from quandlehom import chains, homology, intlinalg
 from quandlehom.chains import boundary_columns, coordinates
 from quandlehom.errors import (
-    DegenerateGeneratorError, DegreeError, NotACycleError, ResourceLimitError
+    DegenerateGeneratorError, DegreeError, NotACycleError, QuandleMismatchError,
+    ResourceLimitError,
 )
 from quandlehom.intlinalg import _eliminate, _rank_and_torsion
 
@@ -190,6 +191,13 @@ class TestIsNullHomologous:
     def test_degenerate_generator_rejected(self, r3):
         with pytest.raises(DegenerateGeneratorError):
             is_null_homologous(Chain.generator((1, 1, 2)), r3)
+
+    @pytest.mark.parametrize("check", [coordinates, is_null_homologous])
+    def test_chain_over_a_larger_quandle_is_a_mismatch(self, r3, check):
+        with pytest.raises(QuandleMismatchError) as exc:
+            check(Chain.generator((0, 4, 0)), r3)
+        assert isinstance(exc.value, ValueError)
+        assert str(exc.value) == "tuple (0, 4, 0) out of range for quandle of order 3"
 
     def test_multiples_of_cbar1_detect_order_three_class(self, r3, cbar1):
         # the class generates Z/3, so exactly multiples of 3 bound

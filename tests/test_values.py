@@ -158,6 +158,10 @@ class TestHomologyGroupValidation:
         (0, (2, -3), "torsion coefficient -3 must be >= 2"),
         (0, (4, 6), "torsion chain broken: 4 does not divide 6"),
         (1, (2, 4, 6), "torsion chain broken: 4 does not divide 6"),
+        (True, (), "free rank True is not an int"),
+        (1.5, (), "free rank 1.5 is not an int"),
+        (0, (2.0,), "torsion coefficient 2.0 is not an int"),
+        (0, ("3",), "torsion coefficient '3' is not an int"),
     ])
     def test_messages(self, free_rank, torsion, message):
         with pytest.raises(ValueError) as exc:
@@ -168,6 +172,13 @@ class TestHomologyGroupValidation:
         assert HomologyGroup(0, ()).is_trivial()
         assert str(HomologyGroup(1, (2, 4))) == "Z + Z/2 + Z/4"
         assert HomologyGroup(0, (3,)).to_json_dict() == {"free_rank": 0, "torsion": [3]}
+
+
+@pytest.mark.parametrize("value", [0.5, True, "1"], ids=["float", "bool", "str"])
+def test_cocycle_values_must_be_ints(value):
+    with pytest.raises(ValueError) as exc:
+        Cocycle3.from_function(Quandle.dihedral(3), 3, lambda x, y, z: value)
+    assert str(exc.value) == f"values[0][0][0] = {value!r} is not an int"
 
 
 def schema_error(build):
