@@ -15,7 +15,6 @@ where ^x_i omits the i-th entry and * is the quandle operation.
 """
 
 from functools import lru_cache
-from itertools import product
 
 from .errors import (
     DegenerateGeneratorError, DegreeError, QuandleMismatchError, ResourceLimitError,
@@ -26,7 +25,7 @@ from .quandle import Quandle
 
 # homology_group, is_null_homologous and matrix_of_boundary refuse, before any
 # basis is built, a degree above MAX_HOMOLOGY_DEGREE (for orders 1 and 2 the
-# matrices stay tiny, but the basis scan visits n^d tuples of length d) and a
+# matrices stay tiny, but it bounds the tuple length d) and a
 # d_{d+1} of more than MAX_BOUNDARY_ENTRIES entries: an n(n-1)^(d-1) x n(n-1)^d
 # matrix for a quandle of order n, 320x1280 for H_4(R5) and 252x1512 for H_3(R7)
 MAX_HOMOLOGY_DEGREE = 16
@@ -289,11 +288,17 @@ def quandle_basis(quandle, degree):
     # typed: 2.0 == 2 would otherwise hit degree 2's entry, skipping this check
     if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
         raise DegreeError(f"basis degree must be a positive integer, got {degree!r}")
-    return tuple(
-        t
-        for t in product(range(quandle.order), repeat=degree)
-        if not is_degenerate(t)
-    )
+    elements = range(quandle.order)
+    basis = [(x,) for x in elements]
+    for _ in range(degree - 1):  # extending the tuples in order keeps them sorted
+        basis = [t + (x,) for t in basis for x in elements if x != t[-1]]
+    return tuple(basis)
+
+
+@lru_cache(maxsize=None, typed=True)
+def basis_index(quandle, degree):
+    """quandle_basis(quandle, degree) as a tuple -> position map; cached, so read only."""
+    return {t: i for i, t in enumerate(quandle_basis(quandle, degree))}
 
 
 def _check_limits(quandle, degree):
@@ -321,7 +326,7 @@ def boundary_columns(quandle, degree):
     # typed, as for quandle_basis
     if not isinstance(degree, int) or isinstance(degree, bool) or degree < 2:
         raise DegreeError(f"boundary matrix requires an integer degree >= 2, got {degree!r}")
-    row_index = {t: i for i, t in enumerate(quandle_basis(quandle, degree - 1))}
+    row_index = basis_index(quandle, degree - 1)
     columns = []
     for gen in quandle_basis(quandle, degree):
         column = {}
@@ -350,9 +355,8 @@ def matrix_of_boundary(quandle, degree):
 
 def coordinates(chain, quandle):
     """Coordinate vector of a quandle-complex chain in its degree basis."""
-    basis = quandle_basis(quandle, chain.degree)
-    index = {t: i for i, t in enumerate(basis)}
-    vec = [0] * len(basis)
+    index = basis_index(quandle, chain.degree)
+    vec = [0] * len(index)
     for tup, coeff in chain.items():
         if tup not in index:
             if is_degenerate(tup):

@@ -224,8 +224,17 @@ def cmd_check_cocycle(args):
     return None, results, [f"check-cocycle {args.cocycle}: pass"], "pass"
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors keep the input-error contract:
+    one `error: <message>` line on stderr, without the usage block, and exit 2.
+    Subparsers inherit the class."""
+
+    def error(self, message):
+        self.exit(EXIT_INPUT_ERROR, f"error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quandlehom",
         description="Exact quandle homology and pseudo-cycle analysis.",
     )

@@ -19,7 +19,7 @@ from quandlehom.errors import (
     DegenerateGeneratorError, DegreeError, QuandleMismatchError, ResourceLimitError, SchemaError
 )
 
-from conftest import admitted_boundary_degrees, sympy_matrix
+from conftest import admitted_boundary_degrees, quandle_inventory, sympy_matrix, trivial_table
 
 
 def chain_boundary_matrix(quandle, degree):
@@ -33,6 +33,15 @@ def chain_boundary_matrix(quandle, degree):
         for tup, coeff in project_quandle(boundary_rack(Chain.generator(gen), quandle)).items():
             data[row_index[tup]][j] = coeff
     return data
+
+
+def scan_basis(quandle, degree):
+    """The basis by its definition: every n^d tuple, non-degenerate ones
+    kept; the oracle for quandle_basis, which builds each degree from the
+    one below."""
+    return tuple(
+        t for t in product(range(quandle.order), repeat=degree) if not is_degenerate(t)
+    )
 
 
 def formula_boundary(tup, table, drop_degenerate):
@@ -200,6 +209,31 @@ class TestQuandleBasis:
         assert len(quandle_basis(r3, 2)) == 6
         assert len(quandle_basis(r3, 3)) == 12
         assert len(quandle_basis(r3, 4)) == 24
+
+    @pytest.mark.parametrize(
+        "name, q, top",
+        [(name, q, 5) for name, q in quandle_inventory()] + [("R3", Quandle.dihedral(3), 8)],
+    )
+    def test_extension_matches_scan_oracle(self, name, q, top):
+        for degree in range(1, top + 1):
+            assert quandle_basis(q, degree) == scan_basis(q, degree), (name, degree)
+
+    def test_orders_1_and_2_build_at_degree_200(self):
+        # a scan of 2^200 tuples could never finish, and a recursive build
+        # would hit the recursion limit
+        assert quandle_basis(Quandle.from_table(trivial_table(1)), 200) == ()
+        assert quandle_basis(Quandle.from_table(trivial_table(2)), 200) == (
+            (0, 1) * 100,
+            (1, 0) * 100,
+        )
+
+    def test_basis_index_agrees_with_basis_positions(self, inventory):
+        for _, q in inventory:
+            for degree in range(1, 5):
+                basis = quandle_basis(q, degree)
+                index = chains.basis_index(q, degree)
+                assert list(index) == list(basis)
+                assert all(index[t] == basis.index(t) for t in basis)
 
     def test_degree_must_be_positive(self, r3):
         with pytest.raises(DegreeError):

@@ -427,6 +427,24 @@ class TestCliContract:
             cli.main(["homology", "--degree", "3"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["homology", "--quandle", "dihedral:3"],
+            ["pseudo-cycles", "--input", "d.json", "--cap", "5"],
+            ["frobnicate"],
+        ],
+        ids=["missing-degree", "removed-cap", "unknown-subcommand"],
+    )
+    def test_usage_errors_print_one_error_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+
     def test_reports_are_byte_stable_per_command(self, capsys, tmp_path):
         path = write_json(tmp_path / "dprime.json", DPRIME)
         for argv in (
