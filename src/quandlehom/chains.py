@@ -12,6 +12,11 @@ Boundary convention, fixed for the whole package and written once (_faces):
                        - (x_1*x_i, ..., x_{i-1}*x_i, x_{i+1}, ..., x_n) ]
 
 where ^x_i omits the i-th entry and * is the quandle operation.
+
+For (x', y) with x' of length n-1, the terms i < n are those of x' with y
+appended, and the term i = n is (-1)^n [x' - x'*y], * acting entrywise.  So
+boundary_columns builds column (x', y) of d_n from column x' of d_{n-1} (d_1 = 0):
+the row of (f, y) is row(f) * (order - 1) + y - (y > f[-1]); f ending in y drops out.
 """
 
 from functools import lru_cache
@@ -318,27 +323,29 @@ def _check_limits(quandle, degree):
 
 @lru_cache(maxsize=None, typed=True)
 def boundary_columns(quandle, degree):
-    """The quandle boundary from degree n to n-1 as SparseColumns, read
-    straight off the quandle table: column j is the image of the j-th
-    tuple of quandle_basis(quandle, n), keyed by row in the degree-(n-1)
-    basis.  A degenerate face has no row there, so it drops out.
-    """
+    """The quandle boundary from degree n to n-1 as SparseColumns, built from
+    d_{n-1} as in the module docstring: column j is the image of the j-th tuple
+    of quandle_basis(quandle, n), keyed by row in the degree-(n-1) basis."""
     # typed, as for quandle_basis
     if not isinstance(degree, int) or isinstance(degree, bool) or degree < 2:
         raise DegreeError(f"boundary matrix requires an integer degree >= 2, got {degree!r}")
+    order = quandle.order
+    below = [{}] * order  # d_1: every column empty
+    for k in range(2, degree):  # ascending, so each call finds d_{k-1} cached
+        below = boundary_columns(quandle, k).columns
+    lasts = [f[-1] for f in quandle_basis(quandle, degree - 2)] if degree > 2 else ()
     row_index = basis_index(quandle, degree - 1)
+    acts = [[row[y] for row in quandle.table] for y in range(order)]  # x -> x*y
+    c = (-1) ** degree
     columns = []
-    for gen in quandle_basis(quandle, degree):
-        column = {}
-        for face, e in _faces(gen, quandle.table):
-            i = row_index.get(face)
-            if i is not None:
-                v = column.get(i, 0) + e
-                if v:
-                    column[i] = v
-                else:
-                    del column[i]
-        columns.append(column)
+    for j, (x, column_below) in enumerate(zip(row_index, below)):
+        faces = [(i * (order - 1), lasts[i], e) for i, e in column_below.items()]
+        for y in filter(x[-1].__ne__, range(order)):
+            column = {r + y - (y > last): e for r, last, e in faces if y != last}
+            xy = row_index[tuple(map(acts[y].__getitem__, x))]
+            if xy != j:  # x' = x'*y leaves no i = n term
+                column[j], column[xy] = c, -c
+            columns.append(column)
     return SparseColumns(len(row_index), columns)
 
 

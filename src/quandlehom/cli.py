@@ -42,7 +42,7 @@ def _load_json(path):
     raw = path.read_bytes()
     try:
         return json.loads(raw.decode("utf-8")), hashlib.sha256(raw).hexdigest()
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError("", f"{path}: not valid JSON ({exc})")
 
 

@@ -292,10 +292,12 @@ def _eliminate(a, dropped=frozenset()):
             col = cols.get(j)
             if not col:
                 continue
-            units = [i for i in col if rows[i][j] in (1, -1)]
-            if not units:
+            p = None
+            for i in col:  # the unit entry with the shortest row, then the lowest i
+                if rows[i][j] in (1, -1) and (p is None or (len(rows[i]), i) < (size, p)):
+                    p, size = i, len(rows[i])
+            if p is None:
                 continue
-            p = min(units, key=lambda i: (len(rows[i]), i))
             prow = rows.pop(p)
             u = prow.pop(j)
             for k in prow:
@@ -309,16 +311,15 @@ def _eliminate(a, dropped=frozenset()):
                 f = row.pop(j) * u  # u is its own inverse
                 multipliers.append((i, f))
                 for k, e in rest:
-                    if k in row:
-                        v = row[k] - f * e
-                        if v:
-                            row[k] = v
-                        else:
-                            del row[k]
-                            cols[k].remove(i)
-                    else:
+                    v = row.get(k)
+                    if v is None:
                         row[k] = -f * e
                         cols[k].add(i)
+                    elif v == f * e:
+                        del row[k]
+                        cols[k].remove(i)
+                    else:
+                        row[k] = v - f * e
             steps.append((p, j, u, rest, multipliers))
             swept = True
     core_rows = sorted(i for i, row in rows.items() if row)

@@ -326,6 +326,18 @@ class TestMatrixOfBoundary:
                     assert 0 not in got.values(), (name, gen)
                     assert got == formula_boundary(gen, q.table, True), (name, gen)
 
+    def test_orders_1_and_2_build_columns_at_degree_200(self):
+        # d_n is built from d_{n-1}: a recursive build would hit the
+        # recursion limit long before degree 200
+        for order in (1, 2):
+            q = Quandle.from_table(trivial_table(order))
+            rows = quandle_basis(q, 199)
+            d = chains.boundary_columns(q, 200)
+            assert (d.rows, d.cols) == (len(rows), len(quandle_basis(q, 200)))
+            for gen, column in zip(quandle_basis(q, 200), d.columns):
+                got = {rows[i]: e for i, e in column.items()}
+                assert got == formula_boundary(gen, q.table, True), (order, gen)
+
     def test_boundary_squared_is_zero_matrix_for_inventory(self, inventory):
         for _, q in inventory:
             for degree in (3, 4):

@@ -445,6 +445,26 @@ class TestCliContract:
         assert captured.err.startswith("error:")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pseudo-cycles", "--input", "{path}"],
+            ["eval-cocycle", "--cocycle", "mochizuki:3", "--chain", "{path}"],
+            ["homology", "--quandle", "table:{path}", "--degree", "3"],
+            ["verify-paper", "--d", "{path}"],
+        ],
+        ids=["input", "chain", "quandle-table", "verify-paper-d"],
+    )
+    def test_deeply_nested_json_is_one_error_line(self, capsys, tmp_path, argv):
+        # json.loads raises RecursionError, not JSONDecodeError, on deep nesting
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, out, err = run(capsys, *(a.format(path=path) for a in argv))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path}: not valid JSON (")
+        assert err.count("\n") == 1
+
     def test_reports_are_byte_stable_per_command(self, capsys, tmp_path):
         path = write_json(tmp_path / "dprime.json", DPRIME)
         for argv in (
@@ -601,6 +621,22 @@ def test_cli_import_leaves_out_slow_modules():
     )
     done = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+def test_cli_imports_only_the_standard_library():
+    # -I drops PYTHONPATH and the user site, -S every site-packages directory:
+    # what loads here is what `import quandlehom.cli` itself pulls in
+    src = Path(cli.__file__).resolve().parents[1]
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import quandlehom.cli; "
+        "print(sorted(m for m in sys.modules if m != '__main__' and m.partition('.')[0] "
+        "not in sys.stdlib_module_names | {'quandlehom'}))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from functools import lru_cache
 from math import gcd, lcm
@@ -316,6 +317,18 @@ class TestReducedComplex:
                 z = z + Chain(degree, [(t, c * e) for t, e in zip(basis_n, cycles[k]) if e])
         expected = solve_in_image(upper, coordinates(z, q)) is not None
         assert is_null_homologous(z, q) is expected
+
+    def test_r5_degree_5_reduction_is_pinned(self):
+        # the pivot rule (a unit entry, shortest row, then lowest row) fixes
+        # every step: a change to the pivot order changes the digest
+        steps, core, core_rows, core_cols, zero_rows = homology._reduction(Quandle.dihedral(5), 5)
+        assert len(steps) == 255
+        assert core.to_rows() == [[-5, 10, 20, -15]]
+        assert (core_rows, core_cols, zero_rows) == ([160], [189, 330, 621, 624], [296])
+        pivots = repr([(p, j, u) for p, j, u, _, _ in steps]).encode()
+        assert hashlib.sha256(pivots).hexdigest() == (
+            "fb8d1b36d80e8b067c1f0d3ca31077c62f6be2155bc6da82eab6ef906c6de3d9"
+        )
 
     def test_full_column_guard_refuses_a_non_cycle_the_kept_rows_accept(self, r3):
         d4 = boundary_columns(r3, 4)
