@@ -15,11 +15,25 @@ them, and those coordinates of ker d_n form a direct summand: deleting the
 rows keeps the rank and the torsion of d_{n+1} and adds no fill.  One
 reduction is kept per (quandle, degree).
 
+Only the columns of d_n whose cell ends in a generating set G of the
+quandle are eliminated; the rest are emptied, so indices stay the full
+matrix's.  They span the same integer image, as the last face is a chain
+homotopy from the identity to the action of an element (Litherland and
+Nelson, "The Betti numbers of some finite racks", 2003).  By chains'
+last-face formula, for a cell w = (x, y) of C_n and z != y,
+d(w, z) = d(w)z + (-1)^{n+1} (w - w*z), where d(w)z appends z to each cell
+and w*z = (x*z, y*z).  Applying d gives d(w*z) = d(w) + (-1)^{n+1} d(d(w)z),
+and w -> w*z maps the cells ending in y onto those ending in y*z, so the
+columns ending in y*z lie in the span of those ending in y and in z.  By
+induction over the closure of G, the G-columns span d_n, with or without
+the paired rows: rank and torsion are unchanged, and a preimage on them
+is one of d_n.
+
 These are the package's only kept eliminations.  A degree-n chain z is
 tested on its coordinate vector alone: it is a cycle iff d_n z = 0, read
 off the cached columns, and a cycle bounds iff the vector lies in the
-integer image of d_{n+1}, a query on the kept rows of its reduction whose
-preimage is checked on every row.
+integer image of d_{n+1}, a query on the kept rows and G-columns of its
+reduction whose preimage is checked on every row.
 """
 
 from collections import namedtuple
@@ -72,12 +86,30 @@ class HomologyGroup(namedtuple("HomologyGroup", "free_rank torsion")):
 
 
 @lru_cache(maxsize=None)
+def _generators(quandle):
+    """A generating set: each element not in the closure under * (a
+    subquandle, as each x -> x*y has finite order) of those before it."""
+    table, gens, closure = quandle.table, set(), set()
+    for x in range(quandle.order):
+        if x not in closure:
+            gens.add(x)
+            closure.add(x)
+            while new := {table[a][b] for a in closure for b in closure} - closure:
+                closure |= new
+    return frozenset(gens)
+
+
+@lru_cache(maxsize=None)
 def _reduction(quandle, degree):
-    """The elimination of d_degree without the rows that the elimination
-    of d_{degree-1} paired: its pivot columns, cells of C_{degree-1}."""
+    """The elimination of d_degree on its columns that end in G, without the
+    rows that the elimination of d_{degree-1} paired: its pivot columns,
+    cells of C_{degree-1}.  The other columns are emptied, not removed, so
+    every index stays that of the full matrix."""
     below = _reduction(quandle, degree - 1)[0] if degree > 2 else ()
     paired = {j for _, j, _, _, _ in below}
-    return intlinalg._eliminate(boundary_columns(quandle, degree), paired)
+    d, gens = boundary_columns(quandle, degree), _generators(quandle)
+    kept = [c if t[-1] in gens else {} for c, t in zip(d.columns, quandle_basis(quandle, degree))]
+    return intlinalg._eliminate(intlinalg.SparseColumns(d.rows, kept), paired)
 
 
 def homology_group(quandle, degree):
@@ -101,7 +133,8 @@ def homology_group(quandle, degree):
 
 def is_null_homologous(chain, quandle):
     """True iff the cycle bounds, i.e. lies in the image of d_{degree+1}
-    of the quandle complex over the integers.
+    of the quandle complex over the integers.  A preimage is sought on the
+    G-columns of d_{degree+1} and checked against the chain on every row.
 
     Raises NotACycleError if the input is not a cycle: the two halves of
     the pseudo-cycle definition are kept separate on purpose.

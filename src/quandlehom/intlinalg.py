@@ -436,5 +436,5 @@ def _solve(a, reduction, b):
     # exactness guard: unreachable when no row was dropped, and for a cycle
     # b when the dropped rows are those homology drops
     if a.apply(x) != b:
-        raise AssertionError("solve_in_image produced a non-solution")
+        raise AssertionError("the reduction produced a non-solution: a x != b on some row")
     return x

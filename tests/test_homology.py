@@ -63,6 +63,28 @@ def sympy_homology(q, degree):
     return dim - rank_down - rank_up, tuple(sorted(torsion))
 
 
+def conjugate(q, sigma, inv):
+    """q relabelled by the permutation sigma, whose inverse is inv."""
+    n = q.order
+    return Quandle.from_table(
+        [[sigma[q.table[inv[x]][inv[y]]] for y in range(n)] for x in range(n)]
+    )
+
+
+def alexander(n, t):
+    """The Alexander quandle on Z/n with x * y = t x + (1 - t) y."""
+    return Quandle.from_table([[(t * x + (1 - t) * y) % n for y in range(n)] for x in range(n)])
+
+
+def product(p, q):
+    """The product quandle on pairs (a, b), labelled a * q.order + b."""
+    m = q.order
+    return Quandle.from_table([
+        [p.table[a // m][b // m] * m + q.table[a % m][b % m] for b in range(p.order * m)]
+        for a in range(p.order * m)
+    ])
+
+
 def orbit_count(q):
     """Orbits of the inner automorphism group: x and x*y share an orbit."""
     parent = list(range(q.order))
@@ -138,12 +160,6 @@ class TestHomologyGroups:
             homology_group(r3, 0)
 
     def test_invariant_under_quandle_relabeling(self, r3):
-        def conjugate(q, sigma, inv):
-            n = q.order
-            return Quandle.from_table(
-                [[sigma[q.table[inv[x]][inv[y]]] for y in range(n)] for x in range(n)]
-            )
-
         # x -> x + 1 mod 3 is an automorphism, so conjugation returns the
         # identical table; invariance there is exact by construction
         shift = [1, 2, 0]
@@ -252,9 +268,21 @@ class TestBoundaryMatrixEliminatedOnce:
         assert len(eliminated) == 4
 
 
-# The complex is reduced as a whole: d_{n+1} is eliminated without the rows
-# that are pivot columns of d_n.  These check it against the full boundary
-# matrices, which the pivots of the cells below are not taken from.
+# The complex is reduced as a whole: d_{n+1} is eliminated on its columns
+# that end in a generating set G, without the rows that are pivot columns of
+# d_n.  These check it against the full boundary matrices, all columns and
+# rows kept.
+
+# beyond the inventory: larger dihedral quandles, Alexander quandles (the
+# one on Z/4 with t = 3 is R4), products, whose G is larger than {0, 1},
+# and a relabelled R5 (0 <-> 1 is not an automorphism)
+CROSS_CHECK_QUANDLES = [(f"R{n}", Quandle.dihedral(n)) for n in range(5, 9)] + [
+    (f"Z/{n} t={t}", alexander(n, t)) for n, t in ((5, 2), (7, 3), (8, 3), (9, 2))
+] + [
+    ("R3xT2", product(Quandle.dihedral(3), Quandle.from_table(trivial_table(2)))),
+    ("T2xR3", product(Quandle.from_table(trivial_table(2)), Quandle.dihedral(3))),
+    ("R5 relabelled", conjugate(Quandle.dihedral(5), [1, 0, 2, 3, 4], [1, 0, 2, 3, 4])),
+]
 
 NULL_TEST_QUANDLES = {
     "R3": Quandle.dihedral(3),
@@ -286,10 +314,28 @@ def full_upper_boundary(name, degree):
 
 class TestReducedComplex:
     def test_rank_and_torsion_match_the_full_matrices(self, inventory):
-        for name, q in inventory + [("R5", Quandle.dihedral(5))]:
+        for name, q in inventory + CROSS_CHECK_QUANDLES:
             for degree in admitted_boundary_degrees(q):
-                full = _rank_and_torsion(_eliminate(matrix_of_boundary(q, degree)))
+                full = _rank_and_torsion(_eliminate(boundary_columns(q, degree)))
                 assert _rank_and_torsion(homology._reduction(q, degree)) == full, (name, degree)
+
+    def test_generators_generate_the_quandle(self, inventory):
+        for name, q in inventory + CROSS_CHECK_QUANDLES:
+            closure = set(homology._generators(q))
+            while new := {q.act(a, b) for a in closure for b in closure} - closure:
+                closure |= new
+            assert closure == set(range(q.order)), name
+        assert homology._generators(Quandle.from_table(trivial_table(4))) == {0, 1, 2, 3}
+        assert homology._generators(Quandle.dihedral(7)) == {0, 1}
+        assert homology._generators(dict(CROSS_CHECK_QUANDLES)["R3xT2"]) == {0, 1, 2}
+
+    def test_wide_core_of_r11_shrinks_to_one_entry(self, monkeypatch):
+        # d_4(R11), 1100 x 11000, is over the entry limit; eliminated on all
+        # its columns it left a 3 x 6621 core for the dense Smith form
+        monkeypatch.setattr(chains, "MAX_BOUNDARY_ENTRIES", 1100 * 11000)
+        q = Quandle.dihedral(11)
+        assert homology_group(q, 3) == HomologyGroup(0, (11,))
+        assert homology._reduction(q, 4)[1].shape == (1, 1)
 
     @pytest.mark.parametrize("name,degree", NULL_TEST_CASES)
     def test_non_bounding_cycles_exist_where_homology_is_nontrivial(self, name, degree):
@@ -319,15 +365,16 @@ class TestReducedComplex:
         assert is_null_homologous(z, q) is expected
 
     def test_r5_degree_5_reduction_is_pinned(self):
-        # the pivot rule (a unit entry, shortest row, then lowest row) fixes
-        # every step: a change to the pivot order changes the digest
+        # the kept columns (those ending in G = {0, 1}), the rows paired
+        # below and the pivot rule (a unit entry, shortest row, then lowest
+        # row) fix every step: a change to any of them changes the digest
         steps, core, core_rows, core_cols, zero_rows = homology._reduction(Quandle.dihedral(5), 5)
         assert len(steps) == 255
-        assert core.to_rows() == [[-5, 10, 20, -15]]
-        assert (core_rows, core_cols, zero_rows) == ([160], [189, 330, 621, 624], [296])
+        assert core.to_rows() == [[-5, 10, 15, -20]]
+        assert (core_rows, core_cols, zero_rows) == ([284], [537, 784, 793, 860], [285])
         pivots = repr([(p, j, u) for p, j, u, _, _ in steps]).encode()
         assert hashlib.sha256(pivots).hexdigest() == (
-            "fb8d1b36d80e8b067c1f0d3ca31077c62f6be2155bc6da82eab6ef906c6de3d9"
+            "0ed9a79a111b008fd3f923066bd6247f84f7d8cbcc1bc7f7ebdf39407653c00d"
         )
 
     def test_full_column_guard_refuses_a_non_cycle_the_kept_rows_accept(self, r3):
