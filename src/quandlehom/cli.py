@@ -185,6 +185,10 @@ def cmd_pseudo_cycles(args):
 
 
 def cmd_eval_cocycle(args):
+    # without --subset, --input would pair the empty chain; with --chain,
+    # the ids would be ignored
+    if (args.subset is None) != (args.input is None):
+        raise SchemaError("", "--subset is required with --input and not allowed with --chain")
     cocycle = _parse_cocycle_spec(args.cocycle)
     if args.chain:
         obj, digest = _load_json(args.chain)
@@ -268,7 +272,7 @@ def build_parser():
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--chain", type=Path, help="chain JSON file")
     src.add_argument("--input", type=Path, help="dataset JSON file (with --subset)")
-    p.add_argument("--subset", default="", help="comma-separated triple point ids")
+    p.add_argument("--subset", help="comma-separated triple point ids (with --input)")
     p.set_defaults(func=cmd_eval_cocycle)
 
     p = sub.add_parser("check-cocycle", help="brute-force cocycle verification")

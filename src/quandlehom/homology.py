@@ -40,11 +40,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from . import intlinalg
-# the limits live with the boundary builders; the README names them here
-from .chains import (
-    MAX_BOUNDARY_ENTRIES, MAX_HOMOLOGY_DEGREE, _check_limits, boundary_columns,
-    boundary_quandle, coordinates, quandle_basis,
-)
+from .chains import _check_limits, boundary_columns, boundary_quandle, coordinates, quandle_basis
 from .errors import DegreeError, NotACycleError
 
 

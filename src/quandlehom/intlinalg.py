@@ -6,14 +6,17 @@ point.  Rank, invariant factors and image membership all go through one
 sparse front end (_eliminate): boundary matrices are sparse and most of
 their pivots are +-1, so each unit pivot is eliminated by exact row
 operations on row and column dicts, one row and one column at a time.
-Only the small core left without unit entries reaches the dense `snf`,
-the one Smith normal form kernel (Dumas, Heckenbach, Saunders and
-Welker, "Computing simplicial homology based on efficient Smith normal
-form algorithms", 2003).  The core keeps one column of each set that is
-equal up to sign, which leaves its image, rank and invariant factors
-unchanged; a solution is 0 on the dropped columns.  Nothing here keeps
-an elimination (solve_in_image eliminates afresh on each call): the kept
-ones are homology's, one per boundary matrix of the quandle complex.
+Only the small core left without unit entries reaches _smith, the one
+dense Smith normal form kernel (Dumas, Heckenbach, Saunders and Welker,
+"Computing simplicial homology based on efficient Smith normal form
+algorithms", 2003).  It carries only the blocks that its caller appends
+to the core: _rank_and_torsion appends none and reads the diagonal, and
+snf appends I_m as columns and I_n as rows, which come out as U and V.
+The core keeps one column of each set that is equal up to sign, which
+leaves its image, rank and invariant factors unchanged; a solution is 0
+on the dropped columns.  Nothing here keeps an elimination
+(solve_in_image eliminates afresh on each call): the kept ones are
+homology's, one per boundary matrix of the quandle complex.
 
 Boundary matrices are built as SparseColumns, which _eliminate reads
 without a dense copy.  It can leave rows out, as the reduction of the whole
@@ -152,7 +155,7 @@ class SmithDecomposition(namedtuple("SmithDecomposition", "U D V")):
 
 
 def _find_pivot(d, k, m, n):
-    """Position of a nonzero entry of minimal |value| in d[k:, k:], or None."""
+    """Position of a nonzero entry of minimal |value| in d[k:m, k:n], or None."""
     best = None
     best_abs = None
     for i in range(k, m):
@@ -166,8 +169,58 @@ def _find_pivot(d, k, m, n):
     return best
 
 
+def _smith(w, m, n):
+    """Bring the block w[:m][:n] of the int rows w to Smith normal form in
+    place.  Pivot search, the divisibility test and the sign fix read that
+    block alone, but row operations act on whole rows and column operations
+    on whole columns: what the caller appends is carried along, so columns
+    appended after n end as U times what was appended, and rows appended
+    after m as what was appended times V.
+    """
+    for k in range(min(m, n)):
+        pos = _find_pivot(w, k, m, n)
+        if pos is None:
+            break
+        while True:
+            pi, pj = pos
+            if pi != k:
+                w[k], w[pi] = w[pi], w[k]
+            if pj != k:
+                for row in w:
+                    row[k], row[pj] = row[pj], row[k]
+            wk = w[k]
+            pivot = wk[k]
+            for i in range(k + 1, m):
+                if w[i][k]:
+                    q = w[i][k] // pivot
+                    w[i] = [e - q * f for e, f in zip(w[i], wk)]
+            for j in range(k + 1, n):
+                if wk[j]:
+                    q = wk[j] // pivot
+                    for row in w:
+                        row[j] -= q * row[k]
+            # floor division leaves remainders strictly smaller than |pivot|,
+            # so re-pivoting terminates
+            if any(w[i][k] for i in range(k + 1, m)) or any(wk[k + 1:n]):
+                pos = _find_pivot(w, k, m, n)
+                continue
+            # the first row below with an entry that the pivot does not divide
+            offender = next(
+                (i for i in range(k + 1, m) if any(e % pivot for e in w[i][k + 1:n])), None
+            )
+            if offender is None:
+                break
+            # pull the non-divisible row up so the next pass shrinks the pivot
+            w[k] = [e + f for e, f in zip(wk, w[offender])]
+            pos = (k, k)
+        if w[k][k] < 0:
+            w[k] = [-e for e in w[k]]
+
+
 def snf(a):
-    """Smith normal form of `a` with both unimodular transforms.
+    """Smith normal form of `a` with both unimodular transforms: _smith on
+    the rows of [A | I_m] followed by those of I_n, which carries U in the
+    appended columns and V in the appended rows.
 
     >>> snf(IntMatrix([[2, 0], [0, 3]])).diagonal
     (1, 6)
@@ -175,83 +228,12 @@ def snf(a):
     if not isinstance(a, IntMatrix):
         a = IntMatrix(a)
     m, n = a.rows, a.cols
-    d = a.to_rows()
-    u = _identity_rows(m)
-    v = _identity_rows(n)
-
-    def swap_rows(i1, i2):
-        d[i1], d[i2] = d[i2], d[i1]
-        u[i1], u[i2] = u[i2], u[i1]
-
-    def swap_cols(j1, j2):
-        for row in d:
-            row[j1], row[j2] = row[j2], row[j1]
-        for row in v:
-            row[j1], row[j2] = row[j2], row[j1]
-
-    def add_row(src, dst, q):
-        # row dst += q * row src
-        ds, dd = d[src], d[dst]
-        for j in range(n):
-            dd[j] += q * ds[j]
-        us, ud = u[src], u[dst]
-        for j in range(m):
-            ud[j] += q * us[j]
-
-    def add_col(src, dst, q):
-        for row in d:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    for k in range(min(m, n)):
-        pos = _find_pivot(d, k, m, n)
-        if pos is None:
-            break
-        while True:
-            pi, pj = pos
-            if pi != k:
-                swap_rows(k, pi)
-            if pj != k:
-                swap_cols(k, pj)
-            pivot = d[k][k]
-            for i in range(k + 1, m):
-                if d[i][k]:
-                    add_row(k, i, -(d[i][k] // pivot))
-            for j in range(k + 1, n):
-                if d[k][j]:
-                    add_col(k, j, -(d[k][j] // pivot))
-            # floor division leaves remainders strictly smaller than |pivot|,
-            # so re-pivoting terminates
-            if any(d[i][k] for i in range(k + 1, m)) or any(
-                d[k][j] for j in range(k + 1, n)
-            ):
-                pos = _find_pivot(d, k, m, n)
-                continue
-            offender = None
-            for i in range(k + 1, m):
-                row = d[i]
-                for j in range(k + 1, n):
-                    if row[j] % pivot:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            # pull the non-divisible row up so the next pass shrinks the pivot
-            add_row(offender, k, 1)
-            pos = (k, k)
-        if d[k][k] < 0:
-            for j in range(n):
-                d[k][j] = -d[k][j]
-            for j in range(m):
-                u[k][j] = -u[k][j]
-
+    w = [row + unit for row, unit in zip(a._data, _identity_rows(m))] + _identity_rows(n)
+    _smith(w, m, n)
     return SmithDecomposition(
-        U=IntMatrix._from_rows(u, m),
-        D=IntMatrix._from_rows(d, n),
-        V=IntMatrix._from_rows(v, n),
+        U=IntMatrix._from_rows([row[n:] for row in w[:m]], m),
+        D=IntMatrix._from_rows([row[:n] for row in w[:m]], n),
+        V=IntMatrix._from_rows(w[m:], n),
     )
 
 
@@ -347,7 +329,9 @@ def _rank_and_torsion(reduction):
     (2, (6,))
     """
     steps, core, _, _, _ = reduction
-    diagonal = snf(core).diagonal
+    w = core.to_rows()  # the core alone: no transform is built
+    _smith(w, core.rows, core.cols)
+    diagonal = [w[i][i] for i in range(min(core.rows, core.cols))]
     return len(steps) + sum(1 for d in diagonal if d), tuple(d for d in diagonal if d >= 2)
 
 

@@ -4,7 +4,7 @@ from importlib import resources
 import pytest
 from sympy import Matrix
 
-from quandlehom import Chain, Quandle, dataset_from_json, det, homology
+from quandlehom import Chain, Quandle, chains, dataset_from_json, det
 from quandlehom.errors import ResourceLimitError
 
 
@@ -49,9 +49,9 @@ def admitted_boundary_degrees(q):
     """Each n whose d_n the limits let homology build: d_n is the upper
     boundary matrix of H_{n-1}, and every lower one is smaller."""
     degrees = []
-    for n in range(2, homology.MAX_HOMOLOGY_DEGREE + 2):
+    for n in range(2, chains.MAX_HOMOLOGY_DEGREE + 2):
         try:
-            homology._check_limits(q, n - 1)
+            chains._check_limits(q, n - 1)
         except ResourceLimitError:
             break
         degrees.append(n)

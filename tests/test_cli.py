@@ -292,6 +292,20 @@ class TestEvalCocycleCommand:
         code, _, err = run(capsys, "eval-cocycle", "--cocycle", "carter:3", "--chain", path)
         assert code == 2
 
+    @pytest.mark.parametrize("source", [
+        ["--input", "dprime.json"],  # would pair the empty chain
+        ["--chain", "zero.json", "--subset", "t2,t3"],  # would ignore the ids
+    ])
+    def test_subset_goes_with_input_alone(self, capsys, tmp_path, source):
+        write_json(tmp_path / "dprime.json", DPRIME)
+        write_json(tmp_path / "zero.json", {"degree": 3, "terms": []})
+        flag, name, *rest = source
+        argv = ["eval-cocycle", "--cocycle", "mochizuki:3", flag, str(tmp_path / name), *rest]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--subset" in err
+
 
 class TestCheckCocycleCommand:
     def test_mochizuki_3_passes(self, capsys):

@@ -270,6 +270,22 @@ class TestEliminationFrontEnd:
         assert steps == [] and core == a
         assert_front_end_matches_dense_snf(a)
 
+    def test_wide_core_builds_no_transforms(self):
+        # 2·[I_3 | B] has no unit entry, so all of it is core, less the few
+        # columns equal up to sign; a Smith form that carried V would build
+        # it about 3000 x 3000 here
+        rng = random.Random(3000)
+        rows = [
+            [2 * (i == r) for i in range(3)] + [2 * rng.randint(-99, 99) for _ in range(2997)]
+            for r in range(3)
+        ]
+        steps, core, _, _, _ = _eliminate(IntMatrix(rows))
+        assert steps == [] and core.rows == 3 and core.cols > 2900
+        assert _rank_and_torsion(_eliminate(IntMatrix(rows))) == (3, (2, 2, 2))
+        narrow = IntMatrix([row[:300] for row in rows])
+        assert snf(narrow).diagonal == (2, 2, 2)
+        assert _rank_and_torsion(_eliminate(narrow)) == (3, (2, 2, 2))
+
     def test_every_inventory_boundary_matrix(self, inventory):
         for _, q in inventory:
             for degree in (2, 3, 4):
