@@ -15,8 +15,9 @@ where ^x_i omits the i-th entry and * is the quandle operation.
 
 For (x', y) with x' of length n-1, the terms i < n are those of x' with y
 appended, and the term i = n is (-1)^n [x' - x'*y], * acting entrywise.  So
-boundary_columns builds column (x', y) of d_n from column x' of d_{n-1} (d_1 = 0):
+_columns builds column (x', y) of d_n from column x' of d_{n-1} (d_1 = 0):
 the row of (f, y) is row(f) * (order - 1) + y - (y > f[-1]); f ending in y drops out.
+It builds the columns whose y is in a given set, and boundary_columns is all of them.
 """
 
 from functools import lru_cache
@@ -321,11 +322,20 @@ def _check_limits(quandle, degree):
         )
 
 
-@lru_cache(maxsize=None, typed=True)
 def boundary_columns(quandle, degree):
     """The quandle boundary from degree n to n-1 as SparseColumns, built from
     d_{n-1} as in the module docstring: column j is the image of the j-th tuple
-    of quandle_basis(quandle, n), keyed by row in the degree-(n-1) basis."""
+    of quandle_basis(quandle, n), keyed by row in the degree-(n-1) basis.
+    The full matrix, cached: what d_{n+1} is built from, what a cycle test
+    reads and what matrix_of_boundary densifies."""
+    return _columns(quandle, degree, frozenset(range(quandle.order)))
+
+
+@lru_cache(maxsize=None, typed=True)
+def _columns(quandle, degree, ends):
+    """boundary_columns on the columns whose tuple ends in `ends` (a
+    frozenset); every other column is an empty dict at its full-matrix
+    index.  Built from the full d_{n-1}, without the degree-n basis."""
     # typed, as for quandle_basis
     if not isinstance(degree, int) or isinstance(degree, bool) or degree < 2:
         raise DegreeError(f"boundary matrix requires an integer degree >= 2, got {degree!r}")
@@ -341,6 +351,9 @@ def boundary_columns(quandle, degree):
     for j, (x, column_below) in enumerate(zip(row_index, below)):
         faces = [(i * (order - 1), lasts[i], e) for i, e in column_below.items()]
         for y in filter(x[-1].__ne__, range(order)):
+            if y not in ends:
+                columns.append({})
+                continue
             column = {r + y - (y > last): e for r, last, e in faces if y != last}
             xy = row_index[tuple(map(acts[y].__getitem__, x))]
             if xy != j:  # x' = x'*y leaves no i = n term

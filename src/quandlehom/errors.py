@@ -87,6 +87,7 @@ def expect_keys(obj, allowed, required, path):
     a JSON object found at `path` ("" for the document root)."""
     for key in obj:
         if key not in allowed:
+            key = key if key.isprintable() else repr(key)  # the message stays one line
             raise SchemaError(f"{path}.{key}" if path else key, "unknown field")
     for key in required:
         if key not in obj:

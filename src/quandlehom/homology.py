@@ -16,11 +16,12 @@ rows keeps the rank and the torsion of d_{n+1} and adds no fill.  One
 reduction is kept per (quandle, degree).
 
 Only the columns of d_n whose cell ends in a generating set G of the
-quandle are eliminated; the rest are emptied, so indices stay the full
-matrix's.  They span the same integer image, as the last face is a chain
-homotopy from the identity to the action of an element (Litherland and
-Nelson, "The Betti numbers of some finite racks", 2003).  By chains'
-last-face formula, for a cell w = (x, y) of C_n and z != y,
+quandle are built, with no basis of degree n, and eliminated; the rest
+stay empty, so indices stay the full matrix's.  They span the same
+integer image, as the last face is a chain homotopy from the identity
+to the action of an element (Litherland and Nelson, "The Betti numbers
+of some finite racks", 2003).  By chains' last-face formula, for a cell
+w = (x, y) of C_n and z != y,
 d(w, z) = d(w)z + (-1)^{n+1} (w - w*z), where d(w)z appends z to each cell
 and w*z = (x*z, y*z).  Applying d gives d(w*z) = d(w) + (-1)^{n+1} d(d(w)z),
 and w -> w*z maps the cells ending in y onto those ending in y*z, so the
@@ -31,16 +32,20 @@ is one of d_n.
 
 These are the package's only kept eliminations.  A degree-n chain z is
 tested on its coordinate vector alone: it is a cycle iff d_n z = 0, read
-off the cached columns, and a cycle bounds iff the vector lies in the
-integer image of d_{n+1}, a query on the kept rows and G-columns of its
-reduction whose preimage is checked on every row.
+off the full d_n, and a cycle bounds iff the vector lies in the integer
+image of d_{n+1}, a query on the kept rows and G-columns of its
+reduction.  The preimage is 0 off the G-columns, so the G-columns alone
+give its full product, which is checked on every row: the full d_{n+1}
+is never built for a query.
 """
 
 from collections import namedtuple
 from functools import lru_cache
 
 from . import intlinalg
-from .chains import _check_limits, boundary_columns, boundary_quandle, coordinates, quandle_basis
+from .chains import (
+    _check_limits, _columns, boundary_columns, boundary_quandle, coordinates, quandle_basis,
+)
 from .errors import DegreeError, NotACycleError
 
 
@@ -99,13 +104,11 @@ def _generators(quandle):
 def _reduction(quandle, degree):
     """The elimination of d_degree on its columns that end in G, without the
     rows that the elimination of d_{degree-1} paired: its pivot columns,
-    cells of C_{degree-1}.  The other columns are emptied, not removed, so
-    every index stays that of the full matrix."""
+    cells of C_{degree-1}.  The other columns are never built but kept
+    empty, so every index stays that of the full matrix."""
     below = _reduction(quandle, degree - 1)[0] if degree > 2 else ()
     paired = {j for _, j, _, _, _ in below}
-    d, gens = boundary_columns(quandle, degree), _generators(quandle)
-    kept = [c if t[-1] in gens else {} for c, t in zip(d.columns, quandle_basis(quandle, degree))]
-    return intlinalg._eliminate(intlinalg.SparseColumns(d.rows, kept), paired)
+    return intlinalg._eliminate(_columns(quandle, degree, _generators(quandle)), paired)
 
 
 def homology_group(quandle, degree):
@@ -130,7 +133,8 @@ def homology_group(quandle, degree):
 def is_null_homologous(chain, quandle):
     """True iff the cycle bounds, i.e. lies in the image of d_{degree+1}
     of the quandle complex over the integers.  A preimage is sought on the
-    G-columns of d_{degree+1} and checked against the chain on every row.
+    G-columns of d_{degree+1}, the only ones built, and checked against the
+    chain on every row.
 
     Raises NotACycleError if the input is not a cycle: the two halves of
     the pseudo-cycle definition are kept separate on purpose.
@@ -142,4 +146,5 @@ def is_null_homologous(chain, quandle):
         bd = boundary_quandle(chain, quandle)
         raise NotACycleError(f"chain has nonzero quandle boundary: {bd!r}")
     up = chain.degree + 1
-    return intlinalg._solve(boundary_columns(quandle, up), _reduction(quandle, up), vec) is not None
+    d = _columns(quandle, up, _generators(quandle))
+    return intlinalg._solve(d, _reduction(quandle, up), vec) is not None

@@ -634,7 +634,7 @@ def test_cli_import_leaves_out_slow_modules():
         "if m in sys.modules))"
     )
     done = subprocess.run(
-        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
+        [sys.executable, "-B", "-S", "-c", code], capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
@@ -650,7 +650,7 @@ def test_cli_imports_only_the_standard_library():
         "not in sys.stdlib_module_names | {'quandlehom'}))"
     )
     done = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60
+        [sys.executable, "-B", "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"

@@ -391,6 +391,56 @@ class TestReducedComplex:
                 intlinalg._solve(d4, reduction, b)
 
 
+class TestTopDegreeBuiltOnItsGColumns:
+    """d_{n+1} is read only on its G-columns, so H_n and a degree-n query
+    build no other column of it, and no degree-(n+1) basis."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        for cached in (chains.quandle_basis, chains.basis_index, chains._columns,
+                       homology._reduction, homology._generators):
+            cached.cache_clear()
+        record = {"matrices": [], "bases": []}
+
+        def sparse_columns(rows, columns):
+            record["matrices"].append((rows, columns))
+            return intlinalg.SparseColumns(rows, columns)
+
+        def basis(quandle, degree):
+            record["bases"].append(degree)
+            return original_basis(quandle, degree)
+
+        original_basis = chains.quandle_basis
+        monkeypatch.setattr(chains, "SparseColumns", sparse_columns)
+        for module in (chains, homology):
+            monkeypatch.setattr(module, "quandle_basis", basis)
+        return record
+
+    @staticmethod
+    def assert_only_g_columns(record, q, top):
+        tops = [columns for rows, columns in record["matrices"]
+                if rows == len(quandle_basis(q, top - 1))]
+        assert tops, "d_top was not built"
+        basis = quandle_basis(q, top)
+        for columns in tops:
+            assert len(columns) == len(basis)
+            assert not [t for t, c in zip(basis, columns) if c and t[-1] not in {0, 1}]
+        assert max(record["bases"]) < top
+
+    def test_homology_group_builds_d5_of_r5_on_g(self, built):
+        r5 = Quandle.dihedral(5)
+        assert homology_group(r5, 4) == HomologyGroup(0, (5,))
+        self.assert_only_g_columns(built, r5, 5)
+
+    def test_null_homology_query_builds_d4_of_r5_on_g(self, built):
+        r5 = Quandle.dihedral(5)
+        generator = Chain(3, [((0, 3, 0), -1), ((0, 3, 2), 1), ((1, 0, 1), 1)])
+        boundary = boundary_quandle(Chain.generator((0, 1, 2, 3)), r5)
+        assert is_null_homologous(boundary, r5) is True
+        assert is_null_homologous(boundary + generator, r5) is False
+        self.assert_only_g_columns(built, r5, 4)
+
+
 def delayed_fibonacci(n):
     """f_1 = f_2 = 0, f_3 = 1 and f_n = f_{n-1} + f_{n-3}."""
     f = [None, 0, 0, 1]
