@@ -16,8 +16,13 @@ where ^x_i omits the i-th entry and * is the quandle operation.
 For (x', y) with x' of length n-1, the terms i < n are those of x' with y
 appended, and the term i = n is (-1)^n [x' - x'*y], * acting entrywise.  So
 _columns builds column (x', y) of d_n from column x' of d_{n-1} (d_1 = 0):
-the row of (f, y) is row(f) * (order - 1) + y - (y > f[-1]); f ending in y drops out.
-It builds the columns whose y is in a given set, and boundary_columns is all of them.
+each face f goes to (f, y), and f ending in y drops out.  It builds the columns
+whose y is in a given set, and boundary_columns is all of them.
+
+No tuple is built on that path.  Bases are ordered by extension, so a cell of
+degree d is an index: (f, y) sits at index(f) * (order - 1) + y - (y > last(f)).
+_cells gives each degree's last entries and the index of f*y, and _columns
+turns the first into one append table per y.
 """
 
 from functools import lru_cache
@@ -301,10 +306,28 @@ def quandle_basis(quandle, degree):
     return tuple(basis)
 
 
-@lru_cache(maxsize=None, typed=True)
-def basis_index(quandle, degree):
-    """quandle_basis(quandle, degree) as a tuple -> position map; cached, so read only."""
-    return {t: i for i, t in enumerate(quandle_basis(quandle, degree))}
+def _cell_count(quandle, degree):
+    """len(quandle_basis(quandle, degree)), without building it."""
+    n = quandle.order
+    return n * (n - 1) ** (degree - 1)
+
+
+@lru_cache(maxsize=None)
+def _cells(quandle, degree):
+    """The degree-d cells, quandle_basis(quandle, d), by index alone: (lasts,
+    acts), with lasts[j] the last entry of cell j and acts[y][j] the index of
+    cell j acted on by y entrywise.  Built from degree d-1, as
+    last(f*y) = last(f)*y; cached, so read only."""
+    table, n = quandle.table, quandle.order
+    if degree == 1:
+        return tuple(range(n)), tuple(zip(*table))
+    below, acts_below = _cells(quandle, degree - 1)
+    acts = []
+    for act, xy in zip(acts_below, zip(*table)):  # xy[x] = x*y
+        # offsets[k]: the offset of x*y after k*y, for each x != k in order
+        offsets = [[xy[x] - (xy[x] > xy[k]) for x in range(n) if x != k] for k in range(n)]
+        acts.append(tuple([act[i] * (n - 1) + o for i, k in enumerate(below) for o in offsets[k]]))
+    return tuple([x for k in below for x in range(n) if x != k]), tuple(acts)
 
 
 def _check_limits(quandle, degree):
@@ -313,8 +336,7 @@ def _check_limits(quandle, degree):
             f"homology degree {degree} is over the limit MAX_HOMOLOGY_DEGREE = "
             f"{MAX_HOMOLOGY_DEGREE}"
         )
-    n = quandle.order
-    rows, cols = n * (n - 1) ** (degree - 1), n * (n - 1) ** degree
+    rows, cols = _cell_count(quandle, degree), _cell_count(quandle, degree + 1)
     if rows * cols > MAX_BOUNDARY_ENTRIES:
         raise ResourceLimitError(
             f"H_{degree} needs the {rows}x{cols} boundary matrix d_{degree + 1}, over the "
@@ -335,7 +357,8 @@ def boundary_columns(quandle, degree):
 def _columns(quandle, degree, ends):
     """boundary_columns on the columns whose tuple ends in `ends` (a
     frozenset); every other column is an empty dict at its full-matrix
-    index.  Built from the full d_{n-1}, without the degree-n basis."""
+    index.  Built from the full d_{n-1} and the cells of degrees n-1 and
+    n-2, with no tuple basis."""
     # typed, as for quandle_basis
     if not isinstance(degree, int) or isinstance(degree, bool) or degree < 2:
         raise DegreeError(f"boundary matrix requires an integer degree >= 2, got {degree!r}")
@@ -343,23 +366,28 @@ def _columns(quandle, degree, ends):
     below = [{}] * order  # d_1: every column empty
     for k in range(2, degree):  # ascending, so each call finds d_{k-1} cached
         below = boundary_columns(quandle, k).columns
-    lasts = [f[-1] for f in quandle_basis(quandle, degree - 2)] if degree > 2 else ()
-    row_index = basis_index(quandle, degree - 1)
-    acts = [[row[y] for row in quandle.table] for y in range(order)]  # x -> x*y
+    lasts, acts = _cells(quandle, degree - 1)
+    face_lasts = _cells(quandle, degree - 2)[0] if degree > 2 else ()
+    # appended[y][i]: the row of face i with y appended, None if face i ends in y
+    appended = [
+        [i * (order - 1) + y - (y > last) if y != last else None
+         for i, last in enumerate(face_lasts)] if y in ends else None
+        for y in range(order)
+    ]
     c = (-1) ** degree
     columns = []
-    for j, (x, column_below) in enumerate(zip(row_index, below)):
-        faces = [(i * (order - 1), lasts[i], e) for i, e in column_below.items()]
-        for y in filter(x[-1].__ne__, range(order)):
-            if y not in ends:
+    for j, (last, column_below) in enumerate(zip(lasts, below)):
+        for y in filter(last.__ne__, range(order)):
+            rows = appended[y]
+            if rows is None:
                 columns.append({})
                 continue
-            column = {r + y - (y > last): e for r, last, e in faces if y != last}
-            xy = row_index[tuple(map(acts[y].__getitem__, x))]
+            column = {rows[i]: e for i, e in column_below.items() if rows[i] is not None}
+            xy = acts[y][j]
             if xy != j:  # x' = x'*y leaves no i = n term
                 column[j], column[xy] = c, -c
             columns.append(column)
-    return SparseColumns(len(row_index), columns)
+    return SparseColumns(len(lasts), columns)
 
 
 def matrix_of_boundary(quandle, degree):
@@ -375,16 +403,17 @@ def matrix_of_boundary(quandle, degree):
 
 def coordinates(chain, quandle):
     """Coordinate vector of a quandle-complex chain in its degree basis."""
-    index = basis_index(quandle, chain.degree)
-    vec = [0] * len(index)
+    n = quandle.order
+    vec = [0] * _cell_count(quandle, chain.degree)
     for tup, coeff in chain.items():
-        if tup not in index:
-            if is_degenerate(tup):
+        j = tup[0]
+        for last, y in zip(tup, tup[1:]):  # the index of (f, y), as in _cells
+            if y == last:
                 raise DegenerateGeneratorError(
                     f"generator {tup} is degenerate, not a quandle-basis element"
                 )
-            raise QuandleMismatchError(
-                f"tuple {tup} out of range for quandle of order {quandle.order}"
-            )
-        vec[index[tup]] = coeff
+            j = j * (n - 1) + y - (y > last)
+        if max(tup) >= n:  # after the whole degeneracy scan, which is reported first
+            raise QuandleMismatchError(f"tuple {tup} out of range for quandle of order {n}")
+        vec[j] = coeff
     return vec

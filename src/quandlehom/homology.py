@@ -44,7 +44,7 @@ from functools import lru_cache
 
 from . import intlinalg
 from .chains import (
-    _check_limits, _columns, boundary_columns, boundary_quandle, coordinates, quandle_basis,
+    _cell_count, _check_limits, _columns, boundary_columns, boundary_quandle, coordinates,
 )
 from .errors import DegreeError, NotACycleError
 
@@ -121,7 +121,7 @@ def homology_group(quandle, degree):
     if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
         raise DegreeError(f"homology degree must be a positive integer, got {degree!r}")
     _check_limits(quandle, degree)
-    dim = len(quandle_basis(quandle, degree))
+    dim = _cell_count(quandle, degree)
     if degree == 1:
         rank_down = 0
     else:

@@ -45,6 +45,40 @@ def quandle_inventory():
     ]
 
 
+def conjugate(q, sigma, inv):
+    """q relabelled by the permutation sigma, whose inverse is inv."""
+    n = q.order
+    return Quandle.from_table(
+        [[sigma[q.table[inv[x]][inv[y]]] for y in range(n)] for x in range(n)]
+    )
+
+
+def alexander(n, t):
+    """The Alexander quandle on Z/n with x * y = t x + (1 - t) y."""
+    return Quandle.from_table([[(t * x + (1 - t) * y) % n for y in range(n)] for x in range(n)])
+
+
+def product(p, q):
+    """The product quandle on pairs (a, b), labelled a * q.order + b."""
+    m = q.order
+    return Quandle.from_table([
+        [p.table[a // m][b // m] * m + q.table[a % m][b % m] for b in range(p.order * m)]
+        for a in range(p.order * m)
+    ])
+
+
+# beyond the inventory: larger dihedral quandles, Alexander quandles (the
+# one on Z/4 with t = 3 is R4), products, whose G is larger than {0, 1},
+# and a relabelled R5 (0 <-> 1 is not an automorphism)
+CROSS_CHECK_QUANDLES = [(f"R{n}", Quandle.dihedral(n)) for n in range(5, 9)] + [
+    (f"Z/{n} t={t}", alexander(n, t)) for n, t in ((5, 2), (7, 3), (8, 3), (9, 2))
+] + [
+    ("R3xT2", product(Quandle.dihedral(3), Quandle.from_table(trivial_table(2)))),
+    ("T2xR3", product(Quandle.from_table(trivial_table(2)), Quandle.dihedral(3))),
+    ("R5 relabelled", conjugate(Quandle.dihedral(5), [1, 0, 2, 3, 4], [1, 0, 2, 3, 4])),
+]
+
+
 def admitted_boundary_degrees(q):
     """Each n whose d_n the limits let homology build: d_n is the upper
     boundary matrix of H_{n-1}, and every lower one is smaller."""

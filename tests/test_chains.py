@@ -1,5 +1,6 @@
 import json
 import random
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -10,6 +11,7 @@ from quandlehom import (
     boundary_quandle,
     boundary_rack,
     chains,
+    homology,
     is_degenerate,
     matrix_of_boundary,
     project_quandle,
@@ -18,8 +20,12 @@ from quandlehom import (
 from quandlehom.errors import (
     DegenerateGeneratorError, DegreeError, QuandleMismatchError, ResourceLimitError, SchemaError
 )
+from quandlehom.intlinalg import SparseColumns, _eliminate
 
-from conftest import admitted_boundary_degrees, quandle_inventory, sympy_matrix, trivial_table
+from conftest import (
+    CROSS_CHECK_QUANDLES, S4_TABLE, admitted_boundary_degrees, quandle_inventory, sympy_matrix,
+    trivial_table,
+)
 
 
 def chain_boundary_matrix(quandle, degree):
@@ -33,6 +39,37 @@ def chain_boundary_matrix(quandle, degree):
         for tup, coeff in project_quandle(boundary_rack(Chain.generator(gen), quandle)).items():
             data[row_index[tup]][j] = coeff
     return data
+
+
+@lru_cache(maxsize=None)
+def tuple_columns(quandle, degree, ends):
+    """chains._columns on tuple bases: each row found by
+    hashing a tuple into the degree-(n-1) basis, the last entries read off
+    the degree-(n-2) tuples, and d_{n-1} built the same way.  The slow
+    oracle for the cell arithmetic, which must give the same columns in
+    the same key order (the pivots of the elimination depend on it)."""
+    order = quandle.order
+    if degree > 2:
+        below = tuple_columns(quandle, degree - 1, frozenset(range(order))).columns
+        lasts = [f[-1] for f in quandle_basis(quandle, degree - 2)]
+    else:
+        below, lasts = [{}] * order, ()
+    row_index = {t: i for i, t in enumerate(quandle_basis(quandle, degree - 1))}
+    acts = [[row[y] for row in quandle.table] for y in range(order)]  # x -> x*y
+    c = (-1) ** degree
+    columns = []
+    for j, (x, column_below) in enumerate(zip(row_index, below)):
+        faces = [(i * (order - 1), lasts[i], e) for i, e in column_below.items()]
+        for y in filter(x[-1].__ne__, range(order)):
+            if y not in ends:
+                columns.append({})
+                continue
+            column = {r + y - (y > last): e for r, last, e in faces if y != last}
+            xy = row_index[tuple(map(acts[y].__getitem__, x))]
+            if xy != j:
+                column[j], column[xy] = c, -c
+            columns.append(column)
+    return SparseColumns(len(row_index), columns)
 
 
 def scan_basis(quandle, degree):
@@ -227,13 +264,38 @@ class TestQuandleBasis:
             (1, 0) * 100,
         )
 
-    def test_basis_index_agrees_with_basis_positions(self, inventory):
-        for _, q in inventory:
+    def test_cells_agree_with_the_tuple_basis(self, inventory):
+        for name, q in inventory + CROSS_CHECK_QUANDLES:
             for degree in range(1, 5):
                 basis = quandle_basis(q, degree)
-                index = chains.basis_index(q, degree)
-                assert list(index) == list(basis)
-                assert all(index[t] == basis.index(t) for t in basis)
+                position = {t: i for i, t in enumerate(basis)}
+                lasts, acts = chains._cells(q, degree)
+                assert list(lasts) == [t[-1] for t in basis], (name, degree)
+                assert [list(a) for a in acts] == [
+                    [position[tuple(q.table[x][y] for x in t)] for t in basis]
+                    for y in range(q.order)
+                ], (name, degree)
+                for j, t in enumerate(basis):
+                    unit = [0] * len(basis)
+                    unit[j] = 1
+                    assert chains.coordinates(Chain.generator(t), q) == unit, (name, t)
+
+    def test_orders_1_and_2_index_cells_at_degree_200(self):
+        r1 = Quandle.from_table(trivial_table(1))
+        assert chains._cells(r1, 200) == ((), ((),))
+        assert chains.coordinates(Chain.zero(200), r1) == []
+        with pytest.raises(DegenerateGeneratorError):
+            chains.coordinates(Chain.generator((0,) * 200), r1)
+        t2 = Quandle.from_table(trivial_table(2))
+        assert chains._cells(t2, 200) == ((1, 0), ((0, 1), (0, 1)))
+        basis = quandle_basis(t2, 200)
+        assert [chains.coordinates(Chain.generator(t), t2) for t in basis] == [[1, 0], [0, 1]]
+
+    def test_coordinates_report_degeneracy_before_range(self, r3):
+        with pytest.raises(DegenerateGeneratorError, match=r"generator \(4, 4\) is degenerate"):
+            chains.coordinates(Chain.generator((4, 4)), r3)
+        with pytest.raises(QuandleMismatchError, match=r"tuple \(4, 3\) out of range"):
+            chains.coordinates(Chain.generator((4, 3)), r3)
 
     def test_degree_must_be_positive(self, r3):
         with pytest.raises(DegreeError):
@@ -337,6 +399,31 @@ class TestMatrixOfBoundary:
             for gen, column in zip(quandle_basis(q, 200), d.columns):
                 got = {rows[i]: e for i, e in column.items()}
                 assert got == formula_boundary(gen, q.table, True), (order, gen)
+
+    def test_columns_match_the_tuple_oracle_in_key_order(self, inventory):
+        for name, q in inventory + CROSS_CHECK_QUANDLES:
+            for ends in (frozenset(range(q.order)), homology._generators(q)):
+                for degree in admitted_boundary_degrees(q):
+                    got = chains._columns(q, degree, ends)
+                    expected = tuple_columns(q, degree, ends)
+                    assert got.rows == expected.rows, (name, degree)
+                    assert [list(c.items()) for c in got.columns] == [
+                        list(c.items()) for c in expected.columns
+                    ], (name, sorted(ends), degree)
+
+    @pytest.mark.parametrize("q, degree", [
+        (Quandle.dihedral(3), 6),
+        (Quandle.dihedral(4), 5),
+        (Quandle.from_table(S4_TABLE), 5),
+        (Quandle.dihedral(5), 5),
+        (Quandle.dihedral(6), 4),
+    ], ids=["d6(R3)", "d5(R4)", "d5(S4)", "d5(R5)", "d4(R6)"])
+    def test_elimination_of_the_top_matrix_matches_on_the_oracle(self, q, degree):
+        ends = homology._generators(q)
+        paired = {j for _, j, _, _, _ in homology._reduction(q, degree - 1)[0]}
+        assert paired
+        expected = _eliminate(tuple_columns(q, degree, ends), paired)
+        assert _eliminate(chains._columns(q, degree, ends), paired) == expected
 
     def test_boundary_squared_is_zero_matrix_for_inventory(self, inventory):
         for _, q in inventory:

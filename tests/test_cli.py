@@ -359,9 +359,9 @@ class TestResourceGuards:
     @pytest.fixture(autouse=True)
     def nothing_built(self, monkeypatch):
         for module in (chains, homology):
-            monkeypatch.setattr(module, "quandle_basis", self.built)
             monkeypatch.setattr(module, "boundary_columns", self.built)
-        monkeypatch.setattr(chains, "matrix_of_boundary", self.built)
+        for name in ("quandle_basis", "_cells", "matrix_of_boundary"):
+            monkeypatch.setattr(chains, name, self.built)
         monkeypatch.setattr(pseudocycles, "chain_of", self.built)
 
     def refused(self, capsys, argv, limit):

@@ -27,7 +27,9 @@ from quandlehom.errors import (
 )
 from quandlehom.intlinalg import _eliminate, _rank_and_torsion, _solve
 
-from conftest import S4_TABLE, admitted_boundary_degrees, trivial_table
+from conftest import (
+    CROSS_CHECK_QUANDLES, S4_TABLE, admitted_boundary_degrees, conjugate, trivial_table,
+)
 
 # frozen from an independent Smith-normal-form computation (sympy) over
 # the same boundary matrices, done before this module was written
@@ -60,28 +62,6 @@ def sympy_homology(q, degree):
             if d >= 2:
                 torsion.append(d)
     return dim - rank_down - rank_up, tuple(sorted(torsion))
-
-
-def conjugate(q, sigma, inv):
-    """q relabelled by the permutation sigma, whose inverse is inv."""
-    n = q.order
-    return Quandle.from_table(
-        [[sigma[q.table[inv[x]][inv[y]]] for y in range(n)] for x in range(n)]
-    )
-
-
-def alexander(n, t):
-    """The Alexander quandle on Z/n with x * y = t x + (1 - t) y."""
-    return Quandle.from_table([[(t * x + (1 - t) * y) % n for y in range(n)] for x in range(n)])
-
-
-def product(p, q):
-    """The product quandle on pairs (a, b), labelled a * q.order + b."""
-    m = q.order
-    return Quandle.from_table([
-        [p.table[a // m][b // m] * m + q.table[a % m][b % m] for b in range(p.order * m)]
-        for a in range(p.order * m)
-    ])
 
 
 def orbit_count(q):
@@ -272,17 +252,6 @@ class TestBoundaryMatrixEliminatedOnce:
 # d_n.  These check it against the full boundary matrices, all columns and
 # rows kept.
 
-# beyond the inventory: larger dihedral quandles, Alexander quandles (the
-# one on Z/4 with t = 3 is R4), products, whose G is larger than {0, 1},
-# and a relabelled R5 (0 <-> 1 is not an automorphism)
-CROSS_CHECK_QUANDLES = [(f"R{n}", Quandle.dihedral(n)) for n in range(5, 9)] + [
-    (f"Z/{n} t={t}", alexander(n, t)) for n, t in ((5, 2), (7, 3), (8, 3), (9, 2))
-] + [
-    ("R3xT2", product(Quandle.dihedral(3), Quandle.from_table(trivial_table(2)))),
-    ("T2xR3", product(Quandle.from_table(trivial_table(2)), Quandle.dihedral(3))),
-    ("R5 relabelled", conjugate(Quandle.dihedral(5), [1, 0, 2, 3, 4], [1, 0, 2, 3, 4])),
-]
-
 NULL_TEST_QUANDLES = {
     "R3": Quandle.dihedral(3),
     "R4": Quandle.dihedral(4),
@@ -393,14 +362,14 @@ class TestReducedComplex:
 
 class TestTopDegreeBuiltOnItsGColumns:
     """d_{n+1} is read only on its G-columns, so H_n and a degree-n query
-    build no other column of it, and no degree-(n+1) basis."""
+    build no other column of it, no cells of degree n+1 and no tuple basis."""
 
     @pytest.fixture
     def built(self, monkeypatch):
-        for cached in (chains.quandle_basis, chains.basis_index, chains._columns,
+        for cached in (chains.quandle_basis, chains._cells, chains._columns,
                        homology._reduction, homology._generators):
             cached.cache_clear()
-        record = {"matrices": [], "bases": []}
+        record = {"matrices": [], "bases": [], "cells": []}
 
         def sparse_columns(rows, columns):
             record["matrices"].append((rows, columns))
@@ -410,10 +379,14 @@ class TestTopDegreeBuiltOnItsGColumns:
             record["bases"].append(degree)
             return original_basis(quandle, degree)
 
-        original_basis = chains.quandle_basis
+        def cells(quandle, degree):
+            record["cells"].append(degree)
+            return original_cells(quandle, degree)
+
+        original_basis, original_cells = chains.quandle_basis, chains._cells
         monkeypatch.setattr(chains, "SparseColumns", sparse_columns)
-        for module in (chains, homology):
-            monkeypatch.setattr(module, "quandle_basis", basis)
+        monkeypatch.setattr(chains, "quandle_basis", basis)
+        monkeypatch.setattr(chains, "_cells", cells)
         return record
 
     @staticmethod
@@ -425,7 +398,8 @@ class TestTopDegreeBuiltOnItsGColumns:
         for columns in tops:
             assert len(columns) == len(basis)
             assert not [t for t, c in zip(basis, columns) if c and t[-1] not in {0, 1}]
-        assert max(record["bases"]) < top
+        assert record["bases"] == []
+        assert max(record["cells"]) == top - 1
 
     def test_homology_group_builds_d5_of_r5_on_g(self, built):
         r5 = Quandle.dihedral(5)
@@ -467,9 +441,9 @@ class TestResourceLimits:
             raise AssertionError("a basis or boundary matrix was built")
 
         for module in (chains, homology):
-            monkeypatch.setattr(module, "quandle_basis", built)
             monkeypatch.setattr(module, "boundary_columns", built)
-        monkeypatch.setattr(chains, "matrix_of_boundary", built)
+        for name in ("quandle_basis", "_cells", "matrix_of_boundary"):
+            monkeypatch.setattr(chains, name, built)
 
     def test_oversized_boundary_refused_before_any_basis(self, no_basis):
         # d_4 of R9 is 576x4608
