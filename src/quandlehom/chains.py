@@ -22,17 +22,17 @@ whose y is in a given set, and boundary_columns is all of them.
 No tuple is built on that path.  Bases are ordered by extension, so a cell of
 degree d is an index: (f, y) sits at index(f) * (order - 1) + y - (y > last(f)).
 _cells gives each degree's last entries and the index of f*y, and _columns
-turns the first into one append table per y.
+turns the first into one append table per y.  Both, and quandle_basis, are
+kept in the Quandle object's own store and freed with it: equal quandles
+built separately do not share them.
 """
-
-from functools import lru_cache
 
 from .errors import (
     DegenerateGeneratorError, DegreeError, QuandleMismatchError, ResourceLimitError,
     SchemaError, decimal_int, expect_keys,
 )
 from .intlinalg import SparseColumns
-from .quandle import Quandle
+from .quandle import Quandle, _memoized
 
 # homology_group, is_null_homologous and matrix_of_boundary refuse, before any
 # basis is built, a degree above MAX_HOMOLOGY_DEGREE (for orders 1 and 2 the
@@ -289,14 +289,13 @@ def boundary_quandle(chain, quandle):
     return project_quandle(boundary_rack(chain, quandle))
 
 
-@lru_cache(maxsize=None, typed=True)
+@_memoized
 def quandle_basis(quandle, degree):
     """All non-degenerate degree-n tuples over the quandle, lexicographic.
 
     >>> len(quandle_basis(Quandle.dihedral(3), 3))
     12
     """
-    # typed: 2.0 == 2 would otherwise hit degree 2's entry, skipping this check
     if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
         raise DegreeError(f"basis degree must be a positive integer, got {degree!r}")
     elements = range(quandle.order)
@@ -312,12 +311,12 @@ def _cell_count(quandle, degree):
     return n * (n - 1) ** (degree - 1)
 
 
-@lru_cache(maxsize=None)
+@_memoized
 def _cells(quandle, degree):
     """The degree-d cells, quandle_basis(quandle, d), by index alone: (lasts,
     acts), with lasts[j] the last entry of cell j and acts[y][j] the index of
     cell j acted on by y entrywise.  Built from degree d-1, as
-    last(f*y) = last(f)*y; cached, so read only."""
+    last(f*y) = last(f)*y; kept, so read only."""
     table, n = quandle.table, quandle.order
     if degree == 1:
         return tuple(range(n)), tuple(zip(*table))
@@ -348,18 +347,17 @@ def boundary_columns(quandle, degree):
     """The quandle boundary from degree n to n-1 as SparseColumns, built from
     d_{n-1} as in the module docstring: column j is the image of the j-th tuple
     of quandle_basis(quandle, n), keyed by row in the degree-(n-1) basis.
-    The full matrix, cached: what d_{n+1} is built from, what a cycle test
+    The full matrix, kept: what d_{n+1} is built from, what a cycle test
     reads and what matrix_of_boundary densifies."""
     return _columns(quandle, degree, frozenset(range(quandle.order)))
 
 
-@lru_cache(maxsize=None, typed=True)
+@_memoized
 def _columns(quandle, degree, ends):
     """boundary_columns on the columns whose tuple ends in `ends` (a
     frozenset); every other column is an empty dict at its full-matrix
     index.  Built from the full d_{n-1} and the cells of degrees n-1 and
     n-2, with no tuple basis."""
-    # typed, as for quandle_basis
     if not isinstance(degree, int) or isinstance(degree, bool) or degree < 2:
         raise DegreeError(f"boundary matrix requires an integer degree >= 2, got {degree!r}")
     order = quandle.order

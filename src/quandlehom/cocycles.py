@@ -27,10 +27,10 @@ class Cocycle3:
     """A Z/m-valued function on element triples, materialized as a full
     n*n*n table at construction so evaluation is pure lookup.
 
-    The constructor checks that every value is an int and stores it reduced
-    mod m; it does not enforce the cocycle condition (that is
-    is_quandle_3cocycle's job), so invalid candidate tables can be built
-    and then rejected.
+    The constructor checks that the table is exactly n*n*n and every value
+    an int, and stores it reduced mod m; it does not enforce the cocycle
+    condition (that is is_quandle_3cocycle's job), so invalid candidate
+    tables can be built and then rejected.
     """
 
     __slots__ = ("quandle", "modulus", "_values")
@@ -39,11 +39,17 @@ class Cocycle3:
         if not isinstance(modulus, int) or isinstance(modulus, bool) or modulus < 2:
             raise ValueError(f"modulus must be an integer >= 2, got {modulus!r}")
         n = quandle.order
+        if len(values) != n:
+            raise ValueError(f"values has length {len(values)}, expected {n}")
         table = []
         for x in range(n):
+            if len(values[x]) != n:
+                raise ValueError(f"values[{x}] has length {len(values[x])}, expected {n}")
             plane = []
             for y in range(n):
-                row = tuple(values[x][y][z] for z in range(n))
+                row = tuple(values[x][y])
+                if len(row) != n:
+                    raise ValueError(f"values[{x}][{y}] has length {len(row)}, expected {n}")
                 for z, e in enumerate(row):
                     if not isinstance(e, int) or isinstance(e, bool):
                         raise ValueError(f"values[{x}][{y}][{z}] = {e!r} is not an int")

@@ -13,7 +13,8 @@ cell of C_{n-1}, and d_{n+1} is eliminated without its rows j.  The pivot
 columns of d_n are independent, so a cycle is fixed by its coordinates off
 them, and those coordinates of ker d_n form a direct summand: deleting the
 rows keeps the rank and the torsion of d_{n+1} and adds no fill.  One
-reduction is kept per (quandle, degree).
+reduction per degree is kept in the Quandle object's own store and freed
+with it; equal quandles built separately do not share it.
 
 Only the columns of d_n whose cell ends in a generating set G of the
 quandle are built, with no basis of degree n, and eliminated; the rest
@@ -40,13 +41,13 @@ is never built for a query.
 """
 
 from collections import namedtuple
-from functools import lru_cache
 
 from . import intlinalg
 from .chains import (
     _cell_count, _check_limits, _columns, boundary_columns, boundary_quandle, coordinates,
 )
 from .errors import DegreeError, NotACycleError
+from .quandle import _memoized
 
 
 class HomologyGroup(namedtuple("HomologyGroup", "free_rank torsion")):
@@ -86,7 +87,7 @@ class HomologyGroup(namedtuple("HomologyGroup", "free_rank torsion")):
         return {"free_rank": self.free_rank, "torsion": list(self.torsion)}
 
 
-@lru_cache(maxsize=None)
+@_memoized
 def _generators(quandle):
     """A generating set: each element not in the closure under * (a
     subquandle, as each x -> x*y has finite order) of those before it."""
@@ -100,7 +101,7 @@ def _generators(quandle):
     return frozenset(gens)
 
 
-@lru_cache(maxsize=None)
+@_memoized
 def _reduction(quandle, degree):
     """The elimination of d_degree on its columns that end in G, without the
     rows that the elimination of d_{degree-1} paired: its pivot columns,
@@ -141,7 +142,7 @@ def is_null_homologous(chain, quandle):
     """
     _check_limits(quandle, chain.degree)
     vec = coordinates(chain, quandle)  # the one degeneracy and range check
-    # d_n is cached: the reduction of d_{n+1} below was built on it
+    # d_n is kept: the reduction of d_{n+1} below was built on it
     if chain.degree >= 2 and any(boundary_columns(quandle, chain.degree).apply(vec)):
         bd = boundary_quandle(chain, quandle)
         raise NotACycleError(f"chain has nonzero quandle boundary: {bd!r}")

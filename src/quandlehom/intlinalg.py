@@ -16,7 +16,8 @@ The core keeps one column of each set that is equal up to sign, which
 leaves its image, rank and invariant factors unchanged; a solution is 0
 on the dropped columns.  Nothing here keeps an elimination
 (solve_in_image eliminates afresh on each call): the kept ones are
-homology's, one per boundary matrix of the quandle complex.
+homology's, one per boundary matrix, each kept by its Quandle object and
+freed with it.
 
 Boundary matrices are built as SparseColumns, which _eliminate reads
 without a dense copy.  It can leave rows out, as the reduction of the whole

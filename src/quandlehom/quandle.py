@@ -9,6 +9,7 @@ parsers check it, and internal code trusts what they accepted.  So hot
 loops read `table` directly, while `act` range-checks outside callers.
 """
 
+from functools import wraps
 from itertools import product
 
 from .errors import QuandleAxiomError, ResourceLimitError
@@ -30,7 +31,7 @@ class Quandle:
     0
     """
 
-    __slots__ = ("order", "table")
+    __slots__ = ("order", "table", "_store")
 
     def __init__(self, table):
         """Validate `table` (a square array over {0..n-1}) and freeze it.
@@ -75,6 +76,7 @@ class Quandle:
                 )
         object.__setattr__(self, "order", n)
         object.__setattr__(self, "table", rows)
+        object.__setattr__(self, "_store", {})  # filled by _memoized, never compared
 
     def __setattr__(self, name, value):
         raise AttributeError("Quandle is immutable")
@@ -121,3 +123,19 @@ class Quandle:
 
     def __repr__(self):
         return f"Quandle(order={self.order})"
+
+
+def _memoized(fn):
+    """Cache fn(quandle, *args) in that quandle's own store, so what the
+    package derives from a quandle is freed with it.  Keyed by the argument
+    types too: a degree 2.0 must not hit degree 2's entry, skipping fn's check."""
+
+    @wraps(fn)
+    def cached(quandle, *args):
+        key = (fn, args, tuple(map(type, args)))
+        store = quandle._store
+        if key not in store:
+            store[key] = fn(quandle, *args)
+        return store[key]
+
+    return cached

@@ -181,6 +181,25 @@ def test_cocycle_values_must_be_ints(value):
     assert str(exc.value) == f"values[0][0][0] = {value!r} is not an int"
 
 
+BAD_COCYCLE_SHAPES = {
+    "3x3x4": "values[0][0] has length 4, expected 3",
+    "3x3x2": "values[0][0] has length 2, expected 3",
+    "3x4x3": "values[0] has length 4, expected 3",
+    "3x2x3": "values[0] has length 2, expected 3",
+    "4x3x3": "values has length 4, expected 3",
+    "2x3x3": "values has length 2, expected 3",
+}
+
+
+@pytest.mark.parametrize("shape", BAD_COCYCLE_SHAPES)
+def test_cocycle_table_must_be_n_by_n_by_n(shape):
+    a, b, c = map(int, shape.split("x"))
+    values = [[[0] * c for _ in range(b)] for _ in range(a)]
+    with pytest.raises(ValueError) as exc:
+        Cocycle3(Quandle.dihedral(3), 3, values)
+    assert str(exc.value) == BAD_COCYCLE_SHAPES[shape]
+
+
 def schema_error(build):
     with pytest.raises(SchemaError) as exc:
         build()
