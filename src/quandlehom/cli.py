@@ -42,7 +42,9 @@ def _load_json(path):
     raw = path.read_bytes()
     try:
         return json.loads(raw.decode("utf-8")), hashlib.sha256(raw).hexdigest()
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    # ValueError covers JSONDecodeError, UnicodeDecodeError and an integer
+    # literal over the interpreter's digit limit
+    except (ValueError, RecursionError) as exc:
         raise SchemaError("", f"{path}: not valid JSON ({exc})")
 
 
@@ -110,6 +112,10 @@ def cmd_verify_paper(args):
     run("theta_is_3cocycle", lambda: {"pass": bool(is_quandle_3cocycle(theta))})
 
     def pairing_check():
+        # theta is a cocycle of the standard R3: over another quandle the
+        # pairing means nothing, even where the colors are in range
+        if ds_dp.quandle != theta.quandle:
+            return {"pass": False}
         value = pair(theta, cbar1)
         return {"pass": value != 0, "value": value, "modulus": theta.modulus}
 

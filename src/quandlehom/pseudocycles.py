@@ -6,6 +6,14 @@ is exhaustive over subsets (bitmask order, capped), with null-homology
 verdicts memoized by the sign-normalized chain; the maximum disjoint
 family is found by depth-first search.
 
+The cycle test reads d_3 as kept in the quandle's store, the one
+is_null_homologous reads: a subset's projected chain is a cycle iff d_3
+maps its coordinate vector to zero, and no boundary chain is built per
+subset.  The limits of homology_group are checked before d_3 is first
+read, so a dataset whose d_4 is over them is refused at its first subset
+with a nonzero projected chain; one whose subsets all project to zero
+is still reported.
+
 Each triple point is validated once: TriplePoint checks its fields, the
 dataset checks unique ids and color range, and dataset_from_json checks the
 JSON shape and adds field paths to their errors.  Later code trusts them.
@@ -18,7 +26,7 @@ maximum family found is still the lexicographically least.
 
 from collections import namedtuple
 
-from .chains import Chain, boundary_rack, project_quandle
+from .chains import Chain, _check_limits, boundary_columns, coordinates, project_quandle
 from .errors import (
     EnumerationCapError, QuandleAxiomError, SchemaError, UnknownIdError, expect_keys
 )
@@ -166,11 +174,13 @@ def _pseudo_cycle_test(chain, quandle, is_null):
     # the pseudo-cycle predicate on a subset's chain; `is_null` decides
     # null-homology so that enumeration can memoize the verdicts
     chain = project_quandle(chain)
-    return (
-        bool(chain)
-        and not project_quandle(boundary_rack(chain, quandle))
-        and not is_null(chain, quandle)
-    )
+    if not chain:
+        return False
+    # refused before d_3 is built, as is_null_homologous would refuse
+    _check_limits(quandle, 3)
+    if any(boundary_columns(quandle, 3).apply(coordinates(chain, quandle))):
+        return False
+    return not is_null(chain, quandle)
 
 
 def is_pseudo_cycle(subset, dataset):
@@ -179,7 +189,9 @@ def is_pseudo_cycle(subset, dataset):
 
     Degenerate color triples are legal in datasets; they represent zero in
     the quandle complex, so the chain is projected before testing.  The
-    zero chain is a cycle but bounds, hence is never a pseudo-cycle.
+    zero chain is a cycle but bounds, hence is never a pseudo-cycle.  A
+    nonzero projected chain over a quandle whose d_4 is over the limits of
+    homology_group raises ResourceLimitError, cycle or not.
     """
     return _pseudo_cycle_test(
         chain_of(subset, dataset), dataset.quandle, is_null_homologous

@@ -10,6 +10,8 @@ import pytest
 from quandlehom import CocycleCheck, Quandle, chains, cli, cocycles, homology, pseudocycles, quandle
 from quandlehom.errors import QuandleMismatchError
 
+from conftest import S4_TABLE, conjugate, trivial_table
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -82,6 +84,33 @@ class TestVerifyPaper:
         assert report["results"]["first_failure"] == check
         assert report["results"]["checks"][-1] == {"name": check, "pass": False}
         assert "verdict fail" in err
+
+    # theta_3 is a cocycle of the standard R3; S4 and T3 give cbar1 colors
+    # in range, and over S4 the other eight checks pass
+    @pytest.mark.parametrize("table", [S4_TABLE, trivial_table(3)], ids=["S4", "T3"])
+    def test_other_quandle_fails_the_pairing_check(self, capsys, tmp_path, table):
+        doc = dict(DPRIME, quandle={"kind": "table", "table": table})
+        path = write_json(tmp_path / "other.json", doc)
+        code, report, err = run_json(capsys, "verify-paper", "--dprime", path)
+        assert code == 1
+        assert report["verdict"] == "fail"
+        assert report["results"]["first_failure"] == "theta_pairing_cbar1_nonzero"
+        assert report["results"]["checks"][-1] == {
+            "name": "theta_pairing_cbar1_nonzero", "pass": False,
+        }
+        assert "verdict fail" in err
+
+    def test_r3_in_table_form_still_passes(self, capsys, tmp_path):
+        # quandles compare by table: every relabelling of R3, the swap of 0
+        # and 1 included, is an automorphism and gives the same table
+        r3 = Quandle.dihedral(3)
+        swapped = conjugate(r3, [1, 0, 2], [1, 0, 2])
+        assert swapped == r3
+        doc = dict(DPRIME, quandle={"kind": "table", "table": [list(r) for r in swapped.table]})
+        path = write_json(tmp_path / "table.json", doc)
+        code, report, _ = run_json(capsys, "verify-paper", "--dprime", path)
+        assert code == 0
+        assert report["verdict"] == "pass"
 
     def test_corrupted_quandle_table_exits_2_before_math(self, capsys, tmp_path):
         doc = {
@@ -430,6 +459,37 @@ def test_null_homology_guard_exits_2(capsys, tmp_path, monkeypatch, command, fla
     assert "576x4608 boundary matrix d_4, over the limit MAX_BOUNDARY_ENTRIES = 1000000" in err
 
 
+def test_nonzero_subset_chain_over_r8_exits_2(capsys, tmp_path, monkeypatch):
+    # one non-degenerate point is no cycle, but its chain is nonzero, so
+    # the limits of d_4 are checked before d_3 is read
+    for module in (chains, homology, pseudocycles):
+        monkeypatch.setattr(module, "boundary_columns", TestResourceGuards.built)
+    doc = {
+        "quandle": {"kind": "dihedral", "order": 8},
+        "triple_points": [{"id": "a", "sign": 1, "colors": [0, 1, 2]}],
+    }
+    path = write_json(tmp_path / "r8.json", doc)
+    code, out, err = run(capsys, "pseudo-cycles", "--input", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "392x2744 boundary matrix d_4, over the limit MAX_BOUNDARY_ENTRIES = 1000000" in err
+
+
+@pytest.mark.parametrize("points", [
+    [],
+    [{"id": "a", "sign": 1, "colors": [0, 0, 1]}, {"id": "b", "sign": -1, "colors": [3, 5, 5]}],
+], ids=["empty", "all-degenerate"])
+def test_zero_subset_chains_over_r9_still_report(capsys, tmp_path, points):
+    doc = {"quandle": {"kind": "dihedral", "order": 9}, "triple_points": points}
+    path = write_json(tmp_path / "r9.json", doc)
+    code, report, _ = run_json(capsys, "pseudo-cycles", "--input", path)
+    assert code == 0
+    assert report["results"] == {
+        "pseudo_cycles": [], "distinct_count": 0, "max_disjoint_count": 0, "witness_packing": [],
+    }
+
+
 class TestCliContract:
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -474,6 +534,22 @@ class TestCliContract:
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000)
         code, out, err = run(capsys, *(a.format(path=path) for a in argv))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path}: not valid JSON (")
+        assert err.count("\n") == 1
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit"
+    )
+    def test_integer_over_the_digit_limit_is_one_error_line(self, capsys, tmp_path):
+        # json.loads raises a plain ValueError on an integer literal longer
+        # than the interpreter's limit (4,300 digits by default)
+        path = tmp_path / "long.json"
+        path.write_text(
+            '{"quandle": {"kind": "dihedral", "order": 1' + "0" * 5000 + '}, "triple_points": []}'
+        )
+        code, out, err = run(capsys, "pseudo-cycles", "--input", str(path))
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: {path}: not valid JSON (")

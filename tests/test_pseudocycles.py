@@ -2,6 +2,8 @@ import random
 from itertools import chain as ichain, combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quandlehom import (
     Chain,
@@ -16,8 +18,14 @@ from quandlehom import (
     pseudo_cycle_report,
 )
 from quandlehom import pseudocycles
-from quandlehom.errors import EnumerationCapError, SchemaError, UnknownIdError
+from quandlehom.chains import boundary_rack, project_quandle
+from quandlehom.errors import (
+    EnumerationCapError, ResourceLimitError, SchemaError, UnknownIdError
+)
+from quandlehom.homology import is_null_homologous
 from quandlehom.pseudocycles import PseudoCycleReport
+
+from conftest import S4_TABLE, conjugate, product, trivial_table
 
 
 def make_dataset(points, order=3):
@@ -91,6 +99,21 @@ class TestIsPseudoCycle:
         # adding a degenerate point never changes the verdict
         assert is_pseudo_cycle({"b", "c"}, ds) is True
         assert is_pseudo_cycle({"a", "b", "c"}, ds) is True
+
+
+class TestRefusal:
+    # d_4 of R8 is 392x2744, over MAX_BOUNDARY_ENTRIES
+    def test_nonzero_chain_over_r8_is_refused_cycle_or_not(self):
+        ds = make_dataset([("a", 1, (0, 1, 2)), ("b", 1, (3, 3, 1))], order=8)
+        with pytest.raises(ResourceLimitError, match="392x2744 boundary matrix d_4"):
+            is_pseudo_cycle({"a"}, ds)
+        with pytest.raises(ResourceLimitError, match="392x2744 boundary matrix d_4"):
+            enumerate_pseudo_cycles(ds)
+
+    def test_zero_chains_over_r8_are_answered(self):
+        ds = make_dataset([("a", 1, (0, 1, 2)), ("b", -1, (0, 1, 2)), ("c", 1, (3, 3, 1))], order=8)
+        assert is_pseudo_cycle({"a", "b", "c"}, ds) is False
+        assert is_pseudo_cycle(set(), ds) is False
 
 
 class TestEnumerate:
@@ -428,3 +451,79 @@ class TestPackingOptimality:
             assert tuple(max_disjoint_packing(ds)) == expected
             nontrivial += expected[0] >= 2
         assert nontrivial >= 5
+
+
+def oracle_is_pseudo_cycle(subset, dataset):
+    """The pseudo-cycle predicate with the rack boundary of the projected
+    chain built and projected again, and every null-homology test run."""
+    chain = project_quandle(chain_of(subset, dataset))
+    quandle = dataset.quandle
+    return (
+        bool(chain)
+        and not project_quandle(boundary_rack(chain, quandle))
+        and not is_null_homologous(chain, quandle)
+    )
+
+
+R3 = Quandle.dihedral(3)
+T2 = Quandle.from_table(trivial_table(2))
+
+
+def cbar1_terms(label):
+    """The terms of the paper's cycle cbar1 over R3, its elements labelled."""
+    return [(1, tuple(map(label, (2, 0, 2)))), (1, tuple(map(label, (2, 1, 0))))]
+
+
+# (quandle, known cycles as (sign, colors) terms) for the cross-check; the
+# boundaries of 4-tuples are drawn as further cycles, all of them bounding
+ORACLE_QUANDLES = [
+    ("R3", R3, [cbar1_terms(int)]),
+    ("R4", Quandle.dihedral(4), []),
+    ("S4", Quandle.from_table(S4_TABLE), []),
+    ("T3", Quandle.from_table(trivial_table(3)), []),
+    ("R5 relabelled", conjugate(Quandle.dihedral(5), [1, 0, 2, 3, 4], [1, 0, 2, 3, 4]), []),
+    ("R3xT2", product(R3, T2), [cbar1_terms(lambda a: 2 * a), cbar1_terms(lambda a: 2 * a + 1)]),
+]
+
+
+@st.composite
+def oracle_datasets(draw):
+    """Datasets of at most 8 points over one ORACLE_QUANDLES entry, from
+    random triples, degenerate triples, c/-c pairs and the terms of cycles."""
+    name, quandle, cycles = draw(st.sampled_from(ORACLE_QUANDLES))
+    element = st.integers(0, quandle.order - 1)
+    sign = st.sampled_from([1, -1])
+    size, terms = draw(st.integers(0, 8)), []
+    while len(terms) < size:
+        kind = draw(st.sampled_from(["triple", "degenerate", "pair", "cycle"]))
+        if kind == "triple":
+            terms.append((draw(sign), draw(st.tuples(element, element, element))))
+        elif kind == "degenerate":
+            x, y = draw(element), draw(element)
+            terms.append((draw(sign), draw(st.sampled_from([(x, x, y), (y, x, x)]))))
+        elif kind == "pair":
+            colors = draw(st.tuples(element, element, element))
+            terms += [(1, colors), (-1, colors)]
+        else:
+            # a degenerate 4-tuple's boundary projects to zero
+            tup = draw(st.tuples(element, element, element, element))
+            boundary = project_quandle(boundary_rack(Chain.generator(tup), quandle))
+            unit_terms = [(c // abs(c), t) for t, c in boundary.items() for _ in range(abs(c))]
+            terms += draw(st.sampled_from(cycles + [unit_terms]))
+    points = [TriplePoint(f"p{i}", sign, colors) for i, (sign, colors) in enumerate(terms[:size])]
+    return name, TriplePointDataset(quandle=quandle, points=draw(st.permutations(points)))
+
+
+class TestOracle:
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(oracle_datasets())
+    def test_enumeration_and_verdicts_match_the_oracle(self, case):
+        _, ds = case
+        ids = ds.sorted_ids()
+        masks = range(1, 1 << len(ids))
+        subsets = [tuple(p for i, p in enumerate(ids) if mask >> i & 1) for mask in masks]
+        expected = [subset for subset in subsets if oracle_is_pseudo_cycle(subset, ds)]
+        assert enumerate_pseudo_cycles(ds) == expected
+        listed = set(expected)
+        for subset in subsets:
+            assert is_pseudo_cycle(subset, ds) == (subset in listed)
