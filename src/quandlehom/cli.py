@@ -6,7 +6,9 @@ human summary goes to stderr.  Exit codes: 0 success / verdict pass,
 
 Each command returns (inputs_digest, results, summary_lines, verdict);
 main alone builds the {"command", "inputs_digest", "results"[, "verdict"]}
-report, writes both streams and picks the exit code.
+report, writes both streams and picks the exit code.  verify-paper takes
+the paper's nine checks, in order, from one generator and stops at the
+first failure: the checks after it are neither run nor listed.
 
 Commands:
   verify-paper    run the bundled counterexample pipeline end to end
@@ -76,81 +78,60 @@ def _parse_cocycle_spec(spec):
     return mochizuki_theta_p(p)
 
 
-def cmd_verify_paper(args):
-    ds_d, digest_d = _load_dataset(args.d)
-    ds_dp, digest_dp = _load_dataset(args.dprime)
+def _paper_checks(ds_d, ds_dp):
+    """Yield the paper's nine checks in order, as (name, result) pairs.
 
+    theta_3, cbar1, cbar2 and both reports are computed before the first
+    check, so a refused dataset exits 2 whatever the checks say.  Each check
+    runs only when asked for and assumes that the ones before it passed."""
     theta = mochizuki_theta_p(3)
     # an edited dataset that lacks one of the paper's ids fails that chain's check
     ids = set(ds_dp.sorted_ids())
     cbar1 = chain_of({"t2", "t3"}, ds_dp) if {"t2", "t3"} <= ids else None
     cbar2 = chain_of({"t5", "t6"}, ds_dp) if {"t5", "t6"} <= ids else None
-    report_d = pseudo_cycle_report(ds_d)
-    report_dp = pseudo_cycle_report(ds_dp)
+    report_d, report_dp = pseudo_cycle_report(ds_d), pseudo_cycle_report(ds_dp)
+    q = ds_dp.quandle
+    yield "cbar1_is_quandle_cycle", {
+        "pass": cbar1 is not None and boundary_quandle(project_quandle(cbar1), q).is_zero()
+    }
+    yield "cbar2_is_minus_cbar1", {"pass": cbar2 is not None and cbar2 == -cbar1}
+    yield "theta_is_3cocycle", {"pass": bool(is_quandle_3cocycle(theta))}
+    # theta is a cocycle of the standard R3: over another quandle the
+    # pairing means nothing, even where the colors are in range
+    if q != theta.quandle:
+        yield "theta_pairing_cbar1_nonzero", {"pass": False}
+        return
+    value = pair(theta, cbar1)
+    yield "theta_pairing_cbar1_nonzero", {
+        "pass": value != 0, "value": value, "modulus": theta.modulus,
+    }
+    yield "cbar1_not_null_homologous", {"pass": not is_null_homologous(project_quandle(cbar1), q)}
+    count_d, count_dp = report_d.max_disjoint_count, report_dp.max_disjoint_count
+    yield "d_max_disjoint_count_is_zero", {
+        "pass": count_d == 0, "count": count_d, "distinct_count": report_d.distinct_count,
+    }
+    yield "dprime_max_disjoint_count_is_two", {
+        "pass": count_dp == 2,
+        "count": count_dp,
+        "distinct_count": report_dp.distinct_count,
+        "pseudo_cycles": [list(s) for s in report_dp.pseudo_cycles],
+        "witness": [list(s) for s in report_dp.witness_packing],
+    }
+    yield "dprime_witness_is_t2t3_t5t6", {
+        "pass": report_dp.witness_packing == (("t2", "t3"), ("t5", "t6"))
+    }
+    yield "counts_differ", {"pass": count_d != count_dp}
 
-    checks = []
-    first_failure = None
 
-    def run(name, fn):
-        nonlocal first_failure
-        if first_failure is not None:
-            return
-        entry = {"name": name}
-        entry.update(fn())
-        checks.append(entry)
-        if not entry["pass"]:
+def cmd_verify_paper(args):
+    ds_d, digest_d = _load_dataset(args.d)
+    ds_dp, digest_dp = _load_dataset(args.dprime)
+    checks, first_failure = [], None
+    for name, result in _paper_checks(ds_d, ds_dp):
+        checks.append({"name": name, **result})
+        if not result["pass"]:
             first_failure = name
-
-    run(
-        "cbar1_is_quandle_cycle",
-        lambda: {
-            "pass": cbar1 is not None
-            and boundary_quandle(project_quandle(cbar1), ds_dp.quandle).is_zero()
-        },
-    )
-    run("cbar2_is_minus_cbar1", lambda: {"pass": cbar2 is not None and cbar2 == -cbar1})
-    run("theta_is_3cocycle", lambda: {"pass": bool(is_quandle_3cocycle(theta))})
-
-    def pairing_check():
-        # theta is a cocycle of the standard R3: over another quandle the
-        # pairing means nothing, even where the colors are in range
-        if ds_dp.quandle != theta.quandle:
-            return {"pass": False}
-        value = pair(theta, cbar1)
-        return {"pass": value != 0, "value": value, "modulus": theta.modulus}
-
-    run("theta_pairing_cbar1_nonzero", pairing_check)
-    run(
-        "cbar1_not_null_homologous",
-        lambda: {"pass": not is_null_homologous(project_quandle(cbar1), ds_dp.quandle)},
-    )
-    run(
-        "d_max_disjoint_count_is_zero",
-        lambda: {
-            "pass": report_d.max_disjoint_count == 0,
-            "count": report_d.max_disjoint_count,
-            "distinct_count": report_d.distinct_count,
-        },
-    )
-    run(
-        "dprime_max_disjoint_count_is_two",
-        lambda: {
-            "pass": report_dp.max_disjoint_count == 2,
-            "count": report_dp.max_disjoint_count,
-            "distinct_count": report_dp.distinct_count,
-            "pseudo_cycles": [list(s) for s in report_dp.pseudo_cycles],
-            "witness": [list(s) for s in report_dp.witness_packing],
-        },
-    )
-    run(
-        "dprime_witness_is_t2t3_t5t6",
-        lambda: {"pass": report_dp.witness_packing == (("t2", "t3"), ("t5", "t6"))},
-    )
-    run(
-        "counts_differ",
-        lambda: {"pass": report_d.max_disjoint_count != report_dp.max_disjoint_count},
-    )
-
+            break
     verdict = "pass" if first_failure is None else "fail"
     summary = [f"verify-paper: {c['name']}: {'ok' if c['pass'] else 'FAIL'}" for c in checks]
     summary.append(f"verify-paper: verdict {verdict}")
@@ -206,8 +187,7 @@ def cmd_eval_cocycle(args):
                 f"dataset quandle (order {dataset.quandle.order}) does not match "
                 f"cocycle quandle (order {cocycle.quandle.order})"
             )
-        subset = [s for s in args.subset.split(",") if s]
-        chain = chain_of(subset, dataset)
+        chain = chain_of(args.subset.split(","), dataset)
     value = pair(cocycle, chain)
     results = {
         "cocycle": args.cocycle,

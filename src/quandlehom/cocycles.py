@@ -36,6 +36,8 @@ class Cocycle3:
     __slots__ = ("quandle", "modulus", "_values")
 
     def __init__(self, quandle, modulus, values):
+        if not isinstance(quandle, Quandle):
+            raise ValueError(f"quandle must be a Quandle, got {type(quandle).__name__}")
         if not isinstance(modulus, int) or isinstance(modulus, bool) or modulus < 2:
             raise ValueError(f"modulus must be an integer >= 2, got {modulus!r}")
         n = quandle.order

@@ -1,5 +1,6 @@
-"""Exception types raised by the library, and the JSON key check and the
-integer rule that every parser shares.
+"""Exception types raised by the library, the JSON key check and the
+integer rule that every parser shares, and the _make of validated
+namedtuples.
 
 Everything user-facing derives from QuandlehomError so the CLI can map
 library failures to its input-error exit code in one place.
@@ -80,6 +81,17 @@ class SchemaError(QuandlehomError, ValueError):
         super().__init__(f"{path}: {message}" if path else message)
         self.path = path
         self.message = message
+
+
+class _CheckedMake:
+    """First base of a namedtuple whose __new__ validates: namedtuple's _make
+    skips __new__, and _replace calls _make."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
 
 def expect_keys(obj, allowed, required, path):

@@ -32,12 +32,12 @@ the paired rows: rank and torsion are unchanged, and a preimage on them
 is one of d_n.
 
 These are the package's only kept eliminations.  A degree-n chain z is
-tested on its coordinate vector alone: it is a cycle iff d_n z = 0, read
-off the full d_n, and a cycle bounds iff the vector lies in the integer
-image of d_{n+1}, a query on the kept rows and G-columns of its
-reduction.  The preimage is 0 off the G-columns, so the G-columns alone
-give its full product, which is checked on every row: the full d_{n+1}
-is never built for a query.
+tested on its coordinate vector alone.  It is a cycle iff d_n z = 0, read
+off the full d_n by the one cycle test, which the pseudo-cycle search
+shares.  A cycle bounds iff the vector lies in the integer image of
+d_{n+1}, a query on the kept rows and G-columns of its reduction: the
+preimage is 0 off the G-columns, so they alone give its full product,
+checked on every row, and the full d_{n+1} is never built for a query.
 """
 
 from collections import namedtuple
@@ -46,11 +46,11 @@ from . import intlinalg
 from .chains import (
     _cell_count, _check_limits, _columns, boundary_columns, boundary_quandle, coordinates,
 )
-from .errors import DegreeError, NotACycleError
+from .errors import DegreeError, NotACycleError, _CheckedMake
 from .quandle import _memoized
 
 
-class HomologyGroup(namedtuple("HomologyGroup", "free_rank torsion")):
+class HomologyGroup(_CheckedMake, namedtuple("HomologyGroup", "free_rank torsion")):
     """A finitely generated abelian group: free rank plus invariant
     factors d_i >= 2 with d_i | d_{i+1}."""
 
@@ -71,10 +71,6 @@ class HomologyGroup(namedtuple("HomologyGroup", "free_rank torsion")):
             if b % a:
                 raise ValueError(f"torsion chain broken: {a} does not divide {b}")
         return super().__new__(cls, free_rank, torsion)
-
-    @classmethod
-    def _make(cls, fields):  # namedtuple's skips __new__, and _replace calls it
-        return cls(*fields)
 
     def is_trivial(self):
         return self.free_rank == 0 and not self.torsion
@@ -131,6 +127,17 @@ def homology_group(quandle, degree):
     return HomologyGroup(free_rank=dim - rank_down - rank_up, torsion=torsion)
 
 
+def _cycle_coordinates(chain, quandle):
+    """The chain's coordinate vector if d_n, kept with the reduction of
+    d_{n+1}, maps it to zero, else None: the one cycle test.  The limits
+    are checked first, cycle or not."""
+    _check_limits(quandle, chain.degree)
+    vec = coordinates(chain, quandle)  # the one degeneracy and range check
+    if chain.degree >= 2 and any(boundary_columns(quandle, chain.degree).apply(vec)):
+        return None
+    return vec
+
+
 def is_null_homologous(chain, quandle):
     """True iff the cycle bounds, i.e. lies in the image of d_{degree+1}
     of the quandle complex over the integers.  A preimage is sought on the
@@ -140,10 +147,7 @@ def is_null_homologous(chain, quandle):
     Raises NotACycleError if the input is not a cycle: the two halves of
     the pseudo-cycle definition are kept separate on purpose.
     """
-    _check_limits(quandle, chain.degree)
-    vec = coordinates(chain, quandle)  # the one degeneracy and range check
-    # d_n is kept: the reduction of d_{n+1} below was built on it
-    if chain.degree >= 2 and any(boundary_columns(quandle, chain.degree).apply(vec)):
+    if (vec := _cycle_coordinates(chain, quandle)) is None:
         bd = boundary_quandle(chain, quandle)
         raise NotACycleError(f"chain has nonzero quandle boundary: {bd!r}")
     up = chain.degree + 1

@@ -6,13 +6,13 @@ is exhaustive over subsets (bitmask order, capped), with null-homology
 verdicts memoized by the sign-normalized chain; the maximum disjoint
 family is found by depth-first search.
 
-The cycle test reads d_3 as kept in the quandle's store, the one
-is_null_homologous reads: a subset's projected chain is a cycle iff d_3
-maps its coordinate vector to zero, and no boundary chain is built per
-subset.  The limits of homology_group are checked before d_3 is first
-read, so a dataset whose d_4 is over them is refused at its first subset
-with a nonzero projected chain; one whose subsets all project to zero
-is still reported.
+A subset's projected chain goes through homology's one cycle test, the
+one is_null_homologous runs: d_3, kept in the quandle's store, must map
+its coordinate vector to zero, and no boundary chain is built per subset.
+That test checks the limits of homology_group before d_3 is first read,
+so a dataset whose d_4 is over them is refused at its first subset with
+a nonzero projected chain; one whose subsets all project to zero is
+still reported.
 
 Each triple point is validated once: TriplePoint checks its fields, the
 dataset checks unique ids and color range, and dataset_from_json checks the
@@ -26,18 +26,18 @@ maximum family found is still the lexicographically least.
 
 from collections import namedtuple
 
-from .chains import Chain, _check_limits, boundary_columns, coordinates, project_quandle
+from .chains import Chain, project_quandle
 from .errors import (
-    EnumerationCapError, QuandleAxiomError, SchemaError, UnknownIdError, expect_keys
+    EnumerationCapError, QuandleAxiomError, SchemaError, UnknownIdError, _CheckedMake, expect_keys,
 )
-from .homology import is_null_homologous
+from .homology import _cycle_coordinates, is_null_homologous
 from .quandle import Quandle
 
 # the enumeration cap: 2^20 - 1 subsets
 DEFAULT_POINT_CAP = 20
 
 
-class TriplePoint(namedtuple("TriplePoint", "id sign colors")):
+class TriplePoint(_CheckedMake, namedtuple("TriplePoint", "id sign colors")):
     """One signed, colored triple point: sign is +1 or -1 and colors are
     the three sheet colors (p, q, r) as quandle elements."""
 
@@ -56,21 +56,21 @@ class TriplePoint(namedtuple("TriplePoint", "id sign colors")):
                 raise SchemaError(f"colors[{j}]", "must be a nonnegative integer")
         return super().__new__(cls, id, sign, colors)
 
-    @classmethod
-    def _make(cls, fields):  # namedtuple's skips __new__, and _replace calls it
-        return cls(*fields)
 
-
-class TriplePointDataset(namedtuple("TriplePointDataset", "quandle points")):
+class TriplePointDataset(_CheckedMake, namedtuple("TriplePointDataset", "quandle points")):
     """A fixed quandle plus a list of triple points with unique ids."""
 
     # no __slots__ = (): the instance keeps its _by_id index in __dict__
 
     def __new__(cls, quandle, points):
+        if not isinstance(quandle, Quandle):
+            raise SchemaError("quandle", "must be a Quandle")
         self = super().__new__(cls, quandle, tuple(points))
         order = quandle.order
         by_id = self._by_id = {}
         for i, pt in enumerate(self.points):
+            if not isinstance(pt, TriplePoint):
+                raise SchemaError(f"points[{i}]", "must be a TriplePoint")
             if pt.id in by_id:
                 raise SchemaError(f"points[{i}].id", f"duplicate id {pt.id!r}")
             by_id[pt.id] = pt
@@ -80,10 +80,6 @@ class TriplePointDataset(namedtuple("TriplePointDataset", "quandle points")):
                         f"points[{i}].colors[{j}]", f"must be an integer in 0..{order - 1}"
                     )
         return self
-
-    @classmethod
-    def _make(cls, fields):  # namedtuple's skips __new__ and so the _by_id index
-        return cls(*fields)
 
     def point(self, point_id):
         try:
@@ -171,14 +167,9 @@ def chain_of(subset, dataset):
 
 
 def _pseudo_cycle_test(chain, quandle, is_null):
-    # the pseudo-cycle predicate on a subset's chain; `is_null` decides
-    # null-homology so that enumeration can memoize the verdicts
+    # the pseudo-cycle predicate; enumeration passes an `is_null` that memoizes
     chain = project_quandle(chain)
-    if not chain:
-        return False
-    # refused before d_3 is built, as is_null_homologous would refuse
-    _check_limits(quandle, 3)
-    if any(boundary_columns(quandle, 3).apply(coordinates(chain, quandle))):
+    if not chain or _cycle_coordinates(chain, quandle) is None:
         return False
     return not is_null(chain, quandle)
 
@@ -193,9 +184,7 @@ def is_pseudo_cycle(subset, dataset):
     nonzero projected chain over a quandle whose d_4 is over the limits of
     homology_group raises ResourceLimitError, cycle or not.
     """
-    return _pseudo_cycle_test(
-        chain_of(subset, dataset), dataset.quandle, is_null_homologous
-    )
+    return _pseudo_cycle_test(chain_of(subset, dataset), dataset.quandle, is_null_homologous)
 
 
 def enumerate_pseudo_cycles(dataset):
@@ -269,7 +258,7 @@ def max_disjoint_packing(dataset):
     return _pack_disjoint(dataset.sorted_ids(), enumerate_pseudo_cycles(dataset))
 
 
-class PseudoCycleReport(namedtuple(
+class PseudoCycleReport(_CheckedMake, namedtuple(
     "PseudoCycleReport", "pseudo_cycles distinct_count max_disjoint_count witness_packing"
 )):
     """Full search output: every pseudo-cycle subset plus the two counts
@@ -292,10 +281,6 @@ class PseudoCycleReport(namedtuple(
                 raise ValueError("witness subsets are not pairwise disjoint")
             used |= set(subset)
         return self
-
-    @classmethod
-    def _make(cls, fields):  # namedtuple's skips __new__, and _replace calls it
-        return cls(*fields)
 
     def to_json_dict(self):
         return {

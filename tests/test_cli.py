@@ -85,6 +85,29 @@ class TestVerifyPaper:
         assert report["results"]["checks"][-1] == {"name": check, "pass": False}
         assert "verdict fail" in err
 
+    def test_later_checks_are_not_run(self, capsys, tmp_path, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a check after the first failure ran")
+
+        for name in ("is_quandle_3cocycle", "pair", "is_null_homologous"):
+            monkeypatch.setattr(cli, name, unreachable)
+        doc = dict(DPRIME, triple_points=[p for p in DPRIME["triple_points"] if p["id"] != "t5"])
+        path = write_json(tmp_path / "no_t5.json", doc)
+        code, report, err = run_json(capsys, "verify-paper", "--dprime", path)
+        assert code == 1
+        assert report["results"] == {
+            "checks": [
+                {"name": "cbar1_is_quandle_cycle", "pass": True},
+                {"name": "cbar2_is_minus_cbar1", "pass": False},
+            ],
+            "first_failure": "cbar2_is_minus_cbar1",
+        }
+        assert err.splitlines() == [
+            "verify-paper: cbar1_is_quandle_cycle: ok",
+            "verify-paper: cbar2_is_minus_cbar1: FAIL",
+            "verify-paper: verdict fail",
+        ]
+
     # theta_3 is a cocycle of the standard R3; S4 and T3 give cbar1 colors
     # in range, and over S4 the other eight checks pass
     @pytest.mark.parametrize("table", [S4_TABLE, trivial_table(3)], ids=["S4", "T3"])
@@ -335,6 +358,14 @@ class TestEvalCocycleCommand:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "--subset" in err
 
+    @pytest.mark.parametrize("subset", ["", ",", "t2,,t3", "t2,t3,"])
+    def test_empty_subset_item_exits_2(self, capsys, tmp_path, subset):
+        path = write_json(tmp_path / "dprime.json", DPRIME)
+        argv = ["eval-cocycle", "--cocycle", "mochizuki:3", "--input", path, "--subset", subset]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: no triple point with id ''\n"
+
 
 class TestCheckCocycleCommand:
     def test_mochizuki_3_passes(self, capsys):
@@ -462,7 +493,7 @@ def test_null_homology_guard_exits_2(capsys, tmp_path, monkeypatch, command, fla
 def test_nonzero_subset_chain_over_r8_exits_2(capsys, tmp_path, monkeypatch):
     # one non-degenerate point is no cycle, but its chain is nonzero, so
     # the limits of d_4 are checked before d_3 is read
-    for module in (chains, homology, pseudocycles):
+    for module in (chains, homology):
         monkeypatch.setattr(module, "boundary_columns", TestResourceGuards.built)
     doc = {
         "quandle": {"kind": "dihedral", "order": 8},

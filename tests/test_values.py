@@ -5,6 +5,7 @@ pickles."""
 
 import copy
 import pickle
+from types import SimpleNamespace
 
 import pytest
 
@@ -200,6 +201,16 @@ def test_cocycle_table_must_be_n_by_n_by_n(shape):
     assert str(exc.value) == BAD_COCYCLE_SHAPES[shape]
 
 
+@pytest.mark.parametrize("quandle", [
+    SimpleNamespace(order=3, table=Quandle.dihedral(3).table), 3, None,
+], ids=["namespace", "int", "None"])
+def test_cocycle_quandle_must_be_a_quandle(quandle):
+    values = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    with pytest.raises(ValueError) as exc:
+        Cocycle3(quandle, 3, values)
+    assert str(exc.value) == f"quandle must be a Quandle, got {type(quandle).__name__}"
+
+
 def schema_error(build):
     with pytest.raises(SchemaError) as exc:
         build()
@@ -243,6 +254,31 @@ class TestDatasetValidation:
             "points[1].colors[1]",
             "must be an integer in 0..2",
             "points[1].colors[1]: must be an integer in 0..2",
+        )
+
+    # objects that only look like triple points would skip TriplePoint's
+    # checks: a sign of 5 made a chain with coefficient 5 and a listed
+    # pseudo-cycle, a float color a TypeError inside the search
+    @pytest.mark.parametrize("point", [
+        SimpleNamespace(id="b", sign=5, colors=(2, 0, 2)),
+        SimpleNamespace(id="b", sign=1, colors=(2.0, 0, 2)),
+        ("b", 1, (2, 0, 2)),
+        {"id": "b", "sign": 1, "colors": [2, 0, 2]},
+    ], ids=["sign-5", "float-color", "tuple", "dict"])
+    def test_point_must_be_a_triple_point(self, point):
+        points = [TriplePoint("a", 1, (2, 1, 0)), point]
+        assert schema_error(lambda: TriplePointDataset(Quandle.dihedral(3), points)) == (
+            "points[1]", "must be a TriplePoint", "points[1]: must be a TriplePoint"
+        )
+
+    @pytest.mark.parametrize("quandle", [
+        SimpleNamespace(order=3, table=Quandle.dihedral(3).table),
+        [[0, 2, 1], [2, 1, 0], [1, 0, 2]],
+        None,
+    ], ids=["namespace", "table", "None"])
+    def test_quandle_must_be_a_quandle(self, quandle):
+        assert schema_error(lambda: TriplePointDataset(quandle, [])) == (
+            "quandle", "must be a Quandle", "quandle: must be a Quandle"
         )
 
     def test_keyword_construction(self):
