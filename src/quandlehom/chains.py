@@ -223,7 +223,7 @@ class Chain:
                     )
             coeff = entry["coeff"]
             if isinstance(coeff, str):
-                coeff = decimal_int(coeff)
+                coeff = decimal_int(coeff, f"{path}.coeff")
             if not isinstance(coeff, int) or isinstance(coeff, bool):
                 raise SchemaError(f"{path}.coeff", "must be a decimal integer string")
             terms.append((tuple(tup), coeff))

@@ -167,9 +167,9 @@ def mochizuki_theta_p(p):
     order p, with values in Z/p.  The constructed table is verified by
     is_quandle_3cocycle and rejected if it fails.
     """
+    quandle = Quandle.dihedral(p)  # its order limit goes before the trial division
     if not _is_odd_prime(p):
         raise ValueError(f"expected an odd prime, got {p!r}")
-    quandle = Quandle.dihedral(p)
 
     def value(x, y, z):
         inner = (2 * z - y) ** p + y ** p - 2 * z ** p

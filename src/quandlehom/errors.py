@@ -106,12 +106,19 @@ def expect_keys(obj, allowed, required, path):
             raise SchemaError(f"{path}.{key}" if path else key, "missing field")
 
 
-def decimal_int(text):
+def decimal_int(text, path):
     """The int that text names when it is ASCII decimal, -?[0-9]+, else None.
 
     int() alone would also take "1_0", " 5 ", "+5" and non-ASCII digits.
+    Decimal text over the interpreter's integer digit limit raises
+    SchemaError at `path`.
 
-    >>> decimal_int("-12"), decimal_int(" 3"), decimal_int("\u0663")
+    >>> decimal_int("-12", "n"), decimal_int(" 3", "n"), decimal_int("\u0663", "n")
     (-12, None, None)
     """
-    return int(text) if re.fullmatch("-?[0-9]+", text) else None
+    if not re.fullmatch("-?[0-9]+", text):
+        return None
+    try:
+        return int(text)
+    except ValueError as exc:  # over sys.get_int_max_str_digits()
+        raise SchemaError(path, str(exc)) from None

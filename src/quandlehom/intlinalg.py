@@ -12,12 +12,9 @@ dense Smith normal form kernel (Dumas, Heckenbach, Saunders and Welker,
 algorithms", 2003).  It carries only the blocks that its caller appends
 to the core: _rank_and_torsion appends none and reads the diagonal, and
 snf appends I_m as columns and I_n as rows, which come out as U and V.
-The core keeps one column of each set that is equal up to sign, which
-leaves its image, rank and invariant factors unchanged; a solution is 0
-on the dropped columns.  Nothing here keeps an elimination
-(solve_in_image eliminates afresh on each call): the kept ones are
-homology's, one per boundary matrix, each kept by its Quandle object and
-freed with it.
+Nothing here keeps an elimination (solve_in_image eliminates afresh on
+each call): the kept ones are homology's, one per boundary matrix, each
+kept by its Quandle object and freed with it.
 
 Boundary matrices are built as SparseColumns, which _eliminate reads
 without a dense copy.  It can leave rows out, as the reduction of the whole
@@ -250,9 +247,8 @@ def _eliminate(a, dropped=frozenset()):
     rest holds row p's other (column, entry) pairs as they stood then, and
     multipliers the (row i, f) of the operations row_i -= f * row_p that
     cleared column j.  core is the submatrix on the rows and columns left
-    nonzero, in their original order, keeping only the first of any columns
-    equal up to sign (they span the same image); zero_rows are the rows
-    that the operations emptied, or that were zero from the start.
+    nonzero, in their original order; zero_rows are the rows that the
+    operations emptied, or that were zero from the start.
     """
     if isinstance(a, IntMatrix):
         columns = [{i: row[j] for i, row in enumerate(a._data) if row[j]} for j in range(a.cols)]
@@ -306,17 +302,8 @@ def _eliminate(a, dropped=frozenset()):
             steps.append((p, j, u, rest, multipliers))
             swept = True
     core_rows = sorted(i for i, row in rows.items() if row)
-    first = {}  # column up to sign -> the first core column equal to it
-    for j in sorted(j for j, col in cols.items() if col):
-        column = sorted((i, rows[i][j]) for i in cols[j])
-        sign = 1 if column[0][1] > 0 else -1
-        first.setdefault(tuple((i, sign * e) for i, e in column), j)
-    core_cols = list(first.values())
-    index = {i: k for k, i in enumerate(core_rows)}
-    data = [[0] * len(core_cols) for _ in core_rows]
-    for k, j in enumerate(core_cols):
-        for i in cols[j]:
-            data[index[i]][k] = rows[i][j]
+    core_cols = sorted(j for j, col in cols.items() if col)
+    data = [[rows[i].get(j, 0) for j in core_cols] for i in core_rows]
     zero_rows = sorted(i for i, row in rows.items() if not row)
     return steps, IntMatrix._from_rows(data, len(core_cols)), core_rows, core_cols, zero_rows
 

@@ -3,8 +3,8 @@
 A subset of triple points is a pseudo-cycle when its signed color chain is
 a nonzero cycle of the quandle complex that does not bound.  Enumeration
 is exhaustive over subsets (bitmask order, capped), with null-homology
-verdicts memoized by the sign-normalized chain; the maximum disjoint
-family is found by depth-first search.
+verdicts memoized by the sign-normalized coordinate vector; the maximum
+disjoint family is found by depth-first search.
 
 A subset's projected chain goes through homology's one cycle test, the
 one is_null_homologous runs: d_3, kept in the quandle's store, must map
@@ -166,12 +166,17 @@ def chain_of(subset, dataset):
     return Chain._from_checked(3, [(pt.colors, pt.sign) for pt in points])
 
 
-def _pseudo_cycle_test(chain, quandle, is_null):
-    # the pseudo-cycle predicate; enumeration passes an `is_null` that memoizes
+def _pseudo_cycle_test(chain, quandle, verdicts):
+    # the pseudo-cycle predicate; null-homology verdicts go in `verdicts`,
+    # keyed by the coordinate vector negated to a positive first nonzero
+    # entry, so that c and -c share one entry
     chain = project_quandle(chain)
-    if not chain or _cycle_coordinates(chain, quandle) is None:
+    if not chain or (vec := _cycle_coordinates(chain, quandle)) is None:
         return False
-    return not is_null(chain, quandle)
+    key = tuple(vec) if next(filter(None, vec)) > 0 else tuple(-e for e in vec)
+    if key not in verdicts:
+        verdicts[key] = is_null_homologous(chain, quandle)
+    return not verdicts[key]
 
 
 def is_pseudo_cycle(subset, dataset):
@@ -184,7 +189,7 @@ def is_pseudo_cycle(subset, dataset):
     nonzero projected chain over a quandle whose d_4 is over the limits of
     homology_group raises ResourceLimitError, cycle or not.
     """
-    return _pseudo_cycle_test(chain_of(subset, dataset), dataset.quandle, is_null_homologous)
+    return _pseudo_cycle_test(chain_of(subset, dataset), dataset.quandle, {})
 
 
 def enumerate_pseudo_cycles(dataset):
@@ -198,21 +203,11 @@ def enumerate_pseudo_cycles(dataset):
             f"dataset has {k} triple points, enumeration cap is "
             f"DEFAULT_POINT_CAP = {DEFAULT_POINT_CAP}"
         )
-    null_verdicts = {}
-
-    def is_null(chain, quandle):
-        # sign-normalize so c and -c share one memo entry: negate when the
-        # lexicographically first term has a negative coefficient
-        items = chain.items()
-        key = tuple(items if items[0][1] > 0 else [(t, -c) for t, c in items])
-        if key not in null_verdicts:
-            null_verdicts[key] = is_null_homologous(chain, quandle)
-        return null_verdicts[key]
-
+    verdicts = {}
     found = []
     for mask in range(1, 1 << k):
         subset = tuple(ids[i] for i in range(k) if mask >> i & 1)
-        if _pseudo_cycle_test(chain_of(subset, dataset), dataset.quandle, is_null):
+        if _pseudo_cycle_test(chain_of(subset, dataset), dataset.quandle, verdicts):
             found.append(subset)
     return found
 

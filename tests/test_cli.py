@@ -89,7 +89,7 @@ class TestVerifyPaper:
         def unreachable(*args):
             raise AssertionError("a check after the first failure ran")
 
-        for name in ("is_quandle_3cocycle", "pair", "is_null_homologous"):
+        for name in ("pair", "is_null_homologous"):
             monkeypatch.setattr(cli, name, unreachable)
         doc = dict(DPRIME, triple_points=[p for p in DPRIME["triple_points"] if p["id"] != "t5"])
         path = write_json(tmp_path / "no_t5.json", doc)
@@ -107,6 +107,37 @@ class TestVerifyPaper:
             "verify-paper: cbar2_is_minus_cbar1: FAIL",
             "verify-paper: verdict fail",
         ]
+
+    def test_cbar1_check_applies_the_limits_of_the_cycle_test(self, capsys, tmp_path):
+        # over the trivial quandle of order 8 every subset chain projects to
+        # zero, so the search reports; the cycle test of cbar1 still checks
+        # that d_4 is within the limits, as for every chain of its degree
+        doc = {
+            "quandle": {"kind": "table", "table": trivial_table(8)},
+            "triple_points": [
+                {"id": pid, "sign": 1, "colors": colors}
+                for pid, colors in (("t2", [0, 0, 1]), ("t3", [1, 1, 0]), ("t5", [2, 2, 0]))
+            ],
+        }
+        path = write_json(tmp_path / "t8.json", doc)
+        code, out, err = run(capsys, "verify-paper", "--dprime", path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "MAX_BOUNDARY_ENTRIES" in err
+
+    def test_theta_is_checked_once(self, capsys, monkeypatch):
+        calls = []
+        original = cocycles.is_quandle_3cocycle
+
+        def counting(cocycle):
+            calls.append(cocycle.modulus)
+            return original(cocycle)
+
+        monkeypatch.setattr(cocycles, "is_quandle_3cocycle", counting)
+        code, report, _ = run_json(capsys, "verify-paper")
+        assert code == 0 and report["verdict"] == "pass"
+        assert calls == [3]
+        assert not hasattr(cli, "is_quandle_3cocycle")
 
     # theta_3 is a cocycle of the standard R3; S4 and T3 give cbar1 colors
     # in range, and over S4 the other eight checks pass
@@ -387,8 +418,7 @@ class TestCheckCocycleCommand:
             calls.append(cocycle.modulus)
             return original(cocycle)
 
-        for module in (cocycles, cli):
-            monkeypatch.setattr(module, "is_quandle_3cocycle", counting)
+        monkeypatch.setattr(cocycles, "is_quandle_3cocycle", counting)
         code, report, _ = run_json(capsys, "check-cocycle", "--cocycle", "mochizuki:5")
         assert code == 0 and report["verdict"] == "pass"
         assert calls == [5]
@@ -452,6 +482,15 @@ class TestResourceGuards:
         table = [[x] * 33 for x in range(33)]
         path = write_json(tmp_path / "q.json", {"kind": "table", "table": table})
         argv = ["homology", "--quandle", f"table:{path}", "--degree", "1"]
+        self.refused(capsys, argv, "MAX_DIHEDRAL_ORDER = 32")
+
+    @pytest.mark.parametrize("command", [
+        ["check-cocycle"], ["eval-cocycle", "--chain", "chain.json"],
+    ], ids=["check", "eval"])
+    def test_cocycle_prime_over_the_order_limit(self, capsys, monkeypatch, command):
+        # trial division up to the square root of this 31-digit p would run for hours
+        monkeypatch.setattr(cocycles, "_is_odd_prime", self.built)
+        argv = command + ["--cocycle", "mochizuki:1000000000000000000000000000057"]
         self.refused(capsys, argv, "MAX_DIHEDRAL_ORDER = 32")
 
     def test_dataset_over_the_default_cap(self, capsys, tmp_path):
@@ -584,6 +623,30 @@ class TestCliContract:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: {path}: not valid JSON (")
+        assert err.count("\n") == 1
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit"
+    )
+    @pytest.mark.parametrize("argv,field", [
+        (["eval-cocycle", "--cocycle", "mochizuki:3", "--chain", "{path}"], "terms[0].coeff"),
+        (["homology", "--quandle", "dihedral:3", "--degree", "{long}"], "degree"),
+        (["homology", "--quandle", "dihedral:{long}", "--degree", "3"], "quandle.order"),
+        (["check-cocycle", "--cocycle", "mochizuki:{long}"], "cocycle"),
+    ], ids=["coeff", "degree", "order", "cocycle"])
+    def test_decimal_text_over_the_digit_limit_names_its_field(
+        self, capsys, tmp_path, argv, field
+    ):
+        # int() raises a plain ValueError on decimal text longer than the
+        # interpreter's limit (4,300 digits by default)
+        long = "1" + "0" * 5000
+        path = write_json(tmp_path / "chain.json", {
+            "degree": 3, "terms": [{"tuple": [2, 0, 2], "coeff": long}],
+        })
+        code, out, err = run(capsys, *(a.format(path=path, long=long) for a in argv))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {field}: Exceeds the limit")
         assert err.count("\n") == 1
 
     def test_reports_are_byte_stable_per_command(self, capsys, tmp_path):

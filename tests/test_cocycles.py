@@ -14,7 +14,8 @@ from quandlehom import (
     pair,
     quandle_basis,
 )
-from quandlehom.errors import DegreeError, QuandleMismatchError
+from quandlehom import cocycles
+from quandlehom.errors import DegreeError, QuandleMismatchError, ResourceLimitError
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +100,15 @@ class TestThetaFamily:
     def test_non_odd_primes_rejected(self, bad):
         with pytest.raises(ValueError):
             mochizuki_theta_p(bad)
+
+    @pytest.mark.parametrize("p", [33, 37, 10**30 + 57])
+    def test_order_limit_refused_before_the_primality_test(self, p, monkeypatch):
+        def unreachable(p):
+            raise AssertionError("the primality test ran")
+
+        monkeypatch.setattr(cocycles, "_is_odd_prime", unreachable)
+        with pytest.raises(ResourceLimitError, match="MAX_DIHEDRAL_ORDER = 32"):
+            mochizuki_theta_p(p)
 
 
 class TestPairing:
