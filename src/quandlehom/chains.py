@@ -27,6 +27,8 @@ kept in the Quandle object's own store and freed with it: equal quandles
 built separately do not share them.
 """
 
+import sys
+
 from .errors import (
     DegenerateGeneratorError, DegreeError, QuandleMismatchError, ResourceLimitError,
     SchemaError, decimal_int, expect_keys,
@@ -227,7 +229,20 @@ class Chain:
             if not isinstance(coeff, int) or isinstance(coeff, bool):
                 raise SchemaError(f"{path}.coeff", "must be a decimal integer string")
             terms.append((tuple(tup), coeff))
-        return cls._from_checked(degree, terms)
+        chain = cls._from_checked(degree, terms)
+        # each coefficient is under the interpreter's digit limit, but terms
+        # on one tuple combine, and to_json_dict could not write the sum
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:
+            bound = 10 ** limit
+            for i, (tup, _) in enumerate(terms):
+                if abs(chain._terms.get(tup, 0)) >= bound:
+                    raise SchemaError(
+                        f"terms[{i}].coeff",
+                        f"Exceeds the limit ({limit} digits) for integer string "
+                        f"conversion once the terms on {list(tup)} are combined",
+                    )
+        return chain
 
 
 def _faces(tup, table):
@@ -292,17 +307,23 @@ def boundary_quandle(chain, quandle):
 @_memoized
 def quandle_basis(quandle, degree):
     """All non-degenerate degree-n tuples over the quandle, lexicographic.
+    The 3-cocycle check scans the degree-4 basis, one tuple at a time from
+    _nondegenerate, so that it is not kept in the quandle's store.
 
     >>> len(quandle_basis(Quandle.dihedral(3), 3))
     12
     """
     if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
         raise DegreeError(f"basis degree must be a positive integer, got {degree!r}")
-    elements = range(quandle.order)
-    basis = [(x,) for x in elements]
-    for _ in range(degree - 1):  # extending the tuples in order keeps them sorted
-        basis = [t + (x,) for t in basis for x in elements if x != t[-1]]
-    return tuple(basis)
+    return tuple(_nondegenerate(quandle.order, degree))
+
+
+def _nondegenerate(order, degree):
+    """quandle_basis's tuples as a generator; degree is trusted."""
+    if degree == 1:
+        return ((x,) for x in range(order))
+    # extending the tuples in order keeps them sorted
+    return (t + (x,) for t in _nondegenerate(order, degree - 1) for x in range(order) if x != t[-1])
 
 
 def _cell_count(quandle, degree):

@@ -4,6 +4,13 @@ A 3-cocycle must vanish on degenerate triples and pair to zero with the
 (projected) boundary of every 4-tuple.  The checker pairs against this
 package's own boundary operator rather than a hardcoded six-term identity,
 so it stays consistent with the boundary sign convention by construction.
+It pairs only the non-degenerate 4-tuples, those of quandle_basis(q, 4)
+in lexicographic order, generated one at a time so that none is kept.
+Degenerate tuples span a subcomplex of the rack complex, so a degenerate
+4-tuple's projected boundary is the zero chain and pairs to 0 with every
+table (Carter, Jelsovsky, Kamada, Langford and Saito, 2003).  It can never
+be the first failing 4-tuple, so skipping it leaves the verdict and the
+witness as a scan of all n^4 tuples in lexicographic order would give them.
 
 The family constructed here for the dihedral quandle on p elements is
 
@@ -18,7 +25,7 @@ three-element dihedral quandle.
 from collections import namedtuple
 from itertools import product
 
-from .chains import Chain, boundary_rack, project_quandle
+from .chains import Chain, _nondegenerate, boundary_rack, project_quandle
 from .errors import CocycleValidationError, DegreeError, QuandleMismatchError
 from .quandle import Quandle
 
@@ -133,8 +140,12 @@ def is_quandle_3cocycle(cocycle):
     """Check the two 3-cocycle conditions by brute force.
 
     Returns CocycleCheck(True, None), or CocycleCheck(False, witness)
-    where the witness is a degenerate triple with nonzero value or a
-    4-tuple whose projected boundary pairs nontrivially.
+    where the witness is the first degenerate triple with nonzero value or,
+    failing that, the lexicographically first 4-tuple whose projected
+    boundary pairs nontrivially.  Only the non-degenerate 4-tuples are
+    paired: a degenerate one's projected boundary is zero (module
+    docstring), so it never fails and the witness is the same as over all
+    n^4 tuples.
     """
     q = cocycle.quandle
     n = q.order
@@ -144,7 +155,7 @@ def is_quandle_3cocycle(cocycle):
             return CocycleCheck(False, (x, x, y))
         if values[x][y][y] != 0:
             return CocycleCheck(False, (x, y, y))
-    for gen in product(range(n), repeat=4):
+    for gen in _nondegenerate(n, 4):
         bd = project_quandle(boundary_rack(Chain._from_checked(4, [(gen, 1)]), q))
         if pair(cocycle, bd) != 0:
             return CocycleCheck(False, gen)

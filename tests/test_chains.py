@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from functools import lru_cache
 from itertools import product
 
@@ -476,6 +477,26 @@ class TestChainJson:
         with pytest.raises(SchemaError) as exc:
             Chain.from_json_dict(doc)
         assert exc.value.path == "terms[0].coeff"
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit"
+    )
+    def test_combined_coefficient_over_the_digit_limit_names_a_term_on_its_tuple(self):
+        # each coefficient is at the interpreter's limit, their sum one digit over
+        nines = "9" * sys.get_int_max_str_digits()
+        doc = {"degree": 3, "terms": [
+            {"tuple": [2, 1, 0], "coeff": nines},
+            {"tuple": [2, 0, 2], "coeff": nines},
+            {"tuple": [2, 1, 0], "coeff": "-" + nines},
+            {"tuple": [2, 0, 2], "coeff": nines},
+        ]}
+        with pytest.raises(SchemaError, match="Exceeds the limit") as exc:
+            Chain.from_json_dict(doc)
+        assert exc.value.path == "terms[1].coeff"
+        assert "\n" not in str(exc.value)
+        # sums that stay within the limit are accepted
+        doc["terms"][3]["coeff"] = "-" + nines[1:]
+        assert Chain.from_json_dict(doc) == Chain.generator((2, 0, 2), 9 * 10 ** (len(nines) - 1))
 
     def test_tuple_length_must_match_degree(self):
         doc = {"degree": 3, "terms": [{"tuple": [0, 1], "coeff": "1"}]}

@@ -649,6 +649,22 @@ class TestCliContract:
         assert err.startswith(f"error: {field}: Exceeds the limit")
         assert err.count("\n") == 1
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit"
+    )
+    def test_combined_coefficient_over_the_digit_limit_names_its_field(self, capsys, tmp_path):
+        # each coefficient is within the limit; their sum on one tuple is
+        # not, and the report could not write it
+        nines = "9" * sys.get_int_max_str_digits()
+        path = write_json(tmp_path / "chain.json", {"degree": 3, "terms": [
+            {"tuple": [2, 0, 2], "coeff": nines}, {"tuple": [2, 0, 2], "coeff": nines},
+        ]})
+        code, out, err = run(capsys, "eval-cocycle", "--cocycle", "mochizuki:3", "--chain", path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: terms[0].coeff: Exceeds the limit")
+        assert err.count("\n") == 1
+
     def test_reports_are_byte_stable_per_command(self, capsys, tmp_path):
         path = write_json(tmp_path / "dprime.json", DPRIME)
         for argv in (

@@ -2,20 +2,44 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quandlehom import (
     Chain,
     Cocycle3,
     boundary_quandle,
+    boundary_rack,
+    is_degenerate,
     is_null_homologous,
     is_quandle_3cocycle,
     mochizuki_theta,
     mochizuki_theta_p,
     pair,
+    project_quandle,
     quandle_basis,
 )
 from quandlehom import cocycles
+from quandlehom.cocycles import CocycleCheck
 from quandlehom.errors import DegreeError, QuandleMismatchError, ResourceLimitError
+
+from conftest import CROSS_CHECK_QUANDLES, quandle_inventory
+
+
+def brute_force_3cocycle_check(cocycle):
+    """The oracle: both cocycle conditions over every triple and all n^4
+    4-tuples in lexicographic order, degenerate ones included."""
+    q = cocycle.quandle
+    n = q.order
+    for x, y in product(range(n), repeat=2):
+        if cocycle(x, x, y) != 0:
+            return CocycleCheck(False, (x, x, y))
+        if cocycle(x, y, y) != 0:
+            return CocycleCheck(False, (x, y, y))
+    for gen in product(range(n), repeat=4):
+        if pair(cocycle, project_quandle(boundary_rack(Chain.generator(gen), q))) != 0:
+            return CocycleCheck(False, gen)
+    return CocycleCheck(True, None)
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +74,7 @@ class TestThetaValues:
 
 
 class TestCocycleCheck:
-    def test_theta_passes_over_all_81_quadruples(self, theta):
+    def test_theta_passes(self, theta):
         check = is_quandle_3cocycle(theta)
         assert check.ok
         assert check.witness is None
@@ -76,6 +100,101 @@ class TestCocycleCheck:
         check = is_quandle_3cocycle(f)
         assert not check.ok
         assert len(check.witness) == 4
+
+
+class TestNonDegenerateScan:
+    @pytest.mark.parametrize("name,q,degrees", [
+        *(pytest.param(name, q, range(2, 6), id=name) for name, q in quandle_inventory()),
+        *(pytest.param(name, q, range(2, 5), id=name) for name, q in CROSS_CHECK_QUANDLES),
+    ])
+    def test_degenerate_tuples_have_zero_projected_boundary(self, name, q, degrees):
+        # the lemma that lets the check skip degenerate 4-tuples
+        for degree in degrees:
+            for tup in product(range(q.order), repeat=degree):
+                if is_degenerate(tup):
+                    bd = project_quandle(boundary_rack(Chain.generator(tup), q))
+                    assert bd.is_zero(), (name, tup)
+
+    def test_a_passing_check_pairs_each_nondegenerate_quadruple_once(self, theta, monkeypatch):
+        paired = []
+
+        def recording_pair(cocycle, chain):
+            paired.append(chain)
+            return pair(cocycle, chain)
+
+        monkeypatch.setattr(cocycles, "pair", recording_pair)
+        assert is_quandle_3cocycle(theta).ok
+        q = theta.quandle
+        assert len(paired) == 24
+        assert paired == [
+            project_quandle(boundary_rack(Chain.generator(gen), q)) for gen in quandle_basis(q, 4)
+        ]
+
+
+def relabelled(cocycle, q, sigma):
+    """The cocycle moved to q, the cocycle's quandle relabelled by sigma."""
+    inv = {s: x for x, s in enumerate(sigma)}
+    return Cocycle3.from_function(
+        q, cocycle.modulus, lambda x, y, z: cocycle(inv[x], inv[y], inv[z])
+    )
+
+
+_QUANDLES = dict(quandle_inventory() + CROSS_CHECK_QUANDLES)
+THETA_CASES = [
+    ("R3", mochizuki_theta_p(3)),
+    ("R5", mochizuki_theta_p(5)),
+    ("R7", mochizuki_theta_p(7)),
+    ("R5 relabelled", relabelled(
+        mochizuki_theta_p(5), _QUANDLES["R5 relabelled"], [1, 0, 2, 3, 4]
+    )),
+]
+
+
+def coboundary(q, modulus, psi):
+    """psi o d_3 for a 2-cochain psi that vanishes on degenerate pairs: a
+    3-cocycle on every quandle, as d_3 d_4 = 0."""
+    def value(x, y, z):
+        bd = boundary_rack(Chain.generator((x, y, z)), q)
+        return sum(c * psi[a][b] for (a, b), c in bd.items())
+
+    return Cocycle3.from_function(q, modulus, value)
+
+
+@st.composite
+def candidate_tables(draw):
+    """theta_p or a random coboundary, with or without one entry changed."""
+    if draw(st.booleans()):
+        name, cocycle = draw(st.sampled_from(THETA_CASES))
+        q, modulus = cocycle.quandle, cocycle.modulus
+        table = cocycle.table()
+    else:
+        name, q = draw(st.sampled_from(sorted(_QUANDLES.items())))
+        modulus = draw(st.integers(2, 6))
+        n = q.order
+        psi = [[0 if x == y else draw(st.integers(0, modulus - 1)) for y in range(n)]
+               for x in range(n)]
+        table = coboundary(q, modulus, psi).table()
+    if draw(st.booleans()):
+        n = q.order
+        x, y, z = (draw(st.integers(0, n - 1)) for _ in range(3))
+        table[x][y][z] += draw(st.integers(1, modulus - 1))
+    return name, Cocycle3(q, modulus, table)
+
+
+class TestAgainstTheBruteForceOracle:
+    def test_theta_and_coboundaries_are_cocycles(self):
+        for name, cocycle in THETA_CASES:
+            assert brute_force_3cocycle_check(cocycle).ok, name
+        for name, q in _QUANDLES.items():
+            n = q.order
+            psi = [[(x + 2 * y) % 5 if x != y else 0 for y in range(n)] for x in range(n)]
+            assert brute_force_3cocycle_check(coboundary(q, 5, psi)).ok, name
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(candidate_tables())
+    def test_same_verdict_and_witness(self, case):
+        name, cocycle = case
+        assert is_quandle_3cocycle(cocycle) == brute_force_3cocycle_check(cocycle), name
 
 
 class TestThetaFamily:
