@@ -393,15 +393,17 @@ def _columns(quandle, degree, ends):
          for i, last in enumerate(face_lasts)] if y in ends else None
         for y in range(order)
     ]
+    others = [[y for y in range(order) if y != x] for x in range(order)]
     c = (-1) ** degree
     columns = []
     for j, (last, column_below) in enumerate(zip(lasts, below)):
-        for y in filter(last.__ne__, range(order)):
+        items = column_below.items()
+        for y in others[last]:
             rows = appended[y]
             if rows is None:
                 columns.append({})
                 continue
-            column = {rows[i]: e for i, e in column_below.items() if rows[i] is not None}
+            column = {r: e for i, e in items if (r := rows[i]) is not None}
             xy = acts[y][j]
             if xy != j:  # x' = x'*y leaves no i = n term
                 column[j], column[xy] = c, -c

@@ -13,8 +13,10 @@ cell of C_{n-1}, and d_{n+1} is eliminated without its rows j.  The pivot
 columns of d_n are independent, so a cycle is fixed by its coordinates off
 them, and those coordinates of ker d_n form a direct summand: deleting the
 rows keeps the rank and the torsion of d_{n+1} and adds no fill.  One
-reduction per degree is kept in the Quandle object's own store and freed
-with it; equal quandles built separately do not share it.
+reduction per degree is kept in the Quandle object's own store, with the
+rank and torsion read off it, and freed with it: H_n and H_{n+1} take the
+Smith form of d_{n+1}'s core once.  Equal quandles built separately do not
+share them.
 
 Only the columns of d_n whose cell ends in a generating set G of the
 quandle are built, with no basis of degree n, and eliminated; the rest
@@ -108,6 +110,13 @@ def _reduction(quandle, degree):
     return intlinalg._eliminate(_columns(quandle, degree, _generators(quandle)), paired)
 
 
+@_memoized
+def _rank_and_torsion(quandle, degree):
+    """Rank and invariant factors of d_degree, from the Smith form of its
+    kept reduction's core, taken once: H_{degree-1} and H_degree share it."""
+    return intlinalg._rank_and_torsion(_reduction(quandle, degree))
+
+
 def homology_group(quandle, degree):
     """H_degree of the quandle complex with integer coefficients.
 
@@ -118,12 +127,9 @@ def homology_group(quandle, degree):
     if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
         raise DegreeError(f"homology degree must be a positive integer, got {degree!r}")
     _check_limits(quandle, degree)
+    rank_down = _rank_and_torsion(quandle, degree)[0] if degree > 1 else 0
+    rank_up, torsion = _rank_and_torsion(quandle, degree + 1)
     dim = _cell_count(quandle, degree)
-    if degree == 1:
-        rank_down = 0
-    else:
-        rank_down, _ = intlinalg._rank_and_torsion(_reduction(quandle, degree))
-    rank_up, torsion = intlinalg._rank_and_torsion(_reduction(quandle, degree + 1))
     return HomologyGroup(free_rank=dim - rank_down - rank_up, torsion=torsion)
 
 

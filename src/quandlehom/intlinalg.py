@@ -5,7 +5,10 @@ Entries are Python ints throughout; nothing here ever touches floating
 point.  Rank, invariant factors and image membership all go through one
 sparse front end (_eliminate): boundary matrices are sparse and most of
 their pivots are +-1, so each unit pivot is eliminated by exact row
-operations on row and column dicts, one row and one column at a time.
+operations on row dicts and column sets, one row and one column at a time.
+Only the columns with an entry are indexed, and each sweep after the first
+revisits only the columns where the one before found no unit entry (an
+emptied column never gains one back).
 Only the small core left without unit entries reaches _smith, the one
 dense Smith normal form kernel (Dumas, Heckenbach, Saunders and Welker,
 "Computing simplicial homology based on efficient Smith normal form
@@ -14,7 +17,7 @@ to the core: _rank_and_torsion appends none and reads the diagonal, and
 snf appends I_m as columns and I_n as rows, which come out as U and V.
 Nothing here keeps an elimination (solve_in_image eliminates afresh on
 each call): the kept ones are homology's, one per boundary matrix, each
-kept by its Quandle object and freed with it.
+kept with its rank and torsion by its Quandle object and freed with it.
 
 Boundary matrices are built as SparseColumns, which _eliminate reads
 without a dense copy.  It can leave rows out, as the reduction of the whole
@@ -242,7 +245,8 @@ def _eliminate(a, dropped=frozenset()):
     equivalent to I_r + core with r = len(steps).
 
     Sweeps the columns in order and, in each, pivots on the unit entry
-    with the shortest row, until a whole sweep finds no unit entry left.
+    with the shortest row, until a sweep finds no unit entry left; a sweep
+    after the first visits only the columns the one before could not pivot.
     A step (p, j, u, rest, multipliers) pivoted on a[p][j] = u = +-1:
     rest holds row p's other (column, entry) pairs as they stood then, and
     multipliers the (row i, f) of the operations row_i -= f * row_p that
@@ -254,30 +258,36 @@ def _eliminate(a, dropped=frozenset()):
         columns = [{i: row[j] for i, row in enumerate(a._data) if row[j]} for j in range(a.cols)]
     else:
         columns = a.columns
-    rows = {i: {} for i in range(a.rows) if i not in dropped}
-    cols = {}
+    rows = [{} for _ in range(a.rows)]  # a pivot's or dropped row becomes None
+    cols = {}  # the non-empty columns only: no other ever gains an entry
     for j, column in enumerate(columns):
-        cols[j] = col = set()
-        for i, e in column.items():
-            row = rows.get(i)
-            if row is not None:
-                row[j] = e
-                col.add(i)
+        if column:
+            cols[j] = set(column)
+            for i, e in column.items():
+                rows[i][j] = e
+    for i in dropped:  # left out as a pivot row is; an index off the matrix is no row
+        if 0 <= i < a.rows:
+            for k in rows[i]:
+                cols[k].remove(i)
+            rows[i] = None
     steps = []
-    swept = True
-    while swept:
-        swept = False
-        for j in range(a.cols):
-            col = cols.get(j)
-            if not col:
-                continue
+    pending = list(cols)
+    while pending:
+        done, unpivoted = len(steps), []
+        for j in pending:
+            col = cols[j]
             p = None
             for i in col:  # the unit entry with the shortest row, then the lowest i
-                if rows[i][j] in (1, -1) and (p is None or (len(rows[i]), i) < (size, p)):
-                    p, size = i, len(rows[i])
+                row = rows[i]
+                if row[j] in (1, -1):
+                    size = len(row)
+                    if p is None or size < best or size == best and i < p:
+                        p, best = i, size
             if p is None:
+                if col:  # an emptied column never gains an entry back
+                    unpivoted.append(j)
                 continue
-            prow = rows.pop(p)
+            prow, rows[p] = rows[p], None
             u = prow.pop(j)
             for k in prow:
                 cols[k].remove(p)
@@ -300,11 +310,12 @@ def _eliminate(a, dropped=frozenset()):
                     else:
                         row[k] = v - f * e
             steps.append((p, j, u, rest, multipliers))
-            swept = True
-    core_rows = sorted(i for i, row in rows.items() if row)
-    core_cols = sorted(j for j, col in cols.items() if col)
+        # a sweep that pivots nowhere leaves every column as it found it
+        pending = unpivoted if len(steps) > done else []
+    core_rows = [i for i, row in enumerate(rows) if row]
+    core_cols = [j for j, col in cols.items() if col]
     data = [[rows[i].get(j, 0) for j in core_cols] for i in core_rows]
-    zero_rows = sorted(i for i, row in rows.items() if not row)
+    zero_rows = [i for i, row in enumerate(rows) if row == {}]
     return steps, IntMatrix._from_rows(data, len(core_cols)), core_rows, core_cols, zero_rows
 
 

@@ -138,6 +138,12 @@ class TestHomologyGroups:
         assert homology_group(Quandle.dihedral(5), 4) == HomologyGroup(0, (5,))
         assert homology_group(Quandle.dihedral(7), 3) == HomologyGroup(0, (7,))
 
+    def test_ladder_groups_are_pinned(self):
+        # the benchmark ladder's groups that no other test here fixes
+        assert homology_group(Quandle.dihedral(4), 4) == HomologyGroup(2, (2,) * 10)
+        assert homology_group(Quandle.from_table(S4_TABLE), 4) == HomologyGroup(0, (2, 2, 4))
+        assert homology_group(Quandle.dihedral(6), 3) == HomologyGroup(2, (3, 3))
+
     def test_degree_must_be_positive(self, r3):
         with pytest.raises(DegreeError):
             homology_group(r3, 0)
@@ -250,6 +256,25 @@ class TestBoundaryMatrixEliminatedOnce:
         assert homology_group(r5, 4) == HomologyGroup(0, (5,))
         assert len(eliminated) == 4
 
+    def test_each_reduction_takes_its_smith_form_once(self, monkeypatch):
+        shapes = []
+
+        def counting(w, m, n):
+            shapes.append((m, n))
+            return original(w, m, n)
+
+        original = intlinalg._smith
+        monkeypatch.setattr(intlinalg, "_smith", counting)
+        r5 = Quandle.dihedral(5)
+        core = {n: homology._reduction(r5, n)[1].shape for n in (3, 4, 5)}
+        assert homology_group(r5, 3) == HomologyGroup(0, (5,))
+        assert shapes == [core[3], core[4]]
+        # H_4 reads d_4's Smith form kept by H_3 and takes only d_5's
+        assert homology_group(r5, 4) == HomologyGroup(0, (5,))
+        assert shapes == [core[3], core[4], core[5]]
+        assert homology_group(r5, 3) == homology_group(r5, 4) == HomologyGroup(0, (5,))
+        assert len(shapes) == 3
+
 
 # The complex is reduced as a whole: d_{n+1} is eliminated on its columns
 # that end in a generating set G, without the rows that are pivot columns of
@@ -265,6 +290,40 @@ NULL_TEST_QUANDLES = {
     "T2": Quandle.from_table(trivial_table(2)),
 }
 NULL_TEST_CASES = [(name, degree) for name in NULL_TEST_QUANDLES for degree in (2, 3)]
+
+
+# the heavy reductions of the benchmark's homology ladder besides d_5(R5):
+# (quandle, degree, steps, core shape, core rows, zero rows, the first four
+# and the last core columns, and the sha256 of the core columns, of the core
+# and of the (p, j, u) pivot sequence)
+HEAVY_LADDER_REDUCTIONS = [
+    ("R3", 6, 31, (1, 12), [42], [44], ([64, 66, 72, 75], 94), [
+        "c9ba119c9ddd64fd2917603fa293fa599231925b568f92e989bec48cc95ee4e2",
+        "a78d8eba0c64e060dad7f1ceb41bb7618554e9a5be38c97024e63a25a9e9cf1e",
+        "e9f5def95a3954eef343de4d39d54c54e7481dff1545205d38c315aa8447b183",
+    ]),
+    ("R4", 5, 70, (16, 62), [21, 57, 66, 67, 72, 75, 78, 79, 87, 88, 90, 94, 97, 99, 102, 105],
+     [], ([33, 51, 57, 60], 322), [
+        "7719fa913ac411128293b506c2eaf8b889331ab911b9649caa8e8c346794231a",
+        "e4ed86660119ac1b86610ca2ece8494137a988aeb8d93148e532e685f19fe8e5",
+        "de12c5631d7f98cac2358dc56a17145c1db4713a1f67ec6a691b9fe75949b76b",
+    ]),
+    ("S4", 5, 78, (5, 65), [85, 87, 96, 99, 102], [], ([66, 153, 159, 160], 322), [
+        "b52f9cea6e97030a706ba44e181647137e4abbefcca38749be5506f871b38693",
+        "a47688d47eda45273221b8df8b1e56c28e7ea5ae292c9050bc369081ec0eb287",
+        "bae8bb4de098ae27ecb0c80678b0ee729462283099720b3288bcb722d6a98348",
+    ]),
+    ("R6", 4, 122, (4, 16), [10, 41, 121, 146], [], ([505, 520, 555, 565], 741), [
+        "c60d49682eabc2fdde9cb15a91435803b447510bec3651f66ecb40c81f51fbbc",
+        "d9f7f5522eddc26cd4efed12d8a79c99bbc74f29177300ca67c12643e98b0866",
+        "cf88a184478c21fa3a99bd1db93092f88af0fb4b9013f8513ab29dc9fdf78dcf",
+    ]),
+    ("R7", 4, 215, (1, 24), [180], [], ([900, 907, 913, 919], 1279), [
+        "c10e88887325ebb1008b6b26975c43833d3e4a233e1edbf698d8faccc3bdff8f",
+        "96e681fac0927eb3d3350f2b4203f3f1029d0217c424d42c2ad615ee3bcfa754",
+        "15048922133c962a02ba164731de11ac06168ce11c7c9b794aef85adfb89e083",
+    ]),
+]
 
 
 @lru_cache(maxsize=None)
@@ -357,6 +416,26 @@ class TestReducedComplex:
         assert hashlib.sha256(pivots).hexdigest() == (
             "0ed9a79a111b008fd3f923066bd6247f84f7d8cbcc1bc7f7ebdf39407653c00d"
         )
+
+    @pytest.mark.parametrize(
+        "name,degree,steps,shape,core_rows,zero_rows,col_ends,digests", HEAVY_LADDER_REDUCTIONS
+    )
+    def test_heavy_ladder_reduction_is_pinned(
+        self, name, degree, steps, shape, core_rows, zero_rows, col_ends, digests
+    ):
+        # pinned like d_5(R5) above, from the kernel as it stood before the
+        # per-step bookkeeping was cut
+        q = Quandle.from_table(S4_TABLE) if name == "S4" else Quandle.dihedral(int(name[1:]))
+        reduction = homology._reduction(q, degree)
+        assert len(reduction[0]) == steps
+        assert reduction[1].shape == shape
+        assert (reduction[2], reduction[4]) == (core_rows, zero_rows)
+        assert (reduction[3][:4], reduction[3][-1]) == col_ends
+        pivots = [(p, j, u) for p, j, u, _, _ in reduction[0]]
+        assert [
+            hashlib.sha256(repr(x).encode()).hexdigest()
+            for x in (reduction[3], reduction[1].to_rows(), pivots)
+        ] == digests
 
     def test_full_column_guard_refuses_a_non_cycle_the_kept_rows_accept(self, r3):
         d4 = boundary_columns(r3, 4)

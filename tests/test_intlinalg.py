@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
-from quandlehom import IntMatrix, det, matrix_of_boundary, snf, solve_in_image
-from quandlehom.intlinalg import _eliminate, _rank_and_torsion
+from quandlehom import IntMatrix, det, homology, matrix_of_boundary, snf, solve_in_image
+from quandlehom.chains import _columns
+from quandlehom.intlinalg import SparseColumns, _eliminate, _rank_and_torsion
 
-from conftest import is_unimodular, sympy_matrix
+from conftest import admitted_boundary_degrees, is_unimodular, sympy_matrix
 
 
 def random_matrix(rng, max_dim=8, bound=9):
@@ -432,3 +433,109 @@ class TestEliminationKeptOnTheMatrix:
         assert solve_in_image(b, [1, 2]) is None
         assert _rank_and_torsion(_eliminate(a)) == (2, (2,))
         assert _rank_and_torsion(_eliminate(b)) == (2, (2, 4))
+
+
+# The elimination kernel as it stood before each step's bookkeeping was cut
+# (every column indexed, every column revisited in each sweep), kept as the
+# oracle that the current kernel must match step for step.
+
+def eliminate_oracle(a, dropped=frozenset()):
+    if isinstance(a, IntMatrix):
+        columns = [{i: row[j] for i, row in enumerate(a._data) if row[j]} for j in range(a.cols)]
+    else:
+        columns = a.columns
+    rows = {i: {} for i in range(a.rows) if i not in dropped}
+    cols = {}
+    for j, column in enumerate(columns):
+        cols[j] = col = set()
+        for i, e in column.items():
+            row = rows.get(i)
+            if row is not None:
+                row[j] = e
+                col.add(i)
+    steps = []
+    swept = True
+    while swept:
+        swept = False
+        for j in range(a.cols):
+            col = cols.get(j)
+            if not col:
+                continue
+            p = None
+            for i in col:  # the unit entry with the shortest row, then the lowest i
+                if rows[i][j] in (1, -1) and (p is None or (len(rows[i]), i) < (size, p)):
+                    p, size = i, len(rows[i])
+            if p is None:
+                continue
+            prow = rows.pop(p)
+            u = prow.pop(j)
+            for k in prow:
+                cols[k].remove(p)
+            del cols[j]
+            col.remove(p)
+            rest = list(prow.items())
+            multipliers = []
+            for i in col:
+                row = rows[i]
+                f = row.pop(j) * u  # u is its own inverse
+                multipliers.append((i, f))
+                for k, e in rest:
+                    v = row.get(k)
+                    if v is None:
+                        row[k] = -f * e
+                        cols[k].add(i)
+                    elif v == f * e:
+                        del row[k]
+                        cols[k].remove(i)
+                    else:
+                        row[k] = v - f * e
+            steps.append((p, j, u, rest, multipliers))
+            swept = True
+    core_rows = sorted(i for i, row in rows.items() if row)
+    core_cols = sorted(j for j, col in cols.items() if col)
+    data = [[rows[i].get(j, 0) for j in core_cols] for i in core_rows]
+    zero_rows = sorted(i for i, row in rows.items() if not row)
+    return steps, IntMatrix._from_rows(data, len(core_cols)), core_rows, core_cols, zero_rows
+
+
+def assert_matches_the_oracle(a, dropped=frozenset()):
+    """The same (p, j, u) steps in the same order, the same rest and
+    multipliers up to order, and the same core, core rows and columns and
+    zero rows."""
+    steps, *tail = _eliminate(a, dropped)
+    oracle_steps, *oracle_tail = eliminate_oracle(a, dropped)
+    assert [s[:3] for s in steps] == [s[:3] for s in oracle_steps]
+    for (*_, rest, multipliers), (*_, oracle_rest, oracle_multipliers) in zip(steps, oracle_steps):
+        assert sorted(rest) == sorted(oracle_rest)
+        assert sorted(multipliers) == sorted(oracle_multipliers)
+    assert tail == oracle_tail
+
+
+def as_sparse_columns(a):
+    return SparseColumns(a.rows, [
+        {i: a[i, j] for i in range(a.rows) if a[i, j]} for j in range(a.cols)
+    ])
+
+
+class TestEliminationAgainstTheOracle:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(sparse_matrices(), st.data())
+    def test_random_sparse_matrices(self, a, data):
+        dropped = data.draw(st.frozensets(st.integers(0, max(a.rows - 1, 0))))
+        for matrix in (a, as_sparse_columns(a)):
+            assert_matches_the_oracle(matrix)
+            assert_matches_the_oracle(matrix, dropped)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(matrices_with_repeated_columns())
+    def test_matrices_with_repeated_columns(self, a):
+        assert_matches_the_oracle(a)
+        assert_matches_the_oracle(as_sparse_columns(a))
+
+    def test_every_inventory_reduction(self, inventory):
+        for name, q in inventory:
+            for degree in admitted_boundary_degrees(q):
+                below = homology._reduction(q, degree - 1)[0] if degree > 2 else ()
+                paired = {j for _, j, _, _, _ in below}
+                kept = _columns(q, degree, homology._generators(q))
+                assert_matches_the_oracle(kept, paired)
