@@ -22,9 +22,9 @@ whose y is in a given set, and boundary_columns is all of them.
 No tuple is built on that path.  Bases are ordered by extension, so a cell of
 degree d is an index: (f, y) sits at index(f) * (order - 1) + y - (y > last(f)).
 _cells gives each degree's last entries and the index of f*y, and _columns
-turns the first into one append table per y.  Both, and quandle_basis, are
-kept in the Quandle object's own store and freed with it: equal quandles
-built separately do not share them.
+turns the first into one append table per y.  Both are kept in the
+Quandle object's own store and freed with it: equal quandles built
+separately do not share them.  quandle_basis keeps nothing there.
 """
 
 import sys
@@ -304,11 +304,10 @@ def boundary_quandle(chain, quandle):
     return project_quandle(boundary_rack(chain, quandle))
 
 
-@_memoized
 def quandle_basis(quandle, degree):
-    """All non-degenerate degree-n tuples over the quandle, lexicographic.
-    The 3-cocycle check scans the degree-4 basis, one tuple at a time from
-    _nondegenerate, so that it is not kept in the quandle's store.
+    """All non-degenerate degree-n tuples over the quandle, lexicographic,
+    built on each call and kept nowhere; the 3-cocycle check scans the
+    degree-4 tuples one at a time from _nondegenerate instead.
 
     >>> len(quandle_basis(Quandle.dihedral(3), 3))
     12
@@ -369,7 +368,7 @@ def boundary_columns(quandle, degree):
     d_{n-1} as in the module docstring: column j is the image of the j-th tuple
     of quandle_basis(quandle, n), keyed by row in the degree-(n-1) basis.
     The full matrix, kept: what d_{n+1} is built from, what a cycle test
-    reads and what matrix_of_boundary densifies."""
+    reads and what matrix_of_boundary densifies; its callers check degree."""
     return _columns(quandle, degree, frozenset(range(quandle.order)))
 
 
@@ -378,9 +377,7 @@ def _columns(quandle, degree, ends):
     """boundary_columns on the columns whose tuple ends in `ends` (a
     frozenset); every other column is an empty dict at its full-matrix
     index.  Built from the full d_{n-1} and the cells of degrees n-1 and
-    n-2, with no tuple basis."""
-    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 2:
-        raise DegreeError(f"boundary matrix requires an integer degree >= 2, got {degree!r}")
+    n-2, with no tuple basis; the degree is trusted, as in boundary_columns."""
     order = quandle.order
     below = [{}] * order  # d_1: every column empty
     for k in range(2, degree):  # ascending, so each call finds d_{k-1} cached
@@ -417,8 +414,9 @@ def matrix_of_boundary(quandle, degree):
     basis, both lexicographic: boundary_columns as a dense IntMatrix.
     Refused, before any basis is built, over the limits of homology_group.
     """
-    if isinstance(degree, int) and degree >= 2:  # boundary_columns refuses the rest
-        _check_limits(quandle, degree - 1)
+    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 2:
+        raise DegreeError(f"boundary matrix requires an integer degree >= 2, got {degree!r}")
+    _check_limits(quandle, degree - 1)
     return boundary_columns(quandle, degree).to_dense()
 
 

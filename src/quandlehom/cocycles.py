@@ -163,7 +163,7 @@ def is_quandle_3cocycle(cocycle):
 
 
 def _is_odd_prime(p):
-    if not isinstance(p, int) or isinstance(p, bool) or p < 3 or p % 2 == 0:
+    if p % 2 == 0:
         return False
     d = 3
     while d * d <= p:
@@ -178,6 +178,8 @@ def mochizuki_theta_p(p):
     order p, with values in Z/p.  The constructed table is verified by
     is_quandle_3cocycle and rejected if it fails.
     """
+    if not isinstance(p, int) or isinstance(p, bool) or p < 3:
+        raise ValueError(f"expected an odd prime, got {p!r}")
     quandle = Quandle.dihedral(p)  # its order limit goes before the trial division
     if not _is_odd_prime(p):
         raise ValueError(f"expected an odd prime, got {p!r}")

@@ -19,10 +19,10 @@ Nothing here keeps an elimination (solve_in_image eliminates afresh on
 each call): the kept ones are homology's, one per boundary matrix, each
 kept with its rank and torsion by its Quandle object and freed with it.
 
-Boundary matrices are built as SparseColumns, which _eliminate reads
-without a dense copy.  It can leave rows out, as the reduction of the whole
-complex in homology does; _solve then reads b on the kept rows only and
-checks the solution against b on every row.
+_eliminate and _solve read SparseColumns, the form boundary matrices are
+built in (solve_in_image takes its input's columns).  _eliminate can leave
+rows out, as homology's reduction of the whole complex does; _solve then
+reads b on the kept rows only and checks the solution against b on every row.
 """
 
 from collections import namedtuple
@@ -239,9 +239,9 @@ def snf(a):
 
 
 def _eliminate(a, dropped=frozenset()):
-    """Eliminate the +-1 pivots of `a` (an IntMatrix or SparseColumns)
-    sparsely, leaving out the rows in `dropped`; returns (steps, core,
-    core_rows, core_cols, zero_rows), and a without those rows is
+    """Eliminate the +-1 pivots of `a`, a SparseColumns, sparsely, leaving
+    out the rows in `dropped`, which must be rows of `a`; returns (steps,
+    core, core_rows, core_cols, zero_rows), and a without those rows is
     equivalent to I_r + core with r = len(steps).
 
     Sweeps the columns in order and, in each, pivots on the unit entry
@@ -254,22 +254,17 @@ def _eliminate(a, dropped=frozenset()):
     nonzero, in their original order; zero_rows are the rows that the
     operations emptied, or that were zero from the start.
     """
-    if isinstance(a, IntMatrix):
-        columns = [{i: row[j] for i, row in enumerate(a._data) if row[j]} for j in range(a.cols)]
-    else:
-        columns = a.columns
     rows = [{} for _ in range(a.rows)]  # a pivot's or dropped row becomes None
     cols = {}  # the non-empty columns only: no other ever gains an entry
-    for j, column in enumerate(columns):
+    for j, column in enumerate(a.columns):
         if column:
             cols[j] = set(column)
             for i, e in column.items():
                 rows[i][j] = e
-    for i in dropped:  # left out as a pivot row is; an index off the matrix is no row
-        if 0 <= i < a.rows:
-            for k in rows[i]:
-                cols[k].remove(i)
-            rows[i] = None
+    for i in dropped:  # left out as a pivot row is
+        for k in rows[i]:
+            cols[k].remove(i)
+        rows[i] = None
     steps = []
     pending = list(cols)
     while pending:
@@ -324,7 +319,7 @@ def _rank_and_torsion(reduction):
     (less its dropped rows) that an _eliminate result reduced: the unit
     pivots plus the Smith form of the core.
 
-    >>> _rank_and_torsion(_eliminate(IntMatrix([[1, 2], [3, 0]])))
+    >>> _rank_and_torsion(_eliminate(SparseColumns(2, [{0: 1, 1: 3}, {0: 2}])))
     (2, (6,))
     """
     steps, core, _, _, _ = reduction
@@ -367,7 +362,7 @@ def solve_in_image(a, b):
     """An integer x with a.apply(x) == b, or None if b is not in the image of
     `a` over the integers.  The solution is re-verified before returning.
 
-    This is _solve on the elimination of the whole of `a`.
+    This is _solve on the elimination of the whole of `a`, as SparseColumns.
     """
     if not isinstance(a, IntMatrix):
         a = IntMatrix(a)
@@ -377,12 +372,14 @@ def solve_in_image(a, b):
     for i, e in enumerate(b):
         if not isinstance(e, int) or isinstance(e, bool):
             raise ValueError(f"b[{i}] = {e!r} is not an int")
+    a = SparseColumns(a.rows, [{i: row[j] for i, row in enumerate(a._data) if row[j]}
+                               for j in range(a.cols)])
     return _solve(a, _eliminate(a), b)
 
 
 def _solve(a, reduction, b):
     """An integer x with a.apply(x) == b, or None, from `reduction`, an
-    _eliminate result for `a` (an IntMatrix or SparseColumns).
+    _eliminate result for `a`, a SparseColumns.
 
     The unit pivots' row operations carry b along; b must then vanish on
     the rows they emptied, the core is solved through its Smith form, and

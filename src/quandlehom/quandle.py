@@ -127,12 +127,12 @@ class Quandle:
 
 def _memoized(fn):
     """Cache fn(quandle, *args) in that quandle's own store, so what the
-    package derives from a quandle is freed with it.  Keyed by the argument
-    types too: a degree 2.0 must not hit degree 2's entry, skipping fn's check."""
+    package derives from a quandle is freed with it.  Keyed by (fn, args):
+    fn trusts its arguments, which the public entries check first."""
 
     @wraps(fn)
     def cached(quandle, *args):
-        key = (fn, args, tuple(map(type, args)))
+        key = (fn, args)
         store = quandle._store
         if key not in store:
             store[key] = fn(quandle, *args)

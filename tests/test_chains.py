@@ -314,6 +314,12 @@ class TestQuandleBasis:
                 quandle_basis(q, degree)  # warm
 
 
+    def test_nothing_is_kept_in_the_store(self):
+        q = Quandle.dihedral(5)
+        assert len(quandle_basis(q, 3)) == 80
+        assert q._store == {}
+
+
 class TestMatrixOfBoundary:
     def test_non_int_degree_rejected_cold_and_warm(self):
         q = Quandle.from_table([[x] * 5 for x in range(5)])  # no other test uses it

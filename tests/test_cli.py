@@ -437,6 +437,13 @@ class TestCheckCocycleCommand:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("p", ["-3", "0"])
+    def test_non_positive_parameter_is_not_an_odd_prime(self, capsys, p):
+        # the message names the prime the user gave, not a quandle order
+        code, out, err = run(capsys, "check-cocycle", "--cocycle", f"mochizuki:{p}")
+        assert (code, out) == (2, "")
+        assert err == f"error: expected an odd prime, got {p}\n"
+
 
 class TestResourceGuards:
     """Each refusal exits 2 naming its limit, before anything is built: the

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from quandlehom import (
     Chain,
     Cocycle3,
+    Quandle,
     boundary_quandle,
     boundary_rack,
     is_degenerate,
@@ -219,6 +220,16 @@ class TestThetaFamily:
     def test_non_odd_primes_rejected(self, bad):
         with pytest.raises(ValueError):
             mochizuki_theta_p(bad)
+
+    @pytest.mark.parametrize("bad", [True, -3, 0, 2.0, 3.0])
+    def test_non_positive_and_non_int_reported_as_not_an_odd_prime(self, bad, monkeypatch):
+        def unreachable(n):
+            raise AssertionError("a dihedral quandle was built")
+
+        monkeypatch.setattr(Quandle, "dihedral", unreachable)
+        with pytest.raises(ValueError) as exc:
+            mochizuki_theta_p(bad)
+        assert str(exc.value) == f"expected an odd prime, got {bad!r}"
 
     @pytest.mark.parametrize("p", [33, 37, 10**30 + 57])
     def test_order_limit_refused_before_the_primality_test(self, p, monkeypatch):

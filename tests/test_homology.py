@@ -148,6 +148,20 @@ class TestHomologyGroups:
         with pytest.raises(DegreeError):
             homology_group(r3, 0)
 
+    def test_non_int_degree_rejected_cold_and_warm(self):
+        # 2.0 == 2 and True == 1 hash alike, and the quandle's store is keyed
+        # by the arguments alone: the check must come before any lookup
+        q = Quandle.from_table([[x] * 7 for x in range(7)])  # no other test uses it
+        for degree in (2.0, True):
+            with pytest.raises(DegreeError):
+                homology_group(q, degree)  # cold
+        assert q._store == {}
+        assert homology_group(q, 2) == HomologyGroup(42, ())
+        assert homology_group(q, 1) == HomologyGroup(7, ())
+        for degree in (2.0, True):
+            with pytest.raises(DegreeError):
+                homology_group(q, degree)  # warm
+
     def test_invariant_under_quandle_relabeling(self, r3):
         # x -> x + 1 mod 3 is an automorphism, so conjugation returns the
         # identical table; invariance there is exact by construction
@@ -328,12 +342,12 @@ HEAVY_LADDER_REDUCTIONS = [
 
 @lru_cache(maxsize=None)
 def full_upper_boundary(name, degree):
-    """The dense d_{degree+1} and its elimination on every row and column,
+    """The full d_{degree+1} and its elimination on every row and column,
     made once per case (solve_in_image would make it again on each call),
     and the primitive integer cycles of a rational kernel basis of d_degree
     that it does not bound."""
     q = NULL_TEST_QUANDLES[name]
-    upper = matrix_of_boundary(q, degree + 1)
+    upper = boundary_columns(q, degree + 1)
     reduction = _eliminate(upper)
     cycles = []
     for v in Matrix(matrix_of_boundary(q, degree).to_rows()).nullspace():

@@ -207,11 +207,11 @@ def sparse_matrices(draw, max_dim=10):
 
 
 def assert_front_end_matches_dense_snf(a):
-    steps, core, core_rows, core_cols, zero_rows = _eliminate(a)
+    steps, core, core_rows, core_cols, zero_rows = _eliminate(as_sparse_columns(a))
     core_factors = [d for d in snf(core).diagonal if d]
     dense_factors = [d for d in snf(a).diagonal if d]
     assert [1] * len(steps) + core_factors == dense_factors
-    rank, torsion = _rank_and_torsion(_eliminate(a))
+    rank, torsion = _rank_and_torsion(_eliminate(as_sparse_columns(a)))
     assert rank == len(dense_factors)
     assert torsion == tuple(d for d in dense_factors if d >= 2)
     # the core has no zero line and no unit entry left
@@ -245,10 +245,10 @@ class TestEliminationFrontEnd:
     def test_empty_and_zero_shapes(self, shape):
         rows, cols = shape
         a = IntMatrix([[0] * cols for _ in range(rows)], cols=cols)
-        steps, core, _, _, zero_rows = _eliminate(a)
+        steps, core, _, _, zero_rows = _eliminate(as_sparse_columns(a))
         assert steps == [] and core.shape == (0, 0)
         assert zero_rows == list(range(shape[0]))
-        assert _rank_and_torsion(_eliminate(a)) == (0, ())
+        assert _rank_and_torsion(_eliminate(as_sparse_columns(a))) == (0, ())
         assert_front_end_matches_dense_snf(a)
 
     def test_planted_zero_rows_and_columns(self):
@@ -259,15 +259,15 @@ class TestEliminationFrontEnd:
             [0, 0, 0, 0, 0],
             [0, 6, 0, 0, 0],
         ])
-        _, _, _, core_cols, zero_rows = _eliminate(a)
+        _, _, _, core_cols, zero_rows = _eliminate(as_sparse_columns(a))
         assert 1 in zero_rows and 3 in zero_rows
         assert 0 not in core_cols and 2 not in core_cols
         assert_front_end_matches_dense_snf(a)
-        assert _rank_and_torsion(_eliminate(a)) == (2, (2,))
+        assert _rank_and_torsion(_eliminate(as_sparse_columns(a))) == (2, (2,))
 
     def test_no_unit_entry_leaves_the_whole_matrix_as_core(self):
         a = IntMatrix([[2, 4], [6, 3]])
-        steps, core, _, _, _ = _eliminate(a)
+        steps, core, _, _, _ = _eliminate(as_sparse_columns(a))
         assert steps == [] and core == a
         assert_front_end_matches_dense_snf(a)
 
@@ -279,18 +279,18 @@ class TestEliminationFrontEnd:
             [2 * (i == r) for i in range(3)] + [2 * rng.randint(-99, 99) for _ in range(2997)]
             for r in range(3)
         ]
-        steps, core, _, _, _ = _eliminate(IntMatrix(rows))
+        steps, core, _, _, _ = _eliminate(as_sparse_columns(IntMatrix(rows)))
         assert steps == [] and core.shape == (3, 3000)
-        assert _rank_and_torsion(_eliminate(IntMatrix(rows))) == (3, (2, 2, 2))
+        assert _rank_and_torsion(_eliminate(as_sparse_columns(IntMatrix(rows)))) == (3, (2, 2, 2))
         narrow = IntMatrix([row[:300] for row in rows])
         assert snf(narrow).diagonal == (2, 2, 2)
-        assert _rank_and_torsion(_eliminate(narrow)) == (3, (2, 2, 2))
+        assert _rank_and_torsion(_eliminate(as_sparse_columns(narrow))) == (3, (2, 2, 2))
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(sparse_matrices(), st.data())
     def test_rows_and_columns_split_into_pivot_core_and_zero(self, a, data):
-        dropped = data.draw(st.frozensets(st.integers(0, max(a.rows - 1, 0))))
-        steps, core, core_rows, core_cols, zero_rows = _eliminate(a, dropped)
+        dropped = data.draw(rows_of(a))
+        steps, core, core_rows, core_cols, zero_rows = _eliminate(as_sparse_columns(a), dropped)
         pivot_rows = [p for p, _, _, _, _ in steps]
         pivot_cols = [j for _, j, _, _, _ in steps]
         empty_cols = sorted(set(range(a.cols)) - set(pivot_cols) - set(core_cols))
@@ -376,7 +376,7 @@ def matrices_with_repeated_columns(draw, max_dim=8):
 
 
 def assert_solution_is_zero_off_core_and_pivots(a, x):
-    steps, _, _, core_cols, _ = _eliminate(a)
+    steps, _, _, core_cols, _ = _eliminate(as_sparse_columns(a))
     kept = set(core_cols) | {j for _, j, _, _, _ in steps}
     assert all(x[j] == 0 for j in range(a.cols) if j not in kept)
 
@@ -403,9 +403,9 @@ class TestRepeatedCoreColumns:
         # columns 1 and 2 repeat column 0 up to sign; column 3 differs from
         # it in one sign only and spans more of the image
         a = IntMatrix([[2, 2, -2, 2, 0], [3, 3, -3, -3, 0]])
-        steps, core, core_rows, core_cols, _ = _eliminate(a)
+        steps, core, core_rows, core_cols, _ = _eliminate(as_sparse_columns(a))
         assert steps == [] and core_rows == [0, 1] and core_cols == [0, 1, 2, 3]
-        assert _rank_and_torsion(_eliminate(a)) == (2, (12,))
+        assert _rank_and_torsion(_eliminate(as_sparse_columns(a))) == (2, (12,))
         for x0 in ([0, 0, 1, 0, 0], [0, 1, 0, 1, 0], [1, 1, 1, 1, 1]):
             b = a.apply(x0)
             x = solve_in_image(a, b)
@@ -418,21 +418,21 @@ class TestEliminationKeptOnTheMatrix:
     @settings(max_examples=200, deadline=None, database=None)
     @given(matrices_with_repeated_columns(), st.data())
     def test_repeated_solves_on_one_matrix(self, a, data):
-        fresh_rank = _rank_and_torsion(_eliminate(IntMatrix(a.to_rows(), cols=a.cols)))
+        fresh_rank = _rank_and_torsion(_eliminate(as_sparse_columns(a)))
         for _ in range(3):
             x0 = data.draw(st.lists(st.integers(-5, 5), min_size=a.cols, max_size=a.cols))
             b = a.apply(x0)
             x = solve_in_image(a, b)
             assert x is not None and a.apply(x) == b
-        assert _rank_and_torsion(_eliminate(a)) == fresh_rank
+        assert _rank_and_torsion(_eliminate(as_sparse_columns(a))) == fresh_rank
 
     def test_same_shape_matrices_keep_their_own_elimination(self):
         a = IntMatrix([[1, 0], [0, 2]])
         b = IntMatrix([[2, 0], [0, 4]])
         assert solve_in_image(a, [1, 2]) == [1, 1]
         assert solve_in_image(b, [1, 2]) is None
-        assert _rank_and_torsion(_eliminate(a)) == (2, (2,))
-        assert _rank_and_torsion(_eliminate(b)) == (2, (2, 4))
+        assert _rank_and_torsion(_eliminate(as_sparse_columns(a))) == (2, (2,))
+        assert _rank_and_torsion(_eliminate(as_sparse_columns(b))) == (2, (2, 4))
 
 
 # The elimination kernel as it stood before each step's bookkeeping was cut
@@ -440,13 +440,9 @@ class TestEliminationKeptOnTheMatrix:
 # oracle that the current kernel must match step for step.
 
 def eliminate_oracle(a, dropped=frozenset()):
-    if isinstance(a, IntMatrix):
-        columns = [{i: row[j] for i, row in enumerate(a._data) if row[j]} for j in range(a.cols)]
-    else:
-        columns = a.columns
     rows = {i: {} for i in range(a.rows) if i not in dropped}
     cols = {}
-    for j, column in enumerate(columns):
+    for j, column in enumerate(a.columns):
         cols[j] = col = set()
         for i, e in column.items():
             row = rows.get(i)
@@ -512,25 +508,32 @@ def assert_matches_the_oracle(a, dropped=frozenset()):
 
 
 def as_sparse_columns(a):
+    """The IntMatrix a as the SparseColumns that the kernel reads."""
     return SparseColumns(a.rows, [
         {i: a[i, j] for i in range(a.rows) if a[i, j]} for j in range(a.cols)
     ])
+
+
+def rows_of(a):
+    """Sets of rows of a, as the kernel's `dropped` must be."""
+    return st.frozensets(st.integers(0, a.rows - 1)) if a.rows else st.just(frozenset())
 
 
 class TestEliminationAgainstTheOracle:
     @settings(max_examples=300, deadline=None, database=None)
     @given(sparse_matrices(), st.data())
     def test_random_sparse_matrices(self, a, data):
-        dropped = data.draw(st.frozensets(st.integers(0, max(a.rows - 1, 0))))
-        for matrix in (a, as_sparse_columns(a)):
-            assert_matches_the_oracle(matrix)
-            assert_matches_the_oracle(matrix, dropped)
+        dropped = data.draw(rows_of(a))
+        matrix = as_sparse_columns(a)
+        assert_matches_the_oracle(matrix)
+        assert_matches_the_oracle(matrix, dropped)
 
     @settings(max_examples=100, deadline=None, database=None)
-    @given(matrices_with_repeated_columns())
-    def test_matrices_with_repeated_columns(self, a):
-        assert_matches_the_oracle(a)
-        assert_matches_the_oracle(as_sparse_columns(a))
+    @given(matrices_with_repeated_columns(), st.data())
+    def test_matrices_with_repeated_columns(self, a, data):
+        matrix = as_sparse_columns(a)
+        assert_matches_the_oracle(matrix)
+        assert_matches_the_oracle(matrix, data.draw(rows_of(a)))
 
     def test_every_inventory_reduction(self, inventory):
         for name, q in inventory:
