@@ -6,11 +6,11 @@ point.  Rank, invariant factors and image membership all go through one
 sparse front end (_eliminate): boundary matrices are sparse and most of
 their pivots are +-1, so each unit pivot is eliminated by exact row
 operations on row dicts and column sets, one row and one column at a time.
-Only the columns with an entry are indexed, and each sweep after the first
-revisits only the columns where the one before found no unit entry (an
-emptied column never gains one back).
-Only the small core left without unit entries reaches _smith, the one
-dense Smith normal form kernel (Dumas, Heckenbach, Saunders and Welker,
+Only the columns with an entry are indexed, and each is visited once, in
+index order.  On a quandle boundary matrix that one pass leaves no unit
+entry (the tests check every reduction of their quandles), and only the
+small core left without unit entries reaches _smith, the one dense Smith
+normal form kernel (Dumas, Heckenbach, Saunders and Welker,
 "Computing simplicial homology based on efficient Smith normal form
 algorithms", 2003).  It carries only the blocks that its caller appends
 to the core: _rank_and_torsion appends none and reads the diagonal, and
@@ -205,6 +205,9 @@ def _smith(w, m, n):
             if any(w[i][k] for i in range(k + 1, m)) or any(wk[k + 1:n]):
                 pos = _find_pivot(w, k, m, n)
                 continue
+            # the block holds multiples of the entry above, so a pivot that size divides it
+            if k and abs(pivot) == w[k - 1][k - 1]:
+                break
             # the first row below with an entry that the pivot does not divide
             offender = next(
                 (i for i in range(k + 1, m) if any(e % pivot for e in w[i][k + 1:n])), None
@@ -244,9 +247,10 @@ def _eliminate(a, dropped=frozenset()):
     core, core_rows, core_cols, zero_rows), and a without those rows is
     equivalent to I_r + core with r = len(steps).
 
-    Sweeps the columns in order and, in each, pivots on the unit entry
-    with the shortest row, until a sweep finds no unit entry left; a sweep
-    after the first visits only the columns the one before could not pivot.
+    Visits each column with an entry once, in index order, and pivots on
+    its unit entry with the shortest row, the lowest row winning ties; a
+    unit entry that fill brings into a column already passed stays in the
+    core.
     A step (p, j, u, rest, multipliers) pivoted on a[p][j] = u = +-1:
     rest holds row p's other (column, entry) pairs as they stood then, and
     multipliers the (row i, f) of the operations row_i -= f * row_p that
@@ -266,47 +270,40 @@ def _eliminate(a, dropped=frozenset()):
             cols[k].remove(i)
         rows[i] = None
     steps = []
-    pending = list(cols)
-    while pending:
-        done, unpivoted = len(steps), []
-        for j in pending:
-            col = cols[j]
-            p = None
-            for i in col:  # the unit entry with the shortest row, then the lowest i
-                row = rows[i]
-                if row[j] in (1, -1):
-                    size = len(row)
-                    if p is None or size < best or size == best and i < p:
-                        p, best = i, size
-            if p is None:
-                if col:  # an emptied column never gains an entry back
-                    unpivoted.append(j)
-                continue
-            prow, rows[p] = rows[p], None
-            u = prow.pop(j)
-            for k in prow:
-                cols[k].remove(p)
-            del cols[j]
-            col.remove(p)
-            rest = list(prow.items())
-            multipliers = []
-            for i in col:
-                row = rows[i]
-                f = row.pop(j) * u  # u is its own inverse
-                multipliers.append((i, f))
-                for k, e in rest:
-                    v = row.get(k)
-                    if v is None:
-                        row[k] = -f * e
-                        cols[k].add(i)
-                    elif v == f * e:
-                        del row[k]
-                        cols[k].remove(i)
-                    else:
-                        row[k] = v - f * e
-            steps.append((p, j, u, rest, multipliers))
-        # a sweep that pivots nowhere leaves every column as it found it
-        pending = unpivoted if len(steps) > done else []
+    for j in list(cols):
+        col = cols[j]
+        p = None
+        for i in col:  # the unit entry with the shortest row, then the lowest i
+            row = rows[i]
+            if row[j] in (1, -1):
+                size = len(row)
+                if p is None or size < best or size == best and i < p:
+                    p, best = i, size
+        if p is None:
+            continue
+        prow, rows[p] = rows[p], None
+        u = prow.pop(j)
+        for k in prow:
+            cols[k].remove(p)
+        del cols[j]
+        col.remove(p)
+        rest = list(prow.items())
+        multipliers = []
+        for i in col:
+            row = rows[i]
+            f = row.pop(j) * u  # u is its own inverse
+            multipliers.append((i, f))
+            for k, e in rest:
+                v = row.get(k)
+                if v is None:
+                    row[k] = -f * e
+                    cols[k].add(i)
+                elif v == f * e:
+                    del row[k]
+                    cols[k].remove(i)
+                else:
+                    row[k] = v - f * e
+        steps.append((p, j, u, rest, multipliers))
     core_rows = [i for i, row in enumerate(rows) if row]
     core_cols = [j for j, col in cols.items() if col]
     data = [[rows[i].get(j, 0) for j in core_cols] for i in core_rows]

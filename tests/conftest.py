@@ -1,5 +1,6 @@
 import json
 from importlib import resources
+from itertools import combinations
 
 import pytest
 from sympy import Matrix
@@ -67,15 +68,31 @@ def product(p, q):
     ])
 
 
+def transpositions(n):
+    """The conjugation quandle on the transpositions of S_n, x * y = y x y,
+    each a permutation tuple of range(n)."""
+    perms = []
+    for a, b in combinations(range(n), 2):
+        perm = list(range(n))
+        perm[a], perm[b] = b, a
+        perms.append(tuple(perm))
+    index = {x: i for i, x in enumerate(perms)}
+    return Quandle.from_table([
+        [index[tuple(y[x[y[i]]] for i in range(n))] for y in perms] for x in perms
+    ])
+
+
 # beyond the inventory: larger dihedral quandles, Alexander quandles (the
 # one on Z/4 with t = 3 is R4), products, whose G is larger than {0, 1},
-# and a relabelled R5 (0 <-> 1 is not an automorphism)
+# a relabelled R5 (0 <-> 1 is not an automorphism) and a conjugation
+# quandle
 CROSS_CHECK_QUANDLES = [(f"R{n}", Quandle.dihedral(n)) for n in range(5, 9)] + [
     (f"Z/{n} t={t}", alexander(n, t)) for n, t in ((5, 2), (7, 3), (8, 3), (9, 2))
 ] + [
     ("R3xT2", product(Quandle.dihedral(3), Quandle.from_table(trivial_table(2)))),
     ("T2xR3", product(Quandle.from_table(trivial_table(2)), Quandle.dihedral(3))),
     ("R5 relabelled", conjugate(Quandle.dihedral(5), [1, 0, 2, 3, 4], [1, 0, 2, 3, 4])),
+    ("transpositions of S4", transpositions(4)),
 ]
 
 
