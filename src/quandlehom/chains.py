@@ -76,17 +76,17 @@ class Chain:
             raise DegreeError(f"chain degree must be a positive integer, got {degree!r}")
         checked = []
         items = terms.items() if isinstance(terms, dict) else terms
-        for tup, coeff in items:
+        for i, (tup, coeff) in enumerate(items):
             tup = tuple(tup)
             if len(tup) != degree:
                 raise DegreeError(
                     f"tuple {tup} has length {len(tup)}, chain degree is {degree}"
                 )
-            for e in tup:
+            for j, e in enumerate(tup):
                 if not isinstance(e, int) or isinstance(e, bool) or e < 0:
-                    raise ValueError(f"tuple entry {e!r} is not a nonnegative int")
+                    raise SchemaError(f"terms[{i}].tuple[{j}]", "must be a nonnegative integer")
             if not isinstance(coeff, int) or isinstance(coeff, bool):
-                raise ValueError(f"coefficient {coeff!r} is not an int")
+                raise SchemaError(f"terms[{i}].coeff", "must be an integer")
             checked.append((tup, coeff))
         self._fill(degree, checked)
 
@@ -215,32 +215,24 @@ class Chain:
             if not isinstance(entry, dict):
                 raise SchemaError(path, "must be an object")
             expect_keys(entry, {"tuple", "coeff"}, ("tuple", "coeff"), path)
-            tup = entry["tuple"]
+            tup, coeff = entry["tuple"], entry["coeff"]
             if not isinstance(tup, list) or len(tup) != degree:
                 raise SchemaError(f"{path}.tuple", f"must be a list of {degree} integers")
-            for j, e in enumerate(tup):
-                if not isinstance(e, int) or isinstance(e, bool) or e < 0:
-                    raise SchemaError(
-                        f"{path}.tuple[{j}]", "must be a nonnegative integer"
-                    )
-            coeff = entry["coeff"]
-            if isinstance(coeff, str):
+            if isinstance(coeff, str):  # other text gives None, which Chain refuses
                 coeff = decimal_int(coeff, f"{path}.coeff")
-            if not isinstance(coeff, int) or isinstance(coeff, bool):
-                raise SchemaError(f"{path}.coeff", "must be a decimal integer string")
-            terms.append((tuple(tup), coeff))
-        chain = cls._from_checked(degree, terms)
+            terms.append((tup, coeff))
+        chain = cls(degree, terms)
         # each coefficient is under the interpreter's digit limit, but terms
         # on one tuple combine, and to_json_dict could not write the sum
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         if limit:
             bound = 10 ** limit
             for i, (tup, _) in enumerate(terms):
-                if abs(chain._terms.get(tup, 0)) >= bound:
+                if abs(chain._terms.get(tuple(tup), 0)) >= bound:
                     raise SchemaError(
                         f"terms[{i}].coeff",
                         f"Exceeds the limit ({limit} digits) for integer string "
-                        f"conversion once the terms on {list(tup)} are combined",
+                        f"conversion once the terms on {tup} are combined",
                     )
         return chain
 
@@ -345,7 +337,9 @@ def _cells(quandle, degree):
     for act, xy in zip(acts_below, zip(*table)):  # xy[x] = x*y
         # offsets[k]: the offset of x*y after k*y, for each x != k in order
         offsets = [[xy[x] - (xy[x] > xy[k]) for x in range(n) if x != k] for k in range(n)]
-        acts.append(tuple([act[i] * (n - 1) + o for i, k in enumerate(below) for o in offsets[k]]))
+        acts.append(tuple([
+            b + o for a, k in zip(act, below) for b in [a * (n - 1)] for o in offsets[k]
+        ]))
     return tuple([x for k in below for x in range(n) if x != k]), tuple(acts)
 
 
@@ -379,9 +373,8 @@ def _columns(quandle, degree, ends):
     index.  Built from the full d_{n-1} and the cells of degrees n-1 and
     n-2, with no tuple basis; the degree is trusted, as in boundary_columns."""
     order = quandle.order
-    below = [{}] * order  # d_1: every column empty
-    for k in range(2, degree):  # ascending, so each call finds d_{k-1} cached
-        below = boundary_columns(quandle, k).columns
+    # d_{n-1}, which builds the degrees below it on its first call; d_1 = 0
+    below = boundary_columns(quandle, degree - 1).columns if degree > 2 else [{}] * order
     lasts, acts = _cells(quandle, degree - 1)
     face_lasts = _cells(quandle, degree - 2)[0] if degree > 2 else ()
     # appended[y][i]: the row of face i with y appended, None if face i ends in y

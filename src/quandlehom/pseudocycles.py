@@ -44,13 +44,13 @@ class TriplePoint(_CheckedMake, namedtuple("TriplePoint", "id sign colors")):
     __slots__ = ()
 
     def __new__(cls, id, sign, colors):
-        colors = tuple(colors)
         if not isinstance(id, str) or not id:
             raise SchemaError("id", "must be a nonempty string")
         if type(sign) is not int or sign not in (1, -1):
             raise SchemaError("sign", "must be exactly 1 or -1")
-        if len(colors) != 3:
+        if not isinstance(colors, (list, tuple)) or len(colors) != 3:
             raise SchemaError("colors", "must be a list of 3 integers")
+        colors = tuple(colors)
         for j, c in enumerate(colors):
             if not isinstance(c, int) or isinstance(c, bool) or c < 0:
                 raise SchemaError(f"colors[{j}]", "must be a nonnegative integer")
@@ -143,8 +143,6 @@ def dataset_from_json(obj):
         if not isinstance(entry, dict):
             raise SchemaError(path, "must be an object")
         expect_keys(entry, {"id", "sign", "colors"}, ("id", "sign", "colors"), path)
-        if not isinstance(entry["colors"], list):
-            raise SchemaError(f"{path}.colors", "must be a list of 3 integers")
         try:
             points.append(TriplePoint(entry["id"], entry["sign"], entry["colors"]))
         except SchemaError as exc:

@@ -510,6 +510,47 @@ class TestChainJson:
             Chain.from_json_dict(doc)
         assert exc.value.path == "terms[0].tuple"
 
+    def test_terms_must_be_a_list(self):
+        with pytest.raises(SchemaError) as exc:
+            Chain.from_json_dict({"degree": 2, "terms": {"tuple": [0, 1], "coeff": "1"}})
+        assert (exc.value.path, exc.value.message) == ("terms", "must be a list")
+
+    # the parser leaves the entries to Chain(...), which names the same paths
+    @pytest.mark.parametrize("entry", [-1, True, 1.0, "1", None])
+    def test_tuple_entries_rejected_with_path(self, entry):
+        doc = {"degree": 2, "terms": [
+            {"tuple": [0, 1], "coeff": "1"}, {"tuple": [0, entry], "coeff": "1"},
+        ]}
+        with pytest.raises(SchemaError) as exc:
+            Chain.from_json_dict(doc)
+        assert (exc.value.path, exc.value.message) == (
+            "terms[1].tuple[1]", "must be a nonnegative integer"
+        )
+
+
+class TestChainConstructorChecks:
+    """Chain(...) checks every entry and coefficient and names the bad one
+    by its place in `terms`; a SchemaError is also a ValueError."""
+
+    @pytest.mark.parametrize("entry", [-1, True, 1.5, "0", None])
+    def test_bad_tuple_entry(self, entry):
+        with pytest.raises(SchemaError) as exc:
+            Chain(3, [((0, 1, 0), 1), ((2, entry, 2), 1)])
+        assert isinstance(exc.value, ValueError)
+        assert str(exc.value) == "terms[1].tuple[1]: must be a nonnegative integer"
+
+    @pytest.mark.parametrize("coeff", [1.0, True, "1", None])
+    def test_bad_coefficient(self, coeff):
+        with pytest.raises(SchemaError) as exc:
+            Chain(2, [((0, 1), coeff)])
+        assert isinstance(exc.value, ValueError)
+        assert str(exc.value) == "terms[0].coeff: must be an integer"
+
+    def test_dict_terms_are_numbered_in_their_order(self):
+        with pytest.raises(SchemaError) as exc:
+            Chain(2, {(0, 1): 1, (1, 0): 2.5})
+        assert exc.value.path == "terms[1].coeff"
+
 
 class TestTrustedConstruction:
     """Results built without __init__'s checks must still be canonical chains."""

@@ -212,6 +212,11 @@ class TestHomologyCommand:
         assert out == ""
         assert "quandle.order" in err
 
+    def test_spec_without_a_colon_is_input_error(self, capsys):
+        code, out, err = run(capsys, "homology", "--quandle", "dihedral3", "--degree", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: quandle: expected <kind>:<param>, got 'dihedral3'\n"
+
     # int() would read each of these parameters; the CLI takes only -?[0-9]+,
     # as Chain.from_json_dict does for coefficients
     @pytest.mark.parametrize("argv", [
@@ -436,6 +441,11 @@ class TestCheckCocycleCommand:
         code, out, err = run(capsys, "check-cocycle", "--cocycle", "mochizuki:4")
         assert code == 2
         assert out == ""
+
+    def test_composite_with_no_factor_3_is_input_error(self, capsys):
+        code, out, err = run(capsys, "check-cocycle", "--cocycle", "mochizuki:25")
+        assert (code, out) == (2, "")
+        assert err == "error: expected an odd prime, got 25\n"
 
     @pytest.mark.parametrize("p", ["-3", "0"])
     def test_non_positive_parameter_is_not_an_odd_prime(self, capsys, p):

@@ -221,6 +221,17 @@ class TestThetaFamily:
         with pytest.raises(ValueError):
             mochizuki_theta_p(bad)
 
+    def test_primality_agrees_with_trial_division(self):
+        for p in range(3, 200, 2):
+            assert cocycles._is_odd_prime(p) == all(p % d for d in range(2, p)), p
+
+    def test_square_of_the_second_odd_prime_rejected(self):
+        # 25 is the least odd composite with no factor 3: its trial division
+        # must step on to d = 5
+        with pytest.raises(ValueError) as exc:
+            mochizuki_theta_p(25)
+        assert str(exc.value) == "expected an odd prime, got 25"
+
     @pytest.mark.parametrize("bad", [True, -3, 0, 2.0, 3.0])
     def test_non_positive_and_non_int_reported_as_not_an_odd_prime(self, bad, monkeypatch):
         def unreachable(n):

@@ -61,6 +61,24 @@ class TestIntMatrix:
         with pytest.raises(ValueError):
             IntMatrix([[True]])
 
+    @pytest.mark.parametrize("cols", [1, 3])
+    def test_cols_must_match_the_rows(self, cols):
+        with pytest.raises(ValueError) as exc:
+            IntMatrix([[1, 2], [3, 4]], cols=cols)
+        assert str(exc.value) == f"cols={cols} does not match row length 2"
+        assert IntMatrix([[1, 2], [3, 4]], cols=2).shape == (2, 2)
+
+    @pytest.mark.parametrize("matrix", [
+        IntMatrix([[1, 2], [3, 4], [5, 6]]),
+        SparseColumns(3, [{0: 1, 1: 3, 2: 5}, {0: 2, 1: 4, 2: 6}]),
+    ], ids=["IntMatrix", "SparseColumns"])
+    @pytest.mark.parametrize("vec", [[1], [1, 2, 3]], ids=["short", "long"])
+    def test_apply_refuses_a_vector_of_the_wrong_length(self, matrix, vec):
+        with pytest.raises(ValueError) as exc:
+            matrix.apply(vec)
+        assert str(exc.value) == f"vector length {len(vec)} != cols 2"
+        assert matrix.apply([1, -1]) == [-1, -1, -1]
+
     def test_immutability(self):
         a = IntMatrix([[1]])
         with pytest.raises(AttributeError):
@@ -94,6 +112,11 @@ class TestSmithNormalForm:
         dec = snf(IntMatrix([[2, 0], [0, 3]]))
         assert dec.diagonal == (1, 6)
         assert_smith_invariants(IntMatrix([[2, 0], [0, 3]]), dec)
+
+    def test_plain_rows_are_taken_as_a_matrix(self):
+        assert snf([[2, 0], [0, 3]]) == snf(IntMatrix([[2, 0], [0, 3]]))
+        with pytest.raises(ValueError, match="is not an int"):
+            snf([[2, 0], [0, True]])
 
     def test_zero_matrix(self):
         a = IntMatrix([[0] * 2 for _ in range(3)], cols=2)
@@ -145,6 +168,18 @@ class TestSolveInImage:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             solve_in_image(IntMatrix([[1, 2]]), [1, 2])
+
+    @pytest.mark.parametrize("entry", [1.0, True, "1", None])
+    def test_non_int_right_hand_side_entry(self, entry):
+        with pytest.raises(ValueError) as exc:
+            solve_in_image(IntMatrix([[1, 0], [0, 1]]), [0, entry])
+        assert str(exc.value) == f"b[1] = {entry!r} is not an int"
+
+    def test_plain_rows_are_taken_as_a_matrix(self):
+        assert solve_in_image([[2, 0], [0, 3]], [4, 9]) == [2, 3]
+        assert solve_in_image([[2]], [3]) is None
+        with pytest.raises(ValueError, match="is not an int"):
+            solve_in_image([[1.5]], [1])
 
     def test_completeness_on_constructed_systems(self):
         rng = random.Random(5)

@@ -349,6 +349,24 @@ class TestDatasetJson:
             )
         assert exc.value.path == "triple_points[0].colors[2]"
 
+    # the parser leaves colors to TriplePoint, whose paths it prefixes
+    @pytest.mark.parametrize("colors,path", [
+        ({"0": 0, "1": 1, "2": 2}, "colors"), ("012", "colors"), (3, "colors"),
+        ([0, 1], "colors"), ([0, "1", 2], "colors[1]"), ([0, 1, True], "colors[2]"),
+    ], ids=["object", "string", "number", "short", "string-entry", "bool-entry"])
+    def test_bad_colors_rejected_with_path(self, colors, path):
+        with pytest.raises(SchemaError) as exc:
+            dataset_from_json(
+                {
+                    "quandle": {"kind": "dihedral", "order": 3},
+                    "triple_points": [
+                        {"id": "a", "sign": 1, "colors": [0, 1, 2]},
+                        {"id": "b", "sign": 1, "colors": colors},
+                    ],
+                }
+            )
+        assert exc.value.path == f"triple_points[1].{path}"
+
     def test_duplicate_ids_rejected_with_path(self):
         with pytest.raises(SchemaError) as exc:
             dataset_from_json(

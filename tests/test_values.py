@@ -211,6 +211,14 @@ def test_cocycle_quandle_must_be_a_quandle(quandle):
     assert str(exc.value) == f"quandle must be a Quandle, got {type(quandle).__name__}"
 
 
+@pytest.mark.parametrize("modulus", [1, True, 2.0], ids=["one", "bool", "float"])
+def test_cocycle_modulus_must_be_an_integer_at_least_2(modulus):
+    values = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    with pytest.raises(ValueError) as exc:
+        Cocycle3(Quandle.dihedral(3), modulus, values)
+    assert str(exc.value) == f"modulus must be an integer >= 2, got {modulus!r}"
+
+
 def schema_error(build):
     with pytest.raises(SchemaError) as exc:
         build()
@@ -239,6 +247,14 @@ class TestTriplePointValidation:
 
     def test_keyword_construction(self):
         assert TriplePoint(id="t", sign=1, colors=(0, 1, 2)) == TriplePoint("t", 1, (0, 1, 2))
+
+    @pytest.mark.parametrize("colors", [
+        (c for c in (0, 1, 2)), range(3), {0: 0, 1: 1, 2: 2}, "012", 3, None,
+    ], ids=["generator", "range", "dict", "str", "int", "None"])
+    def test_colors_must_be_a_list_or_tuple(self, colors):
+        assert schema_error(lambda: TriplePoint("t", 1, colors)) == (
+            "colors", "must be a list of 3 integers", "colors: must be a list of 3 integers"
+        )
 
 
 class TestDatasetValidation:
