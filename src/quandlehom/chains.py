@@ -25,6 +25,14 @@ _cells gives each degree's last entries and the index of f*y, and _columns
 turns the first into one append table per y.  Both are kept in the
 Quandle object's own store and freed with it: equal quandles built
 separately do not share them.  quandle_basis keeps nothing there.
+
+Two builders share that recursion.  _columns makes the column form,
+SparseColumns: the full matrices, which the cycle test, matrix_of_boundary
+and the degree above read, and the G-columns that a null-homology query
+checks its preimage on.  _rows makes the row form that
+intlinalg._pivot_pass reads, for homology's kept reductions: the same
+columns, less the rows paired below, written straight into row dicts and
+column sets, and not kept.
 """
 
 import sys
@@ -399,6 +407,51 @@ def _columns(quandle, degree, ends):
                 column[j], column[xy] = c, -c
             columns.append(column)
     return SparseColumns(len(lasts), columns)
+
+
+def _rows(quandle, degree, ends, paired):
+    """_columns(quandle, degree, ends) as the rows and column sets that
+    intlinalg._pivot_pass reads, less the rows in `paired`: each of those
+    is None and gets no entry, and a column with no other entry gets no
+    set.  Built like _columns, straight into that form, with no column
+    dict; not kept, as the pass consumes it."""
+    order = quandle.order
+    below = boundary_columns(quandle, degree - 1).columns if degree > 2 else [{}] * order
+    lasts, acts = _cells(quandle, degree - 1)
+    face_lasts = _cells(quandle, degree - 2)[0] if degree > 2 else ()
+    rows = [None if i in paired else {} for i in range(len(lasts))]
+    # appended[y][i]: as in _columns, and None also where that row is paired
+    appended = {y: [
+        r if y != last and rows[r := i * (order - 1) + y - (y > last)] is not None else None
+        for i, last in enumerate(face_lasts)
+    ] for y in ends}
+    # kept[x]: each y in ends other than x, with the offset of (f, y) after f's
+    # block, for a cell f ending in x
+    kept = [[(y, y - (y > x)) for y in sorted(ends) if y != x] for x in range(order)]
+    c = (-1) ** degree
+    cols = {}
+    for j, (last, column_below) in enumerate(zip(lasts, below)):
+        items = column_below.items()
+        row_j = rows[j]
+        for y, offset in kept[last]:
+            k = j * (order - 1) + offset
+            rows_y = appended[y]
+            col = set()
+            for i, e in items:
+                if (r := rows_y[i]) is not None:
+                    rows[r][k] = e
+                    col.add(r)
+            xy = acts[y][j]
+            if xy != j:  # as in _columns
+                if row_j is not None:
+                    row_j[k] = c
+                    col.add(j)
+                if (row := rows[xy]) is not None:
+                    row[k] = -c
+                    col.add(xy)
+            if col:
+                cols[k] = col
+    return rows, cols
 
 
 def matrix_of_boundary(quandle, degree):

@@ -20,7 +20,9 @@ share them.
 
 Only the columns of d_n whose cell ends in a generating set G of the
 quandle are built, with no basis of degree n, and eliminated; the rest
-stay empty, so indices stay the full matrix's.  They span the same
+stay empty, so indices stay the full matrix's.  A kept reduction reads
+them in the row form that chains._rows builds, with no entry on a
+paired row, and so reads no G-only matrix of columns.  They span the same
 integer image, as the last face is a chain homotopy from the identity
 to the action of an element (Litherland and Nelson, "The Betti numbers
 of some finite racks", 2003).  By chains' last-face formula, for a cell
@@ -39,14 +41,17 @@ off the full d_n by the one cycle test, which the pseudo-cycle search
 shares.  A cycle bounds iff the vector lies in the integer image of
 d_{n+1}, a query on the kept rows and G-columns of its reduction: the
 preimage is 0 off the G-columns, so they alone give its full product,
-checked on every row, and the full d_{n+1} is never built for a query.
+checked on every row.  For that check a query builds the G-columns of
+d_{n+1} as SparseColumns (kept, and shared by the queries of its degree);
+the full d_{n+1} is never built for a query.
 """
 
 from collections import namedtuple
 
 from . import intlinalg
 from .chains import (
-    _cell_count, _check_limits, _columns, boundary_columns, boundary_quandle, coordinates,
+    _cell_count, _check_limits, _columns, _rows, boundary_columns, boundary_quandle,
+    coordinates,
 )
 from .errors import DegreeError, NotACycleError, _CheckedMake
 from .quandle import _memoized
@@ -103,11 +108,12 @@ def _generators(quandle):
 def _reduction(quandle, degree):
     """The elimination of d_degree on its columns that end in G, without the
     rows that the elimination of d_{degree-1} paired: its pivot columns,
-    cells of C_{degree-1}.  The other columns are never built but kept
-    empty, so every index stays that of the full matrix."""
+    cells of C_{degree-1}.  The pivot pass runs on rows built with none of
+    those entries; the other columns are never built, so every index stays
+    that of the full matrix."""
     below = _reduction(quandle, degree - 1)[0] if degree > 2 else ()
     paired = {j for _, j, _, _, _ in below}
-    return intlinalg._eliminate(_columns(quandle, degree, _generators(quandle)), paired)
+    return intlinalg._pivot_pass(*_rows(quandle, degree, _generators(quandle), paired))
 
 
 @_memoized

@@ -3,7 +3,7 @@ transforms, determinants, and integer linear-system solving.
 
 Entries are Python ints throughout; nothing here ever touches floating
 point.  Rank, invariant factors and image membership all go through one
-sparse front end (_eliminate): boundary matrices are sparse and most of
+sparse elimination (_pivot_pass): boundary matrices are sparse and most of
 their pivots are +-1, so each unit pivot is eliminated by exact row
 operations on row dicts and column sets, one row and one column at a time.
 Only the columns with an entry are indexed, and each is visited once, in
@@ -19,10 +19,11 @@ Nothing here keeps an elimination (solve_in_image eliminates afresh on
 each call): the kept ones are homology's, one per boundary matrix, each
 kept with its rank and torsion by its Quandle object and freed with it.
 
-_eliminate and _solve read SparseColumns, the form boundary matrices are
-built in (solve_in_image takes its input's columns).  _eliminate can leave
-rows out, as homology's reduction of the whole complex does; _solve then
-reads b on the kept rows only and checks the solution against b on every row.
+_pivot_pass reads row dicts and column sets, with None for each row left
+out.  _eliminate builds them from SparseColumns and can leave rows out;
+chains._rows builds them for homology's kept reductions, without the rows
+paired below.  _solve reads the matrix as SparseColumns, b on the kept
+rows only, and checks the solution against b on every row.
 """
 
 from collections import namedtuple
@@ -243,21 +244,8 @@ def snf(a):
 
 def _eliminate(a, dropped=frozenset()):
     """Eliminate the +-1 pivots of `a`, a SparseColumns, sparsely, leaving
-    out the rows in `dropped`, which must be rows of `a`; returns (steps,
-    core, core_rows, core_cols, zero_rows), and a without those rows is
-    equivalent to I_r + core with r = len(steps).
-
-    Visits each column with an entry once, in index order, and pivots on
-    its unit entry with the shortest row, the lowest row winning ties; a
-    unit entry that fill brings into a column already passed stays in the
-    core.
-    A step (p, j, u, rest, multipliers) pivoted on a[p][j] = u = +-1:
-    rest holds row p's other (column, entry) pairs as they stood then, and
-    multipliers the (row i, f) of the operations row_i -= f * row_p that
-    cleared column j.  core is the submatrix on the rows and columns left
-    nonzero, in their original order; zero_rows are the rows that the
-    operations emptied, or that were zero from the start.
-    """
+    out the rows in `dropped`, which must be rows of `a`: _pivot_pass on
+    a's transpose, with those rows None."""
     rows = [{} for _ in range(a.rows)]  # a pivot's or dropped row becomes None
     cols = {}  # the non-empty columns only: no other ever gains an entry
     for j, column in enumerate(a.columns):
@@ -269,6 +257,27 @@ def _eliminate(a, dropped=frozenset()):
         for k in rows[i]:
             cols[k].remove(i)
         rows[i] = None
+    return _pivot_pass(rows, cols)
+
+
+def _pivot_pass(rows, cols):
+    """The elimination of a matrix given as rows, a list of {column: entry}
+    dicts with None for each row left out, and cols, {column: the set of
+    rows with an entry in it}, keyed in index order by every column that a
+    row has an entry in; both are consumed.  Returns (steps, core, core_rows,
+    core_cols, zero_rows), and the matrix without the rows left out is
+    equivalent to I_r + core with r = len(steps).
+
+    Visits each column in cols once, in index order, and pivots on its
+    unit entry with the shortest row, the lowest row winning ties; a unit
+    entry that fill brings into a column already passed stays in the core.
+    A step (p, j, u, rest, multipliers) pivoted on a[p][j] = u = +-1:
+    rest holds row p's other (column, entry) pairs as they stood then, and
+    multipliers the (row i, f) of the operations row_i -= f * row_p that
+    cleared column j.  core is the submatrix on the rows and columns left
+    nonzero, in their original order; zero_rows are the rows that the
+    operations emptied, or that were zero from the start.
+    """
     steps = []
     for j in list(cols):
         col = cols[j]
@@ -313,7 +322,7 @@ def _eliminate(a, dropped=frozenset()):
 
 def _rank_and_torsion(reduction):
     """Rank and invariant factors >= 2, in ascending order, of the matrix
-    (less its dropped rows) that an _eliminate result reduced: the unit
+    (less its dropped rows) that a _pivot_pass result reduced: the unit
     pivots plus the Smith form of the core.
 
     >>> _rank_and_torsion(_eliminate(SparseColumns(2, [{0: 1, 1: 3}, {0: 2}])))
@@ -375,8 +384,8 @@ def solve_in_image(a, b):
 
 
 def _solve(a, reduction, b):
-    """An integer x with a.apply(x) == b, or None, from `reduction`, an
-    _eliminate result for `a`, a SparseColumns.
+    """An integer x with a.apply(x) == b, or None, from `reduction`, a
+    _pivot_pass result for `a`, a SparseColumns, perhaps without some rows.
 
     The unit pivots' row operations carry b along; b must then vanish on
     the rows they emptied, the core is solved through its Smith form, and

@@ -1,12 +1,14 @@
 import json
+from functools import lru_cache
 from importlib import resources
 from itertools import combinations
 
 import pytest
 from sympy import Matrix
 
-from quandlehom import Chain, Quandle, chains, dataset_from_json, det
+from quandlehom import Chain, Quandle, chains, dataset_from_json, det, homology, quandle_basis
 from quandlehom.errors import ResourceLimitError
+from quandlehom.intlinalg import SparseColumns, _pivot_pass
 
 
 def is_unimodular(a):
@@ -107,6 +109,60 @@ def admitted_boundary_degrees(q):
             break
         degrees.append(n)
     return degrees
+
+
+@lru_cache(maxsize=None)
+def tuple_columns(quandle, degree, ends):
+    """chains._columns on tuple bases: each row found by
+    hashing a tuple into the degree-(n-1) basis, the last entries read off
+    the degree-(n-2) tuples, and d_{n-1} built the same way.  The slow
+    oracle for the cell arithmetic, which must give the same columns in
+    the same key order (the pivots of the elimination depend on it)."""
+    order = quandle.order
+    if degree > 2:
+        below = tuple_columns(quandle, degree - 1, frozenset(range(order))).columns
+        lasts = [f[-1] for f in quandle_basis(quandle, degree - 2)]
+    else:
+        below, lasts = [{}] * order, ()
+    row_index = {t: i for i, t in enumerate(quandle_basis(quandle, degree - 1))}
+    acts = [[row[y] for row in quandle.table] for y in range(order)]  # x -> x*y
+    c = (-1) ** degree
+    columns = []
+    for j, (x, column_below) in enumerate(zip(row_index, below)):
+        faces = [(i * (order - 1), lasts[i], e) for i, e in column_below.items()]
+        for y in filter(x[-1].__ne__, range(order)):
+            if y not in ends:
+                columns.append({})
+                continue
+            column = {r + y - (y > last): e for r, last, e in faces if y != last}
+            xy = row_index[tuple(map(acts[y].__getitem__, x))]
+            if xy != j:
+                column[j], column[xy] = c, -c
+            columns.append(column)
+    return SparseColumns(len(row_index), columns)
+
+
+def built_reduction(quandle, degree, paired):
+    """The pivot pass on the rows that chains._rows builds for the
+    G-columns of d_degree without the rows in `paired`: the path of
+    homology's kept reductions, run afresh."""
+    ends = homology._generators(quandle)
+    return _pivot_pass(*chains._rows(quandle, degree, ends, paired))
+
+
+def assert_same_elimination(got, expected):
+    """The same (p, j, u) steps in the same order, each with the same rest
+    and multipliers as dicts, and the same core, core rows, core columns
+    and zero rows."""
+    steps, *tail = got
+    expected_steps, *expected_tail = expected
+    assert [s[:3] for s in steps] == [s[:3] for s in expected_steps]
+    for (*_, rest, multipliers), (*_, expected_rest, expected_multipliers) in zip(
+        steps, expected_steps
+    ):
+        assert dict(rest) == dict(expected_rest)
+        assert dict(multipliers) == dict(expected_multipliers)
+    assert tail == expected_tail
 
 
 def load_bundled(name):

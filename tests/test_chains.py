@@ -1,7 +1,6 @@
 import json
 import random
 import sys
-from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -21,11 +20,11 @@ from quandlehom import (
 from quandlehom.errors import (
     DegenerateGeneratorError, DegreeError, QuandleMismatchError, ResourceLimitError, SchemaError
 )
-from quandlehom.intlinalg import SparseColumns, _eliminate
+from quandlehom.intlinalg import _eliminate
 
 from conftest import (
-    CROSS_CHECK_QUANDLES, S4_TABLE, admitted_boundary_degrees, quandle_inventory, sympy_matrix,
-    trivial_table,
+    CROSS_CHECK_QUANDLES, S4_TABLE, admitted_boundary_degrees, assert_same_elimination,
+    built_reduction, quandle_inventory, sympy_matrix, trivial_table, tuple_columns,
 )
 
 
@@ -40,37 +39,6 @@ def chain_boundary_matrix(quandle, degree):
         for tup, coeff in project_quandle(boundary_rack(Chain.generator(gen), quandle)).items():
             data[row_index[tup]][j] = coeff
     return data
-
-
-@lru_cache(maxsize=None)
-def tuple_columns(quandle, degree, ends):
-    """chains._columns on tuple bases: each row found by
-    hashing a tuple into the degree-(n-1) basis, the last entries read off
-    the degree-(n-2) tuples, and d_{n-1} built the same way.  The slow
-    oracle for the cell arithmetic, which must give the same columns in
-    the same key order (the pivots of the elimination depend on it)."""
-    order = quandle.order
-    if degree > 2:
-        below = tuple_columns(quandle, degree - 1, frozenset(range(order))).columns
-        lasts = [f[-1] for f in quandle_basis(quandle, degree - 2)]
-    else:
-        below, lasts = [{}] * order, ()
-    row_index = {t: i for i, t in enumerate(quandle_basis(quandle, degree - 1))}
-    acts = [[row[y] for row in quandle.table] for y in range(order)]  # x -> x*y
-    c = (-1) ** degree
-    columns = []
-    for j, (x, column_below) in enumerate(zip(row_index, below)):
-        faces = [(i * (order - 1), lasts[i], e) for i, e in column_below.items()]
-        for y in filter(x[-1].__ne__, range(order)):
-            if y not in ends:
-                columns.append({})
-                continue
-            column = {r + y - (y > last): e for r, last, e in faces if y != last}
-            xy = row_index[tuple(map(acts[y].__getitem__, x))]
-            if xy != j:
-                column[j], column[xy] = c, -c
-            columns.append(column)
-    return SparseColumns(len(row_index), columns)
 
 
 def scan_basis(quandle, degree):
@@ -431,6 +399,8 @@ class TestMatrixOfBoundary:
         assert paired
         expected = _eliminate(tuple_columns(q, degree, ends), paired)
         assert _eliminate(chains._columns(q, degree, ends), paired) == expected
+        # the rows built straight from the cells, as homology's reduction reads them
+        assert_same_elimination(built_reduction(q, degree, paired), expected)
 
     def test_boundary_squared_is_zero_matrix_for_inventory(self, inventory):
         for _, q in inventory:

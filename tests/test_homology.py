@@ -32,7 +32,8 @@ from quandlehom.errors import (
 from quandlehom.intlinalg import _eliminate, _rank_and_torsion, _solve
 
 from conftest import (
-    CROSS_CHECK_QUANDLES, S4_TABLE, admitted_boundary_degrees, conjugate, trivial_table,
+    CROSS_CHECK_QUANDLES, S4_TABLE, admitted_boundary_degrees, assert_same_elimination, conjugate,
+    trivial_table, tuple_columns,
 )
 
 # frozen from an independent Smith-normal-form computation (sympy) over
@@ -227,7 +228,26 @@ class TestIsNullHomologous:
 
 
 class TestBoundaryMatrixEliminatedOnce:
-    def test_r5_queries_reuse_the_elimination_of_d4(self, monkeypatch):
+    @pytest.fixture
+    def eliminated(self, monkeypatch):
+        """The shape of each matrix whose rows the builder makes for a kept
+        reduction, recorded when the pivot pass runs on those rows."""
+        built, shapes = [], []
+
+        def rows(quandle, degree, ends, paired):
+            built.append(chains._cell_count(quandle, degree))
+            return original_rows(quandle, degree, ends, paired)
+
+        def pivot_pass(rows, cols):
+            shapes.append((len(rows), built.pop()))  # one pass per build
+            return original_pass(rows, cols)
+
+        original_rows, original_pass = homology._rows, intlinalg._pivot_pass
+        monkeypatch.setattr(homology, "_rows", rows)
+        monkeypatch.setattr(intlinalg, "_pivot_pass", pivot_pass)
+        return shapes
+
+    def test_r5_queries_reuse_the_elimination_of_d4(self, eliminated):
         # the three-term cycle generates H_3(R5) = Z/5, so adding c times it
         # to a boundary gives a cycle that bounds iff 5 divides c
         r5 = Quandle.dihedral(5)
@@ -239,31 +259,15 @@ class TestBoundaryMatrixEliminatedOnce:
             d = Chain(4, [(rng.choice(basis4), rng.randint(-3, 3)) for _ in range(4)])
             queries.append((boundary_quandle(d, r5) + (i % 5) * generator, i % 5 == 0))
 
-        eliminated = []
-
-        def counting(a, dropped=frozenset()):
-            eliminated.append(a)
-            return original(a, dropped)
-
-        original = intlinalg._eliminate
-        monkeypatch.setattr(intlinalg, "_eliminate", counting)
         assert homology_group(r5, 3) == HomologyGroup(0, (5,))
         # d_2, d_3 and d_4
-        assert [(a.rows, a.cols) for a in eliminated] == [(5, 20), (20, 80), (80, 320)]
+        assert eliminated == [(5, 20), (20, 80), (80, 320)]
         for z, bounds in queries:
             assert is_null_homologous(z, r5) is bounds
         assert len(eliminated) == 3
 
 
-    def test_each_degree_up_eliminates_one_more_matrix(self, monkeypatch):
-        eliminated = []
-
-        def counting(a, dropped=frozenset()):
-            eliminated.append(a)
-            return original(a, dropped)
-
-        original = intlinalg._eliminate
-        monkeypatch.setattr(intlinalg, "_eliminate", counting)
+    def test_each_degree_up_eliminates_one_more_matrix(self, eliminated):
         r5 = Quandle.dihedral(5)
         assert homology_group(r5, 3) == HomologyGroup(0, (5,))
         assert len(eliminated) == 3  # d_2, d_3 and d_4
@@ -474,17 +478,31 @@ class TestReducedComplex:
                 intlinalg._solve(d4, reduction, b)
 
 
+def g_columns_key(quandle, degree):
+    """The store key of the G-columns of d_degree built as SparseColumns."""
+    return chains._columns.__wrapped__, (degree, homology._generators(quandle))
+
+
 class TestTopDegreeBuiltOnItsGColumns:
     """d_{n+1} is read only on its G-columns, so H_n and a degree-n query
-    build no other column of it, no cells of degree n+1 and no tuple basis."""
+    build no other column of it, no cells of degree n+1 and no tuple basis.
+    H_n builds its reduction's rows alone; a query also builds the
+    G-columns as SparseColumns, for its check on every row."""
 
     @pytest.fixture
     def built(self, monkeypatch):
-        record = {"matrices": [], "bases": [], "cells": []}
+        record = {"matrices": [], "reductions": [], "bases": [], "cells": []}
 
         def sparse_columns(rows, columns):
             record["matrices"].append((rows, columns))
             return intlinalg.SparseColumns(rows, columns)
+
+        def reduction_rows(quandle, degree, ends, paired):
+            rows, cols = original_rows(quandle, degree, ends, paired)
+            # the pass consumes both, so the columns with an entry are read now
+            used = set(cols).union(*(row for row in rows if row))
+            record["reductions"].append((len(rows), used))
+            return rows, cols
 
         def basis(quandle, degree):
             record["bases"].append(degree)
@@ -495,20 +513,26 @@ class TestTopDegreeBuiltOnItsGColumns:
             return original_cells(quandle, degree)
 
         original_basis, original_cells = chains.quandle_basis, chains._cells
+        original_rows = homology._rows
         monkeypatch.setattr(chains, "SparseColumns", sparse_columns)
+        monkeypatch.setattr(homology, "_rows", reduction_rows)
         monkeypatch.setattr(chains, "quandle_basis", basis)
         monkeypatch.setattr(chains, "_cells", cells)
         return record
 
     @staticmethod
     def assert_only_g_columns(record, q, top):
-        tops = [columns for rows, columns in record["matrices"]
-                if rows == len(quandle_basis(q, top - 1))]
-        assert tops, "d_top was not built"
+        rows = len(quandle_basis(q, top - 1))
         basis = quandle_basis(q, top)
-        for columns in tops:
-            assert len(columns) == len(basis)
-            assert not [t for t, c in zip(basis, columns) if c and t[-1] not in {0, 1}]
+        outside = {k for k, t in enumerate(basis) if t[-1] not in {0, 1}}
+        reduced = [used for n, used in record["reductions"] if n == rows]
+        assert reduced, "the reduction of d_top was not built"
+        for used in reduced:
+            assert not used & outside
+        for n, columns in record["matrices"]:
+            if n == rows:
+                assert len(columns) == len(basis)
+                assert not [k for k in outside if columns[k]]
         assert record["bases"] == []
         assert max(record["cells"]) == top - 1
 
@@ -516,6 +540,13 @@ class TestTopDegreeBuiltOnItsGColumns:
         r5 = Quandle.dihedral(5)
         assert homology_group(r5, 4) == HomologyGroup(0, (5,))
         self.assert_only_g_columns(built, r5, 5)
+        assert not [n for n, _ in built["matrices"] if n == 320]
+        assert g_columns_key(r5, 5) not in r5._store
+        # a degree-3 query then builds the G-columns of d_4 for its check
+        assert g_columns_key(r5, 4) not in r5._store
+        boundary = boundary_quandle(Chain.generator((0, 1, 2, 3)), r5)
+        assert is_null_homologous(boundary, r5) is True
+        assert g_columns_key(r5, 4) in r5._store
 
     def test_null_homology_query_builds_d4_of_r5_on_g(self, built):
         r5 = Quandle.dihedral(5)
@@ -595,17 +626,24 @@ def delayed_fibonacci(n):
     return f[n]
 
 
-@pytest.mark.parametrize("p,degrees", [(3, range(2, 10)), (5, range(2, 6)), (7, range(2, 4))])
+@pytest.mark.parametrize("p,degrees", [
+    (3, range(2, 10)), (5, range(2, 6)), (7, range(2, 4)), (11, range(2, 4)),
+])
 def test_odd_prime_dihedral_homology_is_delayed_fibonacci(p, degrees, monkeypatch):
     # H^Q_n(R_p) = (Z/p)^{f_n} for an odd prime p (conjectured by
     # Niebrzydowski and Przytycki 2009, proved by Nosaka 2013); H_9(R3)
-    # needs the 768 x 1536 d_10 and H_5(R5) the 1280 x 5120 d_6, over the
-    # entry limit
-    monkeypatch.setattr(chains, "MAX_BOUNDARY_ENTRIES", 1280 * 5120)
+    # needs the 768 x 1536 d_10, H_5(R5) the 1280 x 5120 d_6 and H_3(R11)
+    # the 1100 x 11000 d_4, over the entry limit
+    monkeypatch.setattr(chains, "MAX_BOUNDARY_ENTRIES", 1100 * 11000)
     q = Quandle.dihedral(p)
     for n in degrees:
         assert homology_group(q, n) == HomologyGroup(0, (p,) * delayed_fibonacci(n)), n
         assert unit_free(homology._reduction(q, n + 1)[1]), n
+    # the top reduction, built on rows, against the column path and the tuple oracle
+    top, ends = degrees[-1] + 1, homology._generators(q)
+    paired = {j for _, j, _, _, _ in homology._reduction(q, top - 1)[0]}
+    for columns in (chains._columns(q, top, ends), tuple_columns(q, top, ends)):
+        assert_same_elimination(homology._reduction(q, top), _eliminate(columns, paired))
 
 
 class TestResourceLimits:

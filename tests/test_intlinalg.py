@@ -10,7 +10,10 @@ from quandlehom import IntMatrix, det, homology, matrix_of_boundary, snf, solve_
 from quandlehom.chains import _columns
 from quandlehom.intlinalg import SparseColumns, _eliminate, _rank_and_torsion
 
-from conftest import admitted_boundary_degrees, is_unimodular, sympy_matrix
+from conftest import (
+    CROSS_CHECK_QUANDLES, admitted_boundary_degrees, assert_same_elimination, built_reduction,
+    is_unimodular, sympy_matrix,
+)
 
 
 def random_matrix(rng, max_dim=8, bound=9):
@@ -525,16 +528,7 @@ def eliminate_oracle(a, dropped=frozenset()):
 
 
 def assert_matches_the_oracle(a, dropped=frozenset()):
-    """The same (p, j, u) steps in the same order, the same rest and
-    multipliers up to order, and the same core, core rows and columns and
-    zero rows."""
-    steps, *tail = _eliminate(a, dropped)
-    oracle_steps, *oracle_tail = eliminate_oracle(a, dropped)
-    assert [s[:3] for s in steps] == [s[:3] for s in oracle_steps]
-    for (*_, rest, multipliers), (*_, oracle_rest, oracle_multipliers) in zip(steps, oracle_steps):
-        assert sorted(rest) == sorted(oracle_rest)
-        assert sorted(multipliers) == sorted(oracle_multipliers)
-    assert tail == oracle_tail
+    assert_same_elimination(_eliminate(a, dropped), eliminate_oracle(a, dropped))
 
 
 def as_sparse_columns(a):
@@ -566,9 +560,13 @@ class TestEliminationAgainstTheOracle:
         assert_matches_the_oracle(matrix, data.draw(rows_of(a)))
 
     def test_every_inventory_reduction(self, inventory):
-        for name, q in inventory:
+        for name, q in inventory + CROSS_CHECK_QUANDLES:
             for degree in admitted_boundary_degrees(q):
                 below = homology._reduction(q, degree - 1)[0] if degree > 2 else ()
                 paired = {j for _, j, _, _, _ in below}
                 kept = _columns(q, degree, homology._generators(q))
                 assert_matches_the_oracle(kept, paired)
+                # the pass on the rows that homology's reductions are built in
+                built = built_reduction(q, degree, paired)
+                assert_same_elimination(built, eliminate_oracle(kept, paired))
+                assert_same_elimination(built, _eliminate(kept, paired))
