@@ -156,6 +156,11 @@ def is_null_homologous(chain, quandle):
     G-columns of d_{degree+1}, the only ones built, and checked against the
     chain on every row.
 
+    A known cost: that check reads the G-columns as SparseColumns, which
+    the first query of a degree builds with _columns (then kept), though
+    the kept reduction was built from the same columns in row form by
+    _rows.  So a query builds the G-columns of d_{degree+1} a second time.
+
     Raises NotACycleError if the input is not a cycle: the two halves of
     the pseudo-cycle definition are kept separate on purpose.
     """
