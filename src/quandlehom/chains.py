@@ -15,24 +15,22 @@ where ^x_i omits the i-th entry and * is the quandle operation.
 
 For (x', y) with x' of length n-1, the terms i < n are those of x' with y
 appended, and the term i = n is (-1)^n [x' - x'*y], * acting entrywise.  So
-_columns builds column (x', y) of d_n from column x' of d_{n-1} (d_1 = 0):
-each face f goes to (f, y), and f ending in y drops out.  It builds the columns
-whose y is in a given set, and boundary_columns is all of them.
+column (x', y) of d_n is built from column x' of d_{n-1} (d_1 = 0): each
+face f goes to (f, y), and f ending in y drops out.
 
 No tuple is built on that path.  Bases are ordered by extension, so a cell of
 degree d is an index: (f, y) sits at index(f) * (order - 1) + y - (y > last(f)).
-_cells gives each degree's last entries and the index of f*y, and _columns
-turns the first into one append table per y.  Both are kept in the
-Quandle object's own store and freed with it: equal quandles built
-separately do not share them.  quandle_basis keeps nothing there.
+_cells gives each degree's last entries and the index of f*y.  Cells and
+boundary columns are kept in the Quandle object's own store and freed with
+it: equal quandles built separately do not share them.  quandle_basis keeps nothing there.
 
-Two builders share that recursion.  _columns makes the column form,
-SparseColumns: the full matrices, which the cycle test, matrix_of_boundary
-and the degree above read, and the G-columns that a null-homology query
-checks its preimage on.  _rows makes the row form that
-intlinalg._pivot_pass reads, for homology's kept reductions: the same
-columns, less the rows paired below, written straight into row dicts and
-column sets, and not kept.
+Each boundary form has one builder on that recursion.  boundary_columns
+makes the column form, SparseColumns, always the full matrix and kept: the
+degree above, the cycle test, a null-homology query's check and
+matrix_of_boundary read it.  _rows makes the row form that
+intlinalg._pivot_pass reads, for homology's kept reductions: the columns
+whose cell ends in a given set, less the rows paired below, written
+straight into row dicts and column sets, and not kept.
 """
 
 import sys
@@ -365,21 +363,13 @@ def _check_limits(quandle, degree):
         )
 
 
+@_memoized
 def boundary_columns(quandle, degree):
     """The quandle boundary from degree n to n-1 as SparseColumns, built from
     d_{n-1} as in the module docstring: column j is the image of the j-th tuple
     of quandle_basis(quandle, n), keyed by row in the degree-(n-1) basis.
-    The full matrix, kept: what d_{n+1} is built from, what a cycle test
-    reads and what matrix_of_boundary densifies; its callers check degree."""
-    return _columns(quandle, degree, frozenset(range(quandle.order)))
-
-
-@_memoized
-def _columns(quandle, degree, ends):
-    """boundary_columns on the columns whose tuple ends in `ends` (a
-    frozenset); every other column is an empty dict at its full-matrix
-    index.  Built from the full d_{n-1} and the cells of degrees n-1 and
-    n-2, with no tuple basis; the degree is trusted, as in boundary_columns."""
+    Built from the cells of degrees n-1 and n-2, with no tuple basis, and
+    kept; its callers check the degree."""
     order = quandle.order
     # d_{n-1}, which builds the degrees below it on its first call; d_1 = 0
     below = boundary_columns(quandle, degree - 1).columns if degree > 2 else [{}] * order
@@ -388,7 +378,7 @@ def _columns(quandle, degree, ends):
     # appended[y][i]: the row of face i with y appended, None if face i ends in y
     appended = [
         [i * (order - 1) + y - (y > last) if y != last else None
-         for i, last in enumerate(face_lasts)] if y in ends else None
+         for i, last in enumerate(face_lasts)]
         for y in range(order)
     ]
     others = [[y for y in range(order) if y != x] for x in range(order)]
@@ -398,9 +388,6 @@ def _columns(quandle, degree, ends):
         items = column_below.items()
         for y in others[last]:
             rows = appended[y]
-            if rows is None:
-                columns.append({})
-                continue
             column = {r: e for i, e in items if (r := rows[i]) is not None}
             xy = acts[y][j]
             if xy != j:  # x' = x'*y leaves no i = n term
@@ -410,17 +397,18 @@ def _columns(quandle, degree, ends):
 
 
 def _rows(quandle, degree, ends, paired):
-    """_columns(quandle, degree, ends) as the rows and column sets that
-    intlinalg._pivot_pass reads, less the rows in `paired`: each of those
-    is None and gets no entry, and a column with no other entry gets no
-    set.  Built like _columns, straight into that form, with no column
-    dict; not kept, as the pass consumes it."""
+    """The columns of boundary_columns(quandle, degree) whose cell ends in
+    `ends`, as the rows and column sets that intlinalg._pivot_pass reads,
+    less the rows in `paired`: each of those is None and gets no entry, and
+    a column with no other entry gets no set.  Built like boundary_columns,
+    straight into that form, with no column dict; not kept, as the pass
+    consumes it."""
     order = quandle.order
     below = boundary_columns(quandle, degree - 1).columns if degree > 2 else [{}] * order
     lasts, acts = _cells(quandle, degree - 1)
     face_lasts = _cells(quandle, degree - 2)[0] if degree > 2 else ()
     rows = [None if i in paired else {} for i in range(len(lasts))]
-    # appended[y][i]: as in _columns, and None also where that row is paired
+    # appended[y][i]: as in boundary_columns, and None also where that row is paired
     appended = {y: [
         r if y != last and rows[r := i * (order - 1) + y - (y > last)] is not None else None
         for i, last in enumerate(face_lasts)
@@ -442,7 +430,7 @@ def _rows(quandle, degree, ends, paired):
                     rows[r][k] = e
                     col.add(r)
             xy = acts[y][j]
-            if xy != j:  # as in _columns
+            if xy != j:  # as in boundary_columns
                 if row_j is not None:
                     row_j[k] = c
                     col.add(j)

@@ -19,14 +19,13 @@ Smith form of d_{n+1}'s core once.  Equal quandles built separately do not
 share them.
 
 Only the columns of d_n whose cell ends in a generating set G of the
-quandle are built, with no basis of degree n, and eliminated; the rest
-stay empty, so indices stay the full matrix's.  A kept reduction reads
-them in the row form that chains._rows builds, with no entry on a
-paired row, and so reads no G-only matrix of columns.  They span the same
-integer image, as the last face is a chain homotopy from the identity
-to the action of an element (Litherland and Nelson, "The Betti numbers
-of some finite racks", 2003).  By chains' last-face formula, for a cell
-w = (x, y) of C_n and z != y,
+quandle are eliminated; the rest are never built into a reduction, so
+indices stay the full matrix's.  A kept reduction reads them in the row
+form that chains._rows builds, with no entry on a paired row.  They span
+the same integer image, as the last face is a chain homotopy from the
+identity to the action of an element (Litherland and Nelson, "The Betti
+numbers of some finite racks", 2003).  By chains' last-face formula, for
+a cell w = (x, y) of C_n and z != y,
 d(w, z) = d(w)z + (-1)^{n+1} (w - w*z), where d(w)z appends z to each cell
 and w*z = (x*z, y*z).  Applying d gives d(w*z) = d(w) + (-1)^{n+1} d(d(w)z),
 and w -> w*z maps the cells ending in y onto those ending in y*z, so the
@@ -39,19 +38,17 @@ These are the package's only kept eliminations.  A degree-n chain z is
 tested on its coordinate vector alone.  It is a cycle iff d_n z = 0, read
 off the full d_n by the one cycle test, which the pseudo-cycle search
 shares.  A cycle bounds iff the vector lies in the integer image of
-d_{n+1}, a query on the kept rows and G-columns of its reduction: the
-preimage is 0 off the G-columns, so they alone give its full product,
-checked on every row.  For that check a query builds the G-columns of
-d_{n+1} as SparseColumns (kept, and shared by the queries of its degree);
-the full d_{n+1} is never built for a query.
+d_{n+1}, a query on the kept reduction of d_{n+1}: the preimage it finds
+is 0 off the G-columns, and is checked on every row against the full
+d_{n+1}, which chains keeps with the Quandle object like every boundary
+matrix (H_{n+1} builds it anyway, as d_{n+2} is built from it).
 """
 
 from collections import namedtuple
 
 from . import intlinalg
 from .chains import (
-    _cell_count, _check_limits, _columns, _rows, boundary_columns, boundary_quandle,
-    coordinates,
+    _cell_count, _check_limits, _rows, boundary_columns, boundary_quandle, coordinates,
 )
 from .errors import DegreeError, NotACycleError, _CheckedMake
 from .quandle import _memoized
@@ -109,8 +106,8 @@ def _reduction(quandle, degree):
     """The elimination of d_degree on its columns that end in G, without the
     rows that the elimination of d_{degree-1} paired: its pivot columns,
     cells of C_{degree-1}.  The pivot pass runs on rows built with none of
-    those entries; the other columns are never built, so every index stays
-    that of the full matrix."""
+    those entries; the other columns get none, so every index stays that of
+    the full matrix."""
     below = _reduction(quandle, degree - 1)[0] if degree > 2 else ()
     paired = {j for _, j, _, _, _ in below}
     return intlinalg._pivot_pass(*_rows(quandle, degree, _generators(quandle), paired))
@@ -153,13 +150,8 @@ def _cycle_coordinates(chain, quandle):
 def is_null_homologous(chain, quandle):
     """True iff the cycle bounds, i.e. lies in the image of d_{degree+1}
     of the quandle complex over the integers.  A preimage is sought on the
-    G-columns of d_{degree+1}, the only ones built, and checked against the
-    chain on every row.
-
-    A known cost: that check reads the G-columns as SparseColumns, which
-    the first query of a degree builds with _columns (then kept), though
-    the kept reduction was built from the same columns in row form by
-    _rows.  So a query builds the G-columns of d_{degree+1} a second time.
+    kept reduction of d_{degree+1}'s G-columns and checked against the
+    chain on every row of the full d_{degree+1}.
 
     Raises NotACycleError if the input is not a cycle: the two halves of
     the pseudo-cycle definition are kept separate on purpose.
@@ -168,5 +160,5 @@ def is_null_homologous(chain, quandle):
         bd = boundary_quandle(chain, quandle)
         raise NotACycleError(f"chain has nonzero quandle boundary: {bd!r}")
     up = chain.degree + 1
-    d = _columns(quandle, up, _generators(quandle))
+    d = boundary_columns(quandle, up)
     return intlinalg._solve(d, _reduction(quandle, up), vec) is not None

@@ -20,10 +20,11 @@ each call): the kept ones are homology's, one per boundary matrix, each
 kept with its rank and torsion by its Quandle object and freed with it.
 
 _pivot_pass reads row dicts and column sets, with None for each row left
-out.  _eliminate builds them from SparseColumns and can leave rows out;
-chains._rows builds them for homology's kept reductions, without the rows
-paired below.  _solve reads the matrix as SparseColumns, b on the kept
-rows only, and checks the solution against b on every row.
+out.  solve_in_image builds them from an IntMatrix's rows; chains._rows
+builds them for homology's kept reductions, without the rows paired below.
+_solve reads b on the kept rows only, and reads the matrix only through
+.cols and .apply, to check the solution against b on every row: an
+IntMatrix for solve_in_image, the full boundary SparseColumns for homology.
 """
 
 from collections import namedtuple
@@ -242,29 +243,12 @@ def snf(a):
     )
 
 
-def _eliminate(a, dropped=frozenset()):
-    """Eliminate the +-1 pivots of `a`, a SparseColumns, sparsely, leaving
-    out the rows in `dropped`, which must be rows of `a`: _pivot_pass on
-    a's transpose, with those rows None."""
-    rows = [{} for _ in range(a.rows)]  # a pivot's or dropped row becomes None
-    cols = {}  # the non-empty columns only: no other ever gains an entry
-    for j, column in enumerate(a.columns):
-        if column:
-            cols[j] = set(column)
-            for i, e in column.items():
-                rows[i][j] = e
-    for i in dropped:  # left out as a pivot row is
-        for k in rows[i]:
-            cols[k].remove(i)
-        rows[i] = None
-    return _pivot_pass(rows, cols)
-
-
 def _pivot_pass(rows, cols):
     """The elimination of a matrix given as rows, a list of {column: entry}
     dicts with None for each row left out, and cols, {column: the set of
     rows with an entry in it}, keyed in index order by every column that a
-    row has an entry in; both are consumed.  Returns (steps, core, core_rows,
+    row has an entry in, and by any others, whose empty sets are passed
+    over; both are consumed.  Returns (steps, core, core_rows,
     core_cols, zero_rows), and the matrix without the rows left out is
     equivalent to I_r + core with r = len(steps).
 
@@ -325,7 +309,7 @@ def _rank_and_torsion(reduction):
     (less its dropped rows) that a _pivot_pass result reduced: the unit
     pivots plus the Smith form of the core.
 
-    >>> _rank_and_torsion(_eliminate(SparseColumns(2, [{0: 1, 1: 3}, {0: 2}])))
+    >>> _rank_and_torsion(_pivot_pass([{0: 1, 1: 2}, {0: 3}], {0: {0, 1}, 1: {0}}))
     (2, (6,))
     """
     steps, core, _, _, _ = reduction
@@ -368,7 +352,7 @@ def solve_in_image(a, b):
     """An integer x with a.apply(x) == b, or None if b is not in the image of
     `a` over the integers.  The solution is re-verified before returning.
 
-    This is _solve on the elimination of the whole of `a`, as SparseColumns.
+    This is _solve on the elimination of the whole of `a`, built from its rows.
     """
     if not isinstance(a, IntMatrix):
         a = IntMatrix(a)
@@ -378,14 +362,16 @@ def solve_in_image(a, b):
     for i, e in enumerate(b):
         if not isinstance(e, int) or isinstance(e, bool):
             raise ValueError(f"b[{i}] = {e!r} is not an int")
-    a = SparseColumns(a.rows, [{i: row[j] for i, row in enumerate(a._data) if row[j]}
-                               for j in range(a.cols)])
-    return _solve(a, _eliminate(a), b)
+    rows = [{j: e for j, e in enumerate(row) if e} for row in a._data]
+    cols = {j: {i for i, row in enumerate(rows) if j in row} for j in range(a.cols)}
+    return _solve(a, _pivot_pass(rows, cols), b)
 
 
 def _solve(a, reduction, b):
     """An integer x with a.apply(x) == b, or None, from `reduction`, a
-    _pivot_pass result for `a`, a SparseColumns, perhaps without some rows.
+    _pivot_pass result for `a` or for some of its columns, perhaps without
+    some rows; x is 0 on the other columns.  `a` is read only through .cols
+    and .apply: an IntMatrix or a SparseColumns.
 
     The unit pivots' row operations carry b along; b must then vanish on
     the rows they emptied, the core is solved through its Smith form, and

@@ -36,7 +36,10 @@ S4_TABLE = [
 
 
 def quandle_inventory():
-    """Every quandle of order <= 4 exercised by the property suites."""
+    """The quandles of order <= 4 that the property suites exercise: 7 of
+    the 12 isomorphism classes, the trivial ones, the dihedral R3 and R4 and
+    the Alexander quandle S4.  The other five (one of order 3, four of
+    order 4) are not here."""
     return [
         ("R1", Quandle.dihedral(1)),
         ("T2", Quandle.from_table(trivial_table(2))),
@@ -113,11 +116,13 @@ def admitted_boundary_degrees(q):
 
 @lru_cache(maxsize=None)
 def tuple_columns(quandle, degree, ends):
-    """chains._columns on tuple bases: each row found by
+    """chains.boundary_columns on tuple bases, with every column whose tuple
+    does not end in `ends` (a frozenset) left empty: each row found by
     hashing a tuple into the degree-(n-1) basis, the last entries read off
     the degree-(n-2) tuples, and d_{n-1} built the same way.  The slow
-    oracle for the cell arithmetic, which must give the same columns in
-    the same key order (the pivots of the elimination depend on it)."""
+    oracle for the cell arithmetic of boundary_columns and chains._rows,
+    which must give the same columns in the same key order (the pivots of
+    the elimination depend on it)."""
     order = quandle.order
     if degree > 2:
         below = tuple_columns(quandle, degree - 1, frozenset(range(order))).columns
@@ -142,11 +147,41 @@ def tuple_columns(quandle, degree, ends):
     return SparseColumns(len(row_index), columns)
 
 
-def built_reduction(quandle, degree, paired):
-    """The pivot pass on the rows that chains._rows builds for the
-    G-columns of d_degree without the rows in `paired`: the path of
-    homology's kept reductions, run afresh."""
-    ends = homology._generators(quandle)
+def g_columns(quandle, degree, ends):
+    """chains.boundary_columns(quandle, degree) with every column whose
+    tuple does not end in `ends` left empty, as SparseColumns."""
+    full = chains.boundary_columns(quandle, degree)
+    return SparseColumns(full.rows, [
+        column if t[-1] in ends else {}
+        for t, column in zip(quandle_basis(quandle, degree), full.columns)
+    ])
+
+
+def eliminate(a, dropped=frozenset()):
+    """The pivot pass on `a`, a SparseColumns, leaving out the rows in
+    `dropped`, which must be rows of `a`: _pivot_pass on a's transpose, with
+    those rows None.  The column-form oracle for the row builders, and the
+    entry to the kernel for the property tests."""
+    rows = [{} for _ in range(a.rows)]  # a pivot's or dropped row becomes None
+    cols = {}  # the non-empty columns only: no other ever gains an entry
+    for j, column in enumerate(a.columns):
+        if column:
+            cols[j] = set(column)
+            for i, e in column.items():
+                rows[i][j] = e
+    for i in dropped:  # left out as a pivot row is
+        for k in rows[i]:
+            cols[k].remove(i)
+        rows[i] = None
+    return _pivot_pass(rows, cols)
+
+
+def built_reduction(quandle, degree, paired, ends=None):
+    """The pivot pass on the rows that chains._rows builds for the columns
+    of d_degree ending in `ends` (G by default) without the rows in
+    `paired`: the path of homology's kept reductions, run afresh."""
+    if ends is None:
+        ends = homology._generators(quandle)
     return _pivot_pass(*chains._rows(quandle, degree, ends, paired))
 
 

@@ -20,11 +20,10 @@ from quandlehom import (
 from quandlehom.errors import (
     DegenerateGeneratorError, DegreeError, QuandleMismatchError, ResourceLimitError, SchemaError
 )
-from quandlehom.intlinalg import _eliminate
 
 from conftest import (
     CROSS_CHECK_QUANDLES, S4_TABLE, admitted_boundary_degrees, assert_same_elimination,
-    built_reduction, quandle_inventory, sympy_matrix, trivial_table, tuple_columns,
+    built_reduction, eliminate, quandle_inventory, sympy_matrix, trivial_table, tuple_columns,
 )
 
 
@@ -377,14 +376,27 @@ class TestMatrixOfBoundary:
 
     def test_columns_match_the_tuple_oracle_in_key_order(self, inventory):
         for name, q in inventory + CROSS_CHECK_QUANDLES:
-            for ends in (frozenset(range(q.order)), homology._generators(q)):
-                for degree in admitted_boundary_degrees(q):
-                    got = chains._columns(q, degree, ends)
-                    expected = tuple_columns(q, degree, ends)
-                    assert got.rows == expected.rows, (name, degree)
-                    assert [list(c.items()) for c in got.columns] == [
-                        list(c.items()) for c in expected.columns
-                    ], (name, sorted(ends), degree)
+            every = frozenset(range(q.order))
+            for degree in admitted_boundary_degrees(q):
+                got = chains.boundary_columns(q, degree)
+                expected = tuple_columns(q, degree, every)
+                assert got.rows == expected.rows, (name, degree)
+                assert [list(c.items()) for c in got.columns] == [
+                    list(c.items()) for c in expected.columns
+                ], (name, degree)
+
+    def test_rows_match_the_tuple_oracle(self, inventory):
+        # the row builder on all columns and on the G-columns, with the rows
+        # paired below left out, against the tuple columns eliminated
+        for name, q in inventory + CROSS_CHECK_QUANDLES:
+            for degree in admitted_boundary_degrees(q):
+                below = homology._reduction(q, degree - 1)[0] if degree > 2 else ()
+                paired = {j for _, j, _, _, _ in below}
+                for ends in (frozenset(range(q.order)), homology._generators(q)):
+                    assert_same_elimination(
+                        built_reduction(q, degree, paired, ends),
+                        eliminate(tuple_columns(q, degree, ends), paired),
+                    )
 
     @pytest.mark.parametrize("q, degree", [
         (Quandle.dihedral(3), 6),
@@ -397,9 +409,8 @@ class TestMatrixOfBoundary:
         ends = homology._generators(q)
         paired = {j for _, j, _, _, _ in homology._reduction(q, degree - 1)[0]}
         assert paired
-        expected = _eliminate(tuple_columns(q, degree, ends), paired)
-        assert _eliminate(chains._columns(q, degree, ends), paired) == expected
         # the rows built straight from the cells, as homology's reduction reads them
+        expected = eliminate(tuple_columns(q, degree, ends), paired)
         assert_same_elimination(built_reduction(q, degree, paired), expected)
 
     def test_boundary_squared_is_zero_matrix_for_inventory(self, inventory):

@@ -29,11 +29,11 @@ from quandlehom.errors import (
     DegenerateGeneratorError, DegreeError, NotACycleError, QuandleMismatchError,
     ResourceLimitError,
 )
-from quandlehom.intlinalg import _eliminate, _rank_and_torsion, _solve
+from quandlehom.intlinalg import _rank_and_torsion, _solve
 
 from conftest import (
     CROSS_CHECK_QUANDLES, S4_TABLE, admitted_boundary_degrees, assert_same_elimination, conjugate,
-    trivial_table, tuple_columns,
+    eliminate, g_columns, trivial_table, tuple_columns,
 )
 
 # frozen from an independent Smith-normal-form computation (sympy) over
@@ -306,6 +306,9 @@ NULL_TEST_QUANDLES = {
     "R6": Quandle.dihedral(6),
     "S4": Quandle.from_table(S4_TABLE),
     "T2": Quandle.from_table(trivial_table(2)),
+    # G = {0, 1, 2}: every other quandle here has G = {0, 1} or is trivial
+    "R3xT2": dict(CROSS_CHECK_QUANDLES)["R3xT2"],
+    "transpositions of S4": dict(CROSS_CHECK_QUANDLES)["transpositions of S4"],
 }
 NULL_TEST_CASES = [(name, degree) for name in NULL_TEST_QUANDLES for degree in (2, 3)]
 
@@ -352,7 +355,7 @@ def full_upper_boundary(name, degree):
     that it does not bound."""
     q = NULL_TEST_QUANDLES[name]
     upper = boundary_columns(q, degree + 1)
-    reduction = _eliminate(upper)
+    reduction = eliminate(upper)
     cycles = []
     for v in Matrix(matrix_of_boundary(q, degree).to_rows()).nullspace():
         scale = lcm(*(int(e.q) for e in v))
@@ -374,7 +377,7 @@ class TestReducedComplex:
     def test_rank_and_torsion_match_the_full_matrices(self, inventory):
         for name, q in inventory + CROSS_CHECK_QUANDLES:
             for degree in admitted_boundary_degrees(q):
-                full = _eliminate(boundary_columns(q, degree))
+                full = eliminate(boundary_columns(q, degree))
                 kept = homology._reduction(q, degree)
                 assert _rank_and_torsion(kept) == _rank_and_torsion(full), (name, degree)
                 assert unit_free(full[1]) and unit_free(kept[1]), (name, degree)
@@ -478,23 +481,23 @@ class TestReducedComplex:
                 intlinalg._solve(d4, reduction, b)
 
 
-def g_columns_key(quandle, degree):
-    """The store key of the G-columns of d_degree built as SparseColumns."""
-    return chains._columns.__wrapped__, (degree, homology._generators(quandle))
+def full_columns_key(degree):
+    """The store key of the full d_degree, built as SparseColumns."""
+    return chains.boundary_columns.__wrapped__, (degree,)
 
 
-class TestTopDegreeBuiltOnItsGColumns:
-    """d_{n+1} is read only on its G-columns, so H_n and a degree-n query
-    build no other column of it, no cells of degree n+1 and no tuple basis.
-    H_n builds its reduction's rows alone; a query also builds the
-    G-columns as SparseColumns, for its check on every row."""
+class TestTopDegreeBuilds:
+    """H_n reads d_{n+1} only through its reduction, built as rows on its
+    G-columns, and builds no full d_{n+1}.  A degree-n query reads the same
+    reduction and checks its preimage on the full d_{n+1}, built once per
+    quandle and kept.  Neither builds a tuple basis or cells above degree n."""
 
     @pytest.fixture
     def built(self, monkeypatch):
         record = {"matrices": [], "reductions": [], "bases": [], "cells": []}
 
         def sparse_columns(rows, columns):
-            record["matrices"].append((rows, columns))
+            record["matrices"].append((rows, len(columns)))
             return intlinalg.SparseColumns(rows, columns)
 
         def reduction_rows(quandle, degree, ends, paired):
@@ -521,40 +524,42 @@ class TestTopDegreeBuiltOnItsGColumns:
         return record
 
     @staticmethod
-    def assert_only_g_columns(record, q, top):
+    def assert_reduced_on_g(record, q, top):
+        """The reduction of d_top reads only G-columns, and nothing above
+        degree top - 1 and no tuple basis was built."""
         rows = len(quandle_basis(q, top - 1))
-        basis = quandle_basis(q, top)
-        outside = {k for k, t in enumerate(basis) if t[-1] not in {0, 1}}
+        ends = homology._generators(q)
+        outside = {k for k, t in enumerate(quandle_basis(q, top)) if t[-1] not in ends}
         reduced = [used for n, used in record["reductions"] if n == rows]
         assert reduced, "the reduction of d_top was not built"
         for used in reduced:
             assert not used & outside
-        for n, columns in record["matrices"]:
-            if n == rows:
-                assert len(columns) == len(basis)
-                assert not [k for k in outside if columns[k]]
         assert record["bases"] == []
         assert max(record["cells"]) == top - 1
 
-    def test_homology_group_builds_d5_of_r5_on_g(self, built):
+    def test_homology_group_builds_no_full_d5_of_r5(self, built):
         r5 = Quandle.dihedral(5)
         assert homology_group(r5, 4) == HomologyGroup(0, (5,))
-        self.assert_only_g_columns(built, r5, 5)
-        assert not [n for n, _ in built["matrices"] if n == 320]
-        assert g_columns_key(r5, 5) not in r5._store
-        # a degree-3 query then builds the G-columns of d_4 for its check
-        assert g_columns_key(r5, 4) not in r5._store
-        boundary = boundary_quandle(Chain.generator((0, 1, 2, 3)), r5)
-        assert is_null_homologous(boundary, r5) is True
-        assert g_columns_key(r5, 4) in r5._store
+        self.assert_reduced_on_g(built, r5, 5)
+        assert (320, 1280) not in built["matrices"]
+        assert full_columns_key(5) not in r5._store
+        # d_4, which d_5's rows are built from, is kept in full
+        assert built["matrices"].count((80, 320)) == 1
+        assert full_columns_key(4) in r5._store
 
-    def test_null_homology_query_builds_d4_of_r5_on_g(self, built):
+    def test_null_homology_query_keeps_the_full_d4_of_r5(self, built):
         r5 = Quandle.dihedral(5)
         generator = Chain(3, [((0, 3, 0), -1), ((0, 3, 2), 1), ((1, 0, 1), 1)])
         boundary = boundary_quandle(Chain.generator((0, 1, 2, 3)), r5)
+        assert full_columns_key(4) not in r5._store
         assert is_null_homologous(boundary, r5) is True
+        assert full_columns_key(4) in r5._store
         assert is_null_homologous(boundary + generator, r5) is False
-        self.assert_only_g_columns(built, r5, 4)
+        assert is_null_homologous(2 * boundary, r5) is True
+        self.assert_reduced_on_g(built, r5, 4)
+        # one full d_4 for the three queries, and no d_5 at all
+        assert built["matrices"].count((80, 320)) == 1
+        assert not [m for m in built["matrices"] if m[0] == 320]
 
 
 def relabelled_tables(q, count, seed):
@@ -639,11 +644,12 @@ def test_odd_prime_dihedral_homology_is_delayed_fibonacci(p, degrees, monkeypatc
     for n in degrees:
         assert homology_group(q, n) == HomologyGroup(0, (p,) * delayed_fibonacci(n)), n
         assert unit_free(homology._reduction(q, n + 1)[1]), n
-    # the top reduction, built on rows, against the column path and the tuple oracle
+    # the top reduction, built on rows, against the full columns filtered to G
+    # and the tuple oracle
     top, ends = degrees[-1] + 1, homology._generators(q)
     paired = {j for _, j, _, _, _ in homology._reduction(q, top - 1)[0]}
-    for columns in (chains._columns(q, top, ends), tuple_columns(q, top, ends)):
-        assert_same_elimination(homology._reduction(q, top), _eliminate(columns, paired))
+    for columns in (g_columns(q, top, ends), tuple_columns(q, top, ends)):
+        assert_same_elimination(homology._reduction(q, top), eliminate(columns, paired))
 
 
 class TestResourceLimits:

@@ -7,12 +7,11 @@ from sympy import Matrix
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
 from quandlehom import IntMatrix, det, homology, matrix_of_boundary, snf, solve_in_image
-from quandlehom.chains import _columns
-from quandlehom.intlinalg import SparseColumns, _eliminate, _rank_and_torsion
+from quandlehom.intlinalg import SparseColumns, _rank_and_torsion, _solve
 
 from conftest import (
     CROSS_CHECK_QUANDLES, admitted_boundary_degrees, assert_same_elimination, built_reduction,
-    is_unimodular, sympy_matrix,
+    eliminate, g_columns, is_unimodular, sympy_matrix,
 )
 
 
@@ -245,11 +244,11 @@ def sparse_matrices(draw, max_dim=10):
 
 
 def assert_front_end_matches_dense_snf(a):
-    steps, core, core_rows, core_cols, zero_rows = _eliminate(as_sparse_columns(a))
+    steps, core, core_rows, core_cols, zero_rows = eliminate(as_sparse_columns(a))
     core_factors = [d for d in snf(core).diagonal if d]
     dense_factors = [d for d in snf(a).diagonal if d]
     assert [1] * len(steps) + core_factors == dense_factors
-    rank, torsion = _rank_and_torsion(_eliminate(as_sparse_columns(a)))
+    rank, torsion = _rank_and_torsion(eliminate(as_sparse_columns(a)))
     assert rank == len(dense_factors)
     assert torsion == tuple(d for d in dense_factors if d >= 2)
     # the core has no zero line
@@ -282,10 +281,10 @@ class TestEliminationFrontEnd:
     def test_empty_and_zero_shapes(self, shape):
         rows, cols = shape
         a = IntMatrix([[0] * cols for _ in range(rows)], cols=cols)
-        steps, core, _, _, zero_rows = _eliminate(as_sparse_columns(a))
+        steps, core, _, _, zero_rows = eliminate(as_sparse_columns(a))
         assert steps == [] and core.shape == (0, 0)
         assert zero_rows == list(range(shape[0]))
-        assert _rank_and_torsion(_eliminate(as_sparse_columns(a))) == (0, ())
+        assert _rank_and_torsion(eliminate(as_sparse_columns(a))) == (0, ())
         assert_front_end_matches_dense_snf(a)
 
     def test_planted_zero_rows_and_columns(self):
@@ -296,15 +295,15 @@ class TestEliminationFrontEnd:
             [0, 0, 0, 0, 0],
             [0, 6, 0, 0, 0],
         ])
-        _, _, _, core_cols, zero_rows = _eliminate(as_sparse_columns(a))
+        _, _, _, core_cols, zero_rows = eliminate(as_sparse_columns(a))
         assert 1 in zero_rows and 3 in zero_rows
         assert 0 not in core_cols and 2 not in core_cols
         assert_front_end_matches_dense_snf(a)
-        assert _rank_and_torsion(_eliminate(as_sparse_columns(a))) == (2, (2,))
+        assert _rank_and_torsion(eliminate(as_sparse_columns(a))) == (2, (2,))
 
     def test_no_unit_entry_leaves_the_whole_matrix_as_core(self):
         a = IntMatrix([[2, 4], [6, 3]])
-        steps, core, _, _, _ = _eliminate(as_sparse_columns(a))
+        steps, core, _, _, _ = eliminate(as_sparse_columns(a))
         assert steps == [] and core == a
         assert_front_end_matches_dense_snf(a)
 
@@ -316,18 +315,18 @@ class TestEliminationFrontEnd:
             [2 * (i == r) for i in range(3)] + [2 * rng.randint(-99, 99) for _ in range(2997)]
             for r in range(3)
         ]
-        steps, core, _, _, _ = _eliminate(as_sparse_columns(IntMatrix(rows)))
+        steps, core, _, _, _ = eliminate(as_sparse_columns(IntMatrix(rows)))
         assert steps == [] and core.shape == (3, 3000)
-        assert _rank_and_torsion(_eliminate(as_sparse_columns(IntMatrix(rows)))) == (3, (2, 2, 2))
+        assert _rank_and_torsion(eliminate(as_sparse_columns(IntMatrix(rows)))) == (3, (2, 2, 2))
         narrow = IntMatrix([row[:300] for row in rows])
         assert snf(narrow).diagonal == (2, 2, 2)
-        assert _rank_and_torsion(_eliminate(as_sparse_columns(narrow))) == (3, (2, 2, 2))
+        assert _rank_and_torsion(eliminate(as_sparse_columns(narrow))) == (3, (2, 2, 2))
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(sparse_matrices(), st.data())
     def test_rows_and_columns_split_into_pivot_core_and_zero(self, a, data):
         dropped = data.draw(rows_of(a))
-        steps, core, core_rows, core_cols, zero_rows = _eliminate(as_sparse_columns(a), dropped)
+        steps, core, core_rows, core_cols, zero_rows = eliminate(as_sparse_columns(a), dropped)
         pivot_rows = [p for p, _, _, _, _ in steps]
         pivot_cols = [j for _, j, _, _, _ in steps]
         empty_cols = sorted(set(range(a.cols)) - set(pivot_cols) - set(core_cols))
@@ -413,7 +412,7 @@ def matrices_with_repeated_columns(draw, max_dim=8):
 
 
 def assert_solution_is_zero_off_core_and_pivots(a, x):
-    steps, _, _, core_cols, _ = _eliminate(as_sparse_columns(a))
+    steps, _, _, core_cols, _ = eliminate(as_sparse_columns(a))
     kept = set(core_cols) | {j for _, j, _, _, _ in steps}
     assert all(x[j] == 0 for j in range(a.cols) if j not in kept)
 
@@ -440,9 +439,9 @@ class TestRepeatedCoreColumns:
         # columns 1 and 2 repeat column 0 up to sign; column 3 differs from
         # it in one sign only and spans more of the image
         a = IntMatrix([[2, 2, -2, 2, 0], [3, 3, -3, -3, 0]])
-        steps, core, core_rows, core_cols, _ = _eliminate(as_sparse_columns(a))
+        steps, core, core_rows, core_cols, _ = eliminate(as_sparse_columns(a))
         assert steps == [] and core_rows == [0, 1] and core_cols == [0, 1, 2, 3]
-        assert _rank_and_torsion(_eliminate(as_sparse_columns(a))) == (2, (12,))
+        assert _rank_and_torsion(eliminate(as_sparse_columns(a))) == (2, (12,))
         for x0 in ([0, 0, 1, 0, 0], [0, 1, 0, 1, 0], [1, 1, 1, 1, 1]):
             b = a.apply(x0)
             x = solve_in_image(a, b)
@@ -455,21 +454,21 @@ class TestEliminationKeptOnTheMatrix:
     @settings(max_examples=200, deadline=None, database=None)
     @given(matrices_with_repeated_columns(), st.data())
     def test_repeated_solves_on_one_matrix(self, a, data):
-        fresh_rank = _rank_and_torsion(_eliminate(as_sparse_columns(a)))
+        fresh_rank = _rank_and_torsion(eliminate(as_sparse_columns(a)))
         for _ in range(3):
             x0 = data.draw(st.lists(st.integers(-5, 5), min_size=a.cols, max_size=a.cols))
             b = a.apply(x0)
             x = solve_in_image(a, b)
             assert x is not None and a.apply(x) == b
-        assert _rank_and_torsion(_eliminate(as_sparse_columns(a))) == fresh_rank
+        assert _rank_and_torsion(eliminate(as_sparse_columns(a))) == fresh_rank
 
     def test_same_shape_matrices_keep_their_own_elimination(self):
         a = IntMatrix([[1, 0], [0, 2]])
         b = IntMatrix([[2, 0], [0, 4]])
         assert solve_in_image(a, [1, 2]) == [1, 1]
         assert solve_in_image(b, [1, 2]) is None
-        assert _rank_and_torsion(_eliminate(as_sparse_columns(a))) == (2, (2,))
-        assert _rank_and_torsion(_eliminate(as_sparse_columns(b))) == (2, (2, 4))
+        assert _rank_and_torsion(eliminate(as_sparse_columns(a))) == (2, (2,))
+        assert _rank_and_torsion(eliminate(as_sparse_columns(b))) == (2, (2, 4))
 
 
 # The elimination kernel as it stood before each step's bookkeeping was cut
@@ -528,11 +527,11 @@ def eliminate_oracle(a, dropped=frozenset()):
 
 
 def assert_matches_the_oracle(a, dropped=frozenset()):
-    assert_same_elimination(_eliminate(a, dropped), eliminate_oracle(a, dropped))
+    assert_same_elimination(eliminate(a, dropped), eliminate_oracle(a, dropped))
 
 
 def as_sparse_columns(a):
-    """The IntMatrix a as the SparseColumns that the kernel reads."""
+    """The IntMatrix a as the SparseColumns that eliminate reads."""
     return SparseColumns(a.rows, [
         {i: a[i, j] for i in range(a.rows) if a[i, j]} for j in range(a.cols)
     ])
@@ -564,9 +563,34 @@ class TestEliminationAgainstTheOracle:
             for degree in admitted_boundary_degrees(q):
                 below = homology._reduction(q, degree - 1)[0] if degree > 2 else ()
                 paired = {j for _, j, _, _, _ in below}
-                kept = _columns(q, degree, homology._generators(q))
+                kept = g_columns(q, degree, homology._generators(q))
                 assert_matches_the_oracle(kept, paired)
                 # the pass on the rows that homology's reductions are built in
                 built = built_reduction(q, degree, paired)
                 assert_same_elimination(built, eliminate_oracle(kept, paired))
-                assert_same_elimination(built, _eliminate(kept, paired))
+                assert_same_elimination(built, eliminate(kept, paired))
+
+
+class TestSolveInImageAgainstTheOracle:
+    """solve_in_image builds its pivot pass from the rows of an IntMatrix;
+    the same pivots give the same x as _solve on the column form, eliminated
+    by the test oracle."""
+
+    @staticmethod
+    def assert_same_solution(a, data):
+        x0 = data.draw(st.lists(st.integers(-5, 5), min_size=a.cols, max_size=a.cols))
+        noise = data.draw(st.lists(st.integers(-2, 2), min_size=a.rows, max_size=a.rows))
+        columns = as_sparse_columns(a)
+        image = a.apply(x0)
+        for b in (image, [e + n for e, n in zip(image, noise)]):
+            assert solve_in_image(a, b) == _solve(columns, eliminate(columns), b)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(sparse_matrices(max_dim=8), st.data())
+    def test_random_sparse_matrices(self, a, data):
+        self.assert_same_solution(a, data)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(matrices_with_repeated_columns(), st.data())
+    def test_matrices_with_repeated_columns(self, a, data):
+        self.assert_same_solution(a, data)
