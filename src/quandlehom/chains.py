@@ -28,9 +28,10 @@ Each boundary form has one builder on that recursion.  boundary_columns
 makes the column form, SparseColumns, always the full matrix and kept: the
 degree above, the cycle test, a null-homology query's check and
 matrix_of_boundary read it.  _rows makes the row form that
-intlinalg._pivot_pass reads, for homology's kept reductions: the columns
-whose cell ends in a given set, less the rows paired below, written
-straight into row dicts and column sets, and not kept.
+intlinalg._pivot_pass reads, for homology's kept reductions: the
+G-columns, whose cell ends in the generating set G that the quandle module
+defines, less the rows paired below, written straight into row dicts and
+column sets, and not kept.
 """
 
 import sys
@@ -40,7 +41,7 @@ from .errors import (
     SchemaError, decimal_int, expect_keys,
 )
 from .intlinalg import SparseColumns
-from .quandle import Quandle, _memoized
+from .quandle import Quandle, _generators, _memoized
 
 # homology_group, is_null_homologous and matrix_of_boundary refuse, before any
 # basis is built, a degree above MAX_HOMOLOGY_DEGREE (for orders 1 and 2 the
@@ -145,9 +146,6 @@ class Chain:
 
     def __bool__(self):
         return bool(self._terms)
-
-    def __len__(self):
-        return len(self._terms)
 
     def __add__(self, other):
         if not isinstance(other, Chain):
@@ -396,14 +394,14 @@ def boundary_columns(quandle, degree):
     return SparseColumns(len(lasts), columns)
 
 
-def _rows(quandle, degree, ends, paired):
-    """The columns of boundary_columns(quandle, degree) whose cell ends in
-    `ends`, as the rows and column sets that intlinalg._pivot_pass reads,
-    less the rows in `paired`: each of those is None and gets no entry, and
-    a column with no other entry gets no set.  Built like boundary_columns,
-    straight into that form, with no column dict; not kept, as the pass
-    consumes it."""
-    order = quandle.order
+def _rows(quandle, degree, paired):
+    """The G-columns of boundary_columns(quandle, degree), those whose cell
+    ends in G = _generators(quandle), as the rows and column sets that
+    intlinalg._pivot_pass reads, less the rows in `paired`: each of those is
+    None and gets no entry, and a column with no other entry gets no set.
+    Built like boundary_columns, straight into that form, with no column
+    dict; not kept, as the pass consumes it."""
+    order, ends = quandle.order, _generators(quandle)
     below = boundary_columns(quandle, degree - 1).columns if degree > 2 else [{}] * order
     lasts, acts = _cells(quandle, degree - 1)
     face_lasts = _cells(quandle, degree - 2)[0] if degree > 2 else ()

@@ -21,10 +21,11 @@ share them.
 Only the columns of d_n whose cell ends in a generating set G of the
 quandle are eliminated; the rest are never built into a reduction, so
 indices stay the full matrix's.  A kept reduction reads them in the row
-form that chains._rows builds, with no entry on a paired row.  They span
-the same integer image, as the last face is a chain homotopy from the
-identity to the action of an element (Litherland and Nelson, "The Betti
-numbers of some finite racks", 2003).  By chains' last-face formula, for
+form that chains._rows builds from G (quandle._generators) and the rows
+paired below, with no entry on those rows.  They span the same integer
+image, as the last face is a chain homotopy from the identity to the
+action of an element (Litherland and Nelson, "The Betti numbers of some
+finite racks", 2003).  By chains' last-face formula, for
 a cell w = (x, y) of C_n and z != y,
 d(w, z) = d(w)z + (-1)^{n+1} (w - w*z), where d(w)z appends z to each cell
 and w*z = (x*z, y*z).  Applying d gives d(w*z) = d(w) + (-1)^{n+1} d(d(w)z),
@@ -76,29 +77,12 @@ class HomologyGroup(_CheckedMake, namedtuple("HomologyGroup", "free_rank torsion
                 raise ValueError(f"torsion chain broken: {a} does not divide {b}")
         return super().__new__(cls, free_rank, torsion)
 
-    def is_trivial(self):
-        return self.free_rank == 0 and not self.torsion
-
     def __str__(self):
         parts = ["Z"] * self.free_rank + [f"Z/{d}" for d in self.torsion]
         return " + ".join(parts) if parts else "0"
 
     def to_json_dict(self):
         return {"free_rank": self.free_rank, "torsion": list(self.torsion)}
-
-
-@_memoized
-def _generators(quandle):
-    """A generating set: each element not in the closure under * (a
-    subquandle, as each x -> x*y has finite order) of those before it."""
-    table, gens, closure = quandle.table, set(), set()
-    for x in range(quandle.order):
-        if x not in closure:
-            gens.add(x)
-            closure.add(x)
-            while new := {table[a][b] for a in closure for b in closure} - closure:
-                closure |= new
-    return frozenset(gens)
 
 
 @_memoized
@@ -110,7 +94,7 @@ def _reduction(quandle, degree):
     the full matrix."""
     below = _reduction(quandle, degree - 1)[0] if degree > 2 else ()
     paired = {j for _, j, _, _, _ in below}
-    return intlinalg._pivot_pass(*_rows(quandle, degree, _generators(quandle), paired))
+    return intlinalg._pivot_pass(*_rows(quandle, degree, paired))
 
 
 @_memoized

@@ -1,5 +1,7 @@
 """Exact integer matrix algebra: Smith normal form with unimodular
-transforms, determinants, and integer linear-system solving.
+transforms, determinants, and integer linear-system solving.  The dense
+entries snf, det and solve_in_image take an IntMatrix, whose constructor
+checks every entry; they convert nothing else.
 
 Entries are Python ints throughout; nothing here ever touches floating
 point.  Rank, invariant factors and image membership all go through one
@@ -231,8 +233,6 @@ def snf(a):
     >>> snf(IntMatrix([[2, 0], [0, 3]])).diagonal
     (1, 6)
     """
-    if not isinstance(a, IntMatrix):
-        a = IntMatrix(a)
     m, n = a.rows, a.cols
     w = [row + unit for row, unit in zip(a._data, _identity_rows(m))] + _identity_rows(n)
     _smith(w, m, n)
@@ -321,8 +321,6 @@ def _rank_and_torsion(reduction):
 
 def det(a):
     """Exact determinant of a square integer matrix (Bareiss algorithm)."""
-    if not isinstance(a, IntMatrix):
-        a = IntMatrix(a)
     if a.rows != a.cols:
         raise ValueError(f"determinant requires a square matrix, got {a.shape}")
     n = a.rows
@@ -354,8 +352,6 @@ def solve_in_image(a, b):
 
     This is _solve on the elimination of the whole of `a`, built from its rows.
     """
-    if not isinstance(a, IntMatrix):
-        a = IntMatrix(a)
     b = list(b)
     if len(b) != a.rows:
         raise ValueError(f"right-hand side has length {len(b)}, expected {a.rows}")

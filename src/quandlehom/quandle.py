@@ -7,6 +7,10 @@ axioms eagerly, so no invalid quandle ever reaches the chain machinery.
 Input is validated once, where it enters: public constructors and JSON
 parsers check it, and internal code trusts what they accepted.  So hot
 loops read `table` directly, while `act` range-checks outside callers.
+
+_generators defines, once, the generating set G on whose columns homology
+eliminates each boundary matrix.  It lives here, beside Quandle, because
+chains builds those columns and cannot import homology, which imports it.
 """
 
 from functools import wraps
@@ -139,3 +143,17 @@ def _memoized(fn):
         return store[key]
 
     return cached
+
+
+@_memoized
+def _generators(quandle):
+    """A generating set G: each element not in the closure under * (a
+    subquandle, as each x -> x*y has finite order) of those before it."""
+    table, gens, closure = quandle.table, set(), set()
+    for x in range(quandle.order):
+        if x not in closure:
+            gens.add(x)
+            closure.add(x)
+            while new := {table[a][b] for a in closure for b in closure} - closure:
+                closure |= new
+    return frozenset(gens)

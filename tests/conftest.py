@@ -1,14 +1,16 @@
+import itertools
 import json
 from functools import lru_cache
 from importlib import resources
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from sympy import Matrix
 
-from quandlehom import Chain, Quandle, chains, dataset_from_json, det, homology, quandle_basis
+from quandlehom import Chain, Quandle, chains, dataset_from_json, det, quandle_basis
 from quandlehom.errors import ResourceLimitError
 from quandlehom.intlinalg import SparseColumns, _pivot_pass
+from quandlehom.quandle import _generators
 
 
 def is_unimodular(a):
@@ -25,8 +27,7 @@ def trivial_table(n):
     return [[x] * n for x in range(n)]
 
 
-# the order-4 Alexander quandle on GF(4) with t a generator; validated at
-# construction like everything else in the inventory
+# the order-4 Alexander quandle on GF(4) with t a generator
 S4_TABLE = [
     [0, 3, 1, 2],
     [2, 1, 3, 0],
@@ -35,19 +36,55 @@ S4_TABLE = [
 ]
 
 
+def least_relabelling(table):
+    """The least of the relabellings of `table`, a square array over
+    range(n), as a tuple of tuples: relabelled by the permutation r, x * y
+    becomes r(r^-1(x) * r^-1(y))."""
+    n = len(table)
+    return min(
+        tuple(tuple(r[table[inv[x]][inv[y]]] for y in range(n)) for x in range(n))
+        for r in permutations(range(n))
+        for inv in [sorted(range(n), key=r.__getitem__)]
+    )
+
+
+@lru_cache(maxsize=None)
+def quandle_classes(n):
+    """One table per isomorphism class of quandles of order n, the least
+    relabelled one, in ascending order: a brute force over the right
+    translations s[y] (x -> x * y), each a permutation fixing y, that
+    satisfy s[z] s[y] = s[s[z](y)] s[z] (distributivity).  That is
+    ((n-1)!)^n candidates, 1296 at n = 4."""
+    elements = range(n)
+    fixing = [[p for p in permutations(elements) if p[y] == y] for y in elements]
+    least = set()
+    for s in itertools.product(*fixing):
+        if all(s[z][s[y][x]] == s[s[z][y]][s[z][x]]
+               for x, y, z in itertools.product(elements, repeat=3)):
+            least.add(least_relabelling([[s[y][x] for y in elements] for x in elements]))
+    return sorted(least)
+
+
+# the classes of each order, named in the order of their least tables; Rn is
+# dihedral, Tn trivial and S4 the Alexander quandle above.  In the others a
+# point (pt) is fixed by every element and acts on a trivial quandle by a
+# swap or a 3-cycle, or trivially (+ pt)
+CLASS_NAMES = {
+    1: ["R1"],
+    2: ["T2"],
+    3: ["T3", "T2 swapped by pt", "R3"],
+    4: ["T4", "T2 swapped by pt + pt", "T2 swapped by 2 pts", "R3 + pt", "T3 cycled by pt",
+        "R4", "S4"],
+}
+
+
 def quandle_inventory():
-    """The quandles of order <= 4 that the property suites exercise: 7 of
-    the 12 isomorphism classes, the trivial ones, the dihedral R3 and R4 and
-    the Alexander quandle S4.  The other five (one of order 3, four of
-    order 4) are not here."""
+    """Every quandle of order <= 4 up to isomorphism, 12 classes, each as
+    its least relabelled table, by order."""
     return [
-        ("R1", Quandle.dihedral(1)),
-        ("T2", Quandle.from_table(trivial_table(2))),
-        ("T3", Quandle.from_table(trivial_table(3))),
-        ("T4", Quandle.from_table(trivial_table(4))),
-        ("R3", Quandle.dihedral(3)),
-        ("R4", Quandle.dihedral(4)),
-        ("S4", Quandle.from_table(S4_TABLE)),
+        (name, Quandle.from_table(table))
+        for n, names in CLASS_NAMES.items()
+        for name, table in zip(names, quandle_classes(n), strict=True)
     ]
 
 
@@ -147,10 +184,10 @@ def tuple_columns(quandle, degree, ends):
     return SparseColumns(len(row_index), columns)
 
 
-def g_columns(quandle, degree, ends):
+def g_columns(quandle, degree):
     """chains.boundary_columns(quandle, degree) with every column whose
-    tuple does not end in `ends` left empty, as SparseColumns."""
-    full = chains.boundary_columns(quandle, degree)
+    tuple does not end in G left empty, as SparseColumns."""
+    ends, full = _generators(quandle), chains.boundary_columns(quandle, degree)
     return SparseColumns(full.rows, [
         column if t[-1] in ends else {}
         for t, column in zip(quandle_basis(quandle, degree), full.columns)
@@ -176,13 +213,11 @@ def eliminate(a, dropped=frozenset()):
     return _pivot_pass(rows, cols)
 
 
-def built_reduction(quandle, degree, paired, ends=None):
-    """The pivot pass on the rows that chains._rows builds for the columns
-    of d_degree ending in `ends` (G by default) without the rows in
-    `paired`: the path of homology's kept reductions, run afresh."""
-    if ends is None:
-        ends = homology._generators(quandle)
-    return _pivot_pass(*chains._rows(quandle, degree, ends, paired))
+def built_reduction(quandle, degree, paired):
+    """The pivot pass on the rows that chains._rows builds for the G-columns
+    of d_degree without the rows in `paired`: the path of homology's kept
+    reductions, run afresh."""
+    return _pivot_pass(*chains._rows(quandle, degree, paired))
 
 
 def assert_same_elimination(got, expected):

@@ -20,6 +20,7 @@ from quandlehom import (
 from quandlehom.errors import (
     DegenerateGeneratorError, DegreeError, QuandleMismatchError, ResourceLimitError, SchemaError
 )
+from quandlehom.quandle import _generators
 
 from conftest import (
     CROSS_CHECK_QUANDLES, S4_TABLE, admitted_boundary_degrees, assert_same_elimination,
@@ -86,6 +87,19 @@ class TestChainArithmetic:
         assert (3 * c).coefficient((1, 2)) == 3
         assert (c * -1) == -c
         assert (0 * c).is_zero()
+
+    def test_repr(self):
+        assert repr(Chain.zero(3)) == "Chain.zero(3)"
+        c = Chain(2, [((0, 1), 1), ((1, 0), -1), ((1, 2), 3)])
+        assert repr(c) == "+(0, 1) -(1, 0) +3*(1, 2)"
+
+    @pytest.mark.parametrize("other", [True, 1.5, "c", (0, 1), None])
+    def test_arithmetic_with_a_foreign_operand_is_refused(self, other):
+        c = Chain.generator((0, 1))
+        for op in (lambda: c + other, lambda: c - other, lambda: c * other, lambda: other - c):
+            with pytest.raises(TypeError):
+                op()
+        assert c != other and other != c
 
     def test_mixed_degree_arithmetic_rejected(self):
         with pytest.raises(DegreeError):
@@ -386,17 +400,16 @@ class TestMatrixOfBoundary:
                 ], (name, degree)
 
     def test_rows_match_the_tuple_oracle(self, inventory):
-        # the row builder on all columns and on the G-columns, with the rows
-        # paired below left out, against the tuple columns eliminated
+        # the row builder on the G-columns, with the rows paired below left
+        # out, against the tuple columns eliminated
         for name, q in inventory + CROSS_CHECK_QUANDLES:
             for degree in admitted_boundary_degrees(q):
                 below = homology._reduction(q, degree - 1)[0] if degree > 2 else ()
                 paired = {j for _, j, _, _, _ in below}
-                for ends in (frozenset(range(q.order)), homology._generators(q)):
-                    assert_same_elimination(
-                        built_reduction(q, degree, paired, ends),
-                        eliminate(tuple_columns(q, degree, ends), paired),
-                    )
+                assert_same_elimination(
+                    built_reduction(q, degree, paired),
+                    eliminate(tuple_columns(q, degree, _generators(q)), paired),
+                )
 
     @pytest.mark.parametrize("q, degree", [
         (Quandle.dihedral(3), 6),
@@ -406,7 +419,7 @@ class TestMatrixOfBoundary:
         (Quandle.dihedral(6), 4),
     ], ids=["d6(R3)", "d5(R4)", "d5(S4)", "d5(R5)", "d4(R6)"])
     def test_elimination_of_the_top_matrix_matches_on_the_oracle(self, q, degree):
-        ends = homology._generators(q)
+        ends = _generators(q)
         paired = {j for _, j, _, _, _ in homology._reduction(q, degree - 1)[0]}
         assert paired
         # the rows built straight from the cells, as homology's reduction reads them

@@ -81,6 +81,10 @@ class TestIntMatrix:
         assert str(exc.value) == f"vector length {len(vec)} != cols 2"
         assert matrix.apply([1, -1]) == [-1, -1, -1]
 
+    def test_repr_of_a_large_matrix_gives_its_shape(self):
+        assert repr(IntMatrix([[0] * 36])) == f"IntMatrix({[[0] * 36]!r})"
+        assert repr(IntMatrix([[0] * 37])) == "IntMatrix(shape=(1, 37))"
+
     def test_immutability(self):
         a = IntMatrix([[1]])
         with pytest.raises(AttributeError):
@@ -96,6 +100,9 @@ class TestDeterminant:
         assert det(IntMatrix([[2, 0], [0, 3]])) == 6
         assert det(IntMatrix([[0, 1], [1, 0]])) == -1
         assert det(IntMatrix([[1, 2], [2, 4]])) == 0
+        assert det(IntMatrix([], cols=0)) == 1
+        # a column with no nonzero entry from the diagonal down
+        assert det(IntMatrix([[0, 1, 2], [0, 3, 4], [0, 5, 6]])) == 0
 
     def test_requires_square(self):
         with pytest.raises(ValueError):
@@ -114,11 +121,6 @@ class TestSmithNormalForm:
         dec = snf(IntMatrix([[2, 0], [0, 3]]))
         assert dec.diagonal == (1, 6)
         assert_smith_invariants(IntMatrix([[2, 0], [0, 3]]), dec)
-
-    def test_plain_rows_are_taken_as_a_matrix(self):
-        assert snf([[2, 0], [0, 3]]) == snf(IntMatrix([[2, 0], [0, 3]]))
-        with pytest.raises(ValueError, match="is not an int"):
-            snf([[2, 0], [0, True]])
 
     def test_zero_matrix(self):
         a = IntMatrix([[0] * 2 for _ in range(3)], cols=2)
@@ -176,12 +178,6 @@ class TestSolveInImage:
         with pytest.raises(ValueError) as exc:
             solve_in_image(IntMatrix([[1, 0], [0, 1]]), [0, entry])
         assert str(exc.value) == f"b[1] = {entry!r} is not an int"
-
-    def test_plain_rows_are_taken_as_a_matrix(self):
-        assert solve_in_image([[2, 0], [0, 3]], [4, 9]) == [2, 3]
-        assert solve_in_image([[2]], [3]) is None
-        with pytest.raises(ValueError, match="is not an int"):
-            solve_in_image([[1.5]], [1])
 
     def test_completeness_on_constructed_systems(self):
         rng = random.Random(5)
@@ -563,7 +559,7 @@ class TestEliminationAgainstTheOracle:
             for degree in admitted_boundary_degrees(q):
                 below = homology._reduction(q, degree - 1)[0] if degree > 2 else ()
                 paired = {j for _, j, _, _, _ in below}
-                kept = g_columns(q, degree, homology._generators(q))
+                kept = g_columns(q, degree)
                 assert_matches_the_oracle(kept, paired)
                 # the pass on the rows that homology's reductions are built in
                 built = built_reduction(q, degree, paired)

@@ -307,6 +307,14 @@ class TestDatasetJson:
             )
         assert exc.value.path == "comment"
 
+    @pytest.mark.parametrize("points", [{}, "t1", None], ids=["object", "string", "null"])
+    def test_triple_points_must_be_a_list(self, points):
+        with pytest.raises(SchemaError) as exc:
+            dataset_from_json(
+                {"quandle": {"kind": "dihedral", "order": 3}, "triple_points": points}
+            )
+        assert (exc.value.path, exc.value.message) == ("triple_points", "must be a list")
+
     def test_unknown_point_field_rejected(self):
         with pytest.raises(SchemaError) as exc:
             dataset_from_json(

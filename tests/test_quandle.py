@@ -7,7 +7,7 @@ from quandlehom.errors import QuandleAxiomError, ResourceLimitError, SchemaError
 from quandlehom.pseudocycles import quandle_from_json
 from quandlehom.quandle import MAX_DIHEDRAL_ORDER
 
-from conftest import trivial_table
+from conftest import S4_TABLE, least_relabelling, quandle_classes, trivial_table
 
 
 def brute_force_axioms(q):
@@ -49,6 +49,26 @@ def test_dihedral_rows_do_not_depend_on_how_the_table_is_read(monkeypatch):
 def test_inventory_passes_brute_force_recheck(inventory):
     for _, q in inventory:
         brute_force_axioms(q)
+
+
+def test_inventory_holds_every_class_of_order_at_most_4(inventory):
+    # 1, 1, 3 and 7 isomorphism classes of orders 1 to 4 (OEIS A181769)
+    assert [len(quandle_classes(n)) for n in range(1, 5)] == [1, 1, 3, 7]
+    assert len(inventory) == len(dict(inventory)) == 12
+    # a named class holds the least relabelling of the quandle it is named for
+    r3 = Quandle.dihedral(3).table
+    named = {
+        "R1": Quandle.dihedral(1).table,
+        "T2": trivial_table(2),
+        "T3": trivial_table(3),
+        "T4": trivial_table(4),
+        "R3": r3,
+        "R4": Quandle.dihedral(4).table,
+        "S4": S4_TABLE,
+        "R3 + pt": [[*row, x] for x, row in enumerate(r3)] + [[3] * 4],
+    }
+    for name, table in named.items():
+        assert dict(inventory)[name].table == least_relabelling(table), name
 
 
 def test_act_values(r3):

@@ -170,7 +170,7 @@ class TestHomologyGroupValidation:
         assert str(exc.value) == message
 
     def test_valid_groups(self):
-        assert HomologyGroup(0, ()).is_trivial()
+        assert HomologyGroup(0, ()) == (0, ())
         assert str(HomologyGroup(1, (2, 4))) == "Z + Z/2 + Z/4"
         assert HomologyGroup(0, (3,)).to_json_dict() == {"free_rank": 0, "torsion": [3]}
 
@@ -347,6 +347,20 @@ COPIES = {
     "copy": copy.copy,
     "deepcopy": copy.deepcopy,
 }
+
+
+@pytest.mark.parametrize("name", sorted(OBJECTS))
+class TestObjects:
+    def test_attributes_cannot_be_assigned(self, name):
+        value = OBJECTS[name]()
+        with pytest.raises(AttributeError, match="is immutable"):
+            value.order = 1
+
+    @pytest.mark.parametrize("other", [None, 3, "x", SimpleNamespace()])
+    def test_a_foreign_operand_is_unequal(self, name, other):
+        value = OBJECTS[name]()
+        assert value.__eq__(other) is NotImplemented
+        assert value != other and other != value
 
 
 class TestCopyAndPickle:
