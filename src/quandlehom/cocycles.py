@@ -185,13 +185,9 @@ def mochizuki_theta_p(p):
         raise ValueError(f"expected an odd prime, got {p!r}")
 
     def value(x, y, z):
+        # p divides inner for every integer y and z, not only for 0..p-1:
+        # by Fermat a^p = a (mod p), so inner = (2z - y) + y - 2z = 0 (mod p)
         inner = (2 * z - y) ** p + y ** p - 2 * z ** p
-        if inner % p:
-            # Fermat guarantees divisibility for canonical representatives;
-            # a failure means the representative convention drifted
-            raise AssertionError(
-                f"({2 * z - y})^{p} + {y}^{p} - 2*{z}^{p} not divisible by {p}"
-            )
         return ((x - y) * (inner // p)) % p
 
     cocycle = Cocycle3.from_function(quandle, p, value)

@@ -6,8 +6,6 @@ Everything user-facing derives from QuandlehomError so the CLI can map
 library failures to its input-error exit code in one place.
 """
 
-import re
-
 
 class QuandlehomError(Exception):
     """Base class for all errors raised by this package."""
@@ -116,7 +114,8 @@ def decimal_int(text, path):
     >>> decimal_int("-12", "n"), decimal_int(" 3", "n"), decimal_int("\u0663", "n")
     (-12, None, None)
     """
-    if not re.fullmatch("-?[0-9]+", text):
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):  # isdigit alone takes "\u0663", "\u00b2"
         return None
     try:
         return int(text)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import quandlehom
 from quandlehom import CocycleCheck, Quandle, chains, cli, cocycles, homology, pseudocycles, quandle
 from quandlehom.errors import QuandleMismatchError
 
@@ -841,6 +842,60 @@ def test_cli_import_leaves_out_slow_modules():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def fresh_import(code):
+    """`result`, as JSON, after `import quandlehom` and then `code` in a new
+    interpreter that writes no bytecode and runs no site .pth file.  `core`
+    holds the modules that the import loaded; json loads only at the end,
+    since it imports re."""
+    src = Path(cli.__file__).resolve().parents[1]
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); before = set(sys.modules); "
+        "import quandlehom; core = set(sys.modules) - before\n"
+        f"{code}\nimport json; print(json.dumps(result))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-B", "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_package_import_loads_the_core_only():
+    # the homology path never runs cocycles or pseudocycles, and re, with the
+    # enum it imports, is not on the path at all
+    core, after_pair, undir = fresh_import(
+        "names = set(dir(quandlehom))\n"
+        "loaded = set(sys.modules)\n"
+        "quandlehom.pair\n"
+        "result = [sorted(core), sorted(set(sys.modules) - loaded),\n"
+        "    sorted(set(quandlehom.__all__) - names)]"
+    )
+    assert [m for m in core if m.startswith("quandlehom")] == [
+        "quandlehom", "quandlehom.chains", "quandlehom.errors", "quandlehom.homology",
+        "quandlehom.intlinalg", "quandlehom.quandle",
+    ]
+    assert not {"re", "enum"} & set(core)
+    assert after_pair == ["quandlehom.cocycles"]
+    assert undir == []  # dir() lists the names that are not loaded yet
+
+
+def test_public_names_are_the_defining_modules_objects():
+    # star-import first, so that it, not getattr, loads the leaves
+    found = fresh_import(
+        "star = {}\n"
+        "exec('from quandlehom import *', star)\n"
+        "result = {name: [obj.__module__, obj is star.get(name),\n"
+        "    obj is getattr(sys.modules[obj.__module__], name)]\n"
+        "    for name in quandlehom.__all__ for obj in [getattr(quandlehom, name)]}"
+    )
+    assert list(found) == quandlehom.__all__
+    for name, (module, from_star, from_module) in found.items():
+        assert module.startswith("quandlehom."), name
+        assert from_star and from_module, name
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        quandlehom.no_such_name
 
 
 def test_cli_imports_only_the_standard_library():

@@ -88,6 +88,29 @@ def orbit_count(q):
     return len({root(x) for x in range(q.order)})
 
 
+def inner_automorphism_order(q):
+    """|Inn(X)|: the right translations x -> x*y closed under composition."""
+    n = q.order
+    gens = [tuple(q.table[x][y] for x in range(n)) for y in range(n)]
+    group = {tuple(range(n))}
+    frontier = set(group)
+    while frontier:
+        frontier = {tuple(s[g[x]] for x in range(n)) for g in frontier for s in gens} - group
+        group |= frontier
+    return len(group)
+
+
+def prime_factors(d):
+    primes, p = [], 2
+    while p * p <= d:
+        if d % p == 0:
+            primes.append(p)
+            while d % p == 0:
+                d //= p
+        p += 1
+    return primes + ([d] if d > 1 else [])
+
+
 class TestHomologyGroupType:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -139,6 +162,21 @@ class TestHomologyGroups:
             for degree in (1, 2, 3, 4) if q.order <= 5 else (1, 2, 3):
                 g = homology_group(q, degree)
                 assert g.free_rank == k * (k - 1) ** (degree - 1), (name, degree)
+
+    def test_torsion_primes_divide_the_inner_automorphism_group_order(self, inventory):
+        # Etingof-Grana ("On rack cohomology", 2003): for a finite rack X and
+        # a field k whose characteristic does not divide |Inn(X)|, the rack
+        # cohomology H^n_R(X; k) is fixed by the orbits.  Char 0 gives the
+        # free rank, so by universal coefficients such a prime p divides no
+        # invariant factor of H^R_n(X; Z); H^Q_n is a summand of H^R_n
+        # (Litherland-Nelson 2003), so p divides none of H^Q_n either
+        orders = {}
+        for name, q in inventory:
+            orders[name] = inner_automorphism_order(q)
+            for degree in range(1, 6):
+                for d in homology_group(q, degree).torsion:
+                    assert all(orders[name] % p == 0 for p in prime_factors(d)), (name, degree, d)
+        assert list(orders.values()) == [1, 1, 1, 2, 6, 1, 2, 2, 6, 3, 4, 12]
 
     def test_larger_dihedral_regression_values(self):
         # H_3(R_p) = Z/p and H_4(R5) = Z/5 (Mochizuki's 3-cocycle has order p)

@@ -6,6 +6,7 @@ import contextlib
 import copy
 import io
 import json
+import re
 from importlib import resources
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quandlehom import Chain, Quandle, TriplePoint, TriplePointDataset, cli, dataset_from_json
+from quandlehom.errors import decimal_int
 from quandlehom.pseudocycles import quandle_from_json
 
 from conftest import S4_TABLE
@@ -157,3 +159,14 @@ def test_unknown_key_is_named_on_one_line(tmp_path):
     assert (code, out, err) == (2, "", "error: 'a\\nb': unknown field\n")
     code, out, err = run_document(tmp_path / "doc.json", {**CBAR1, "extra": 1}, argv)
     assert (code, out, err) == (2, "", "error: extra: unknown field\n")
+
+
+# decimal_int takes exactly -?[0-9]+ with ASCII digits; str.isdigit alone
+# would also take Arabic-Indic three and superscript two
+@pytest.mark.parametrize("text, value", [
+    ("-12", -12), ("-0", 0), ("007", 7), ("-", None), ("", None), ("--1", None), ("1_0", None),
+    (" 5", None), ("+5", None), ("12\n", None), ("\u0663", None), ("\u00b2", None),
+])
+def test_decimal_int_takes_ascii_decimal_text_only(text, value):
+    assert decimal_int(text, "n") == value
+    assert (value is not None) == bool(re.fullmatch("-?[0-9]+", text))
