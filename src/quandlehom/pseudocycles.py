@@ -4,7 +4,11 @@ A subset of triple points is a pseudo-cycle when its signed color chain is
 a nonzero cycle of the quandle complex that does not bound.  Enumeration
 is exhaustive over subsets (bitmask order, capped), with null-homology
 verdicts memoized by the sign-normalized coordinate vector; the maximum
-disjoint family is found by depth-first search.
+disjoint family is found by depth-first search.  Enumeration reads each
+point's (colors, sign) term once, in id order, and builds each subset's
+chain straight from the mask bits; it builds a subset's id tuple only to
+list it.  chain_of, which looks the ids up, serves is_pseudo_cycle and the
+CLI.
 
 A subset's projected chain goes through homology's one cycle test, the
 one is_null_homologous runs: d_3, kept in the quandle's store, must map
@@ -19,9 +23,16 @@ dataset checks unique ids and color range, and dataset_from_json checks the
 JSON shape and adds field paths to their errors.  Later code trusts them.
 
 The packing DFS picks members in lexicographic order (recursion depth = the
-family size) and cuts a branch when len(chosen) + min(candidates left, free
-points // smallest candidate size) <= len(best): an exact bound, so the first
-maximum family found is still the lexicographically least.
+family size) and stops at the first family of the target size, which is
+then the lexicographically least maximum family.  The target is the
+maximum packing of the inclusion-minimal pseudo-cycles, which is the
+maximum over all of them: each member of a disjoint family contains a
+minimal pseudo-cycle, and swapping it in keeps the family disjoint.  By the
+same argument, a branch can add at most bound(free), the maximum packing of
+the minimal pseudo-cycles inside its free points (memoized per call), and
+it is cut when len(chosen) + bound(free) < target.  The cheap bound
+min(candidates left, free points // smallest candidate size) is tried
+first, and bound(free) is computed only where that does not cut.
 """
 
 from collections import namedtuple
@@ -201,44 +212,81 @@ def enumerate_pseudo_cycles(dataset):
             f"dataset has {k} triple points, enumeration cap is "
             f"DEFAULT_POINT_CAP = {DEFAULT_POINT_CAP}"
         )
+    terms = [(pt.colors, pt.sign) for pt in map(dataset.point, ids)]
+    quandle = dataset.quandle
     verdicts = {}
     found = []
     for mask in range(1, 1 << k):
-        subset = tuple(ids[i] for i in range(k) if mask >> i & 1)
-        if _pseudo_cycle_test(chain_of(subset, dataset), dataset.quandle, verdicts):
-            found.append(subset)
+        chain = Chain._from_checked(3, [t for i, t in enumerate(terms) if mask >> i & 1])
+        if _pseudo_cycle_test(chain, quandle, verdicts):
+            found.append(tuple(pid for i, pid in enumerate(ids) if mask >> i & 1))
     return found
 
 
 PackingResult = namedtuple("PackingResult", "count witness")
 
 
+def _packing_bound(masks, smallest):
+    # bound(free): the maximum packing of the inclusion-minimal masks inside
+    # `free`, memoized on the union of those masks.  It branches on the
+    # lowest point of that union: covered by each minimal mask that holds
+    # it, else left out; it stops early once a branch packs union size //
+    # smallest.  The minimal masks: by size, each kept unless it contains a
+    # kept one
+    minimal = []
+    for m in sorted(masks, key=int.bit_count):
+        if all(k & m != k for k in minimal):
+            minimal.append(m)
+    memo = {}
+
+    def bound(free):
+        inside = [m for m in minimal if not m & ~free]
+        cover = 0
+        for m in inside:
+            cover |= m
+        if cover not in memo:
+            low, best, most = cover & -cover, 0, cover.bit_count() // smallest
+            for gain, m in [(1, m) for m in inside if m & low] + [(0, low)]:
+                if best == most:
+                    break
+                best = max(best, gain + bound(cover & ~m))
+            memo[cover] = best
+        return memo[cover]
+
+    return bound
+
+
 def _pack_disjoint(ids, subsets):
     # DFS that picks each next family member from the later candidates in
-    # lexicographic order, so the first maximum family found is the least
-    # one; the bound in the module docstring cuts branches that cannot win
+    # lexicographic order and stops at the first family of the target size;
+    # the target and the cuts are those of the module docstring
     index = {pid: i for i, pid in enumerate(ids)}
     candidates = sorted(subsets)
     masks = [sum(1 << index[pid] for pid in subset) for subset in candidates]
     smallest = min(map(len, candidates), default=1)
-
-    best = []
+    everything = (1 << len(ids)) - 1
+    bound = _packing_bound(masks, smallest)
+    target = bound(everything)
     chosen = []
 
     def dfs(start, used, free):
-        nonlocal best
-        if len(chosen) > len(best):
-            best = chosen.copy()
+        if len(chosen) == target:
+            return True
+        if (len(chosen) + min(len(candidates) - start, free // smallest) < target
+                or len(chosen) + bound(everything & ~used) < target):
+            return False
         for i in range(start, len(candidates)):
-            if len(chosen) + min(len(candidates) - i, free // smallest) <= len(best):
-                return
+            if len(chosen) + min(len(candidates) - i, free // smallest) < target:
+                return False
             if not masks[i] & used:
                 chosen.append(candidates[i])
-                dfs(i + 1, used | masks[i], free - len(candidates[i]))
+                if dfs(i + 1, used | masks[i], free - len(candidates[i])):
+                    return True
                 chosen.pop()
+        return False
 
     dfs(0, 0, len(ids))
-    return PackingResult(count=len(best), witness=tuple(best))
+    return PackingResult(count=len(chosen), witness=tuple(chosen))
 
 
 def max_disjoint_packing(dataset):

@@ -1,4 +1,3 @@
-import itertools
 import json
 from functools import lru_cache
 from importlib import resources
@@ -36,32 +35,59 @@ S4_TABLE = [
 ]
 
 
-def least_relabelling(table):
-    """The least of the relabellings of `table`, a square array over
-    range(n), as a tuple of tuples: relabelled by the permutation r, x * y
-    becomes r(r^-1(x) * r^-1(y))."""
+def relabellings(table):
+    """Every relabelling of `table`, a square array over range(n), as tuples
+    of tuples: relabelled by the permutation r, x * y becomes
+    r(r^-1(x) * r^-1(y))."""
     n = len(table)
-    return min(
+    return {
         tuple(tuple(r[table[inv[x]][inv[y]]] for y in range(n)) for x in range(n))
         for r in permutations(range(n))
         for inv in [sorted(range(n), key=r.__getitem__)]
-    )
+    }
+
+
+def least_relabelling(table):
+    """The least of the relabellings of `table`."""
+    return min(relabellings(table))
 
 
 @lru_cache(maxsize=None)
 def quandle_classes(n):
     """One table per isomorphism class of quandles of order n, the least
-    relabelled one, in ascending order: a brute force over the right
-    translations s[y] (x -> x * y), each a permutation fixing y, that
-    satisfy s[z] s[y] = s[s[z](y)] s[z] (distributivity).  That is
-    ((n-1)!)^n candidates, 1296 at n = 4."""
+    relabelled one, in ascending order: a backtracking search over the
+    right translations s[y] (x -> x * y), each a permutation fixing y,
+    chosen for y = 0, 1, ... in turn.  Distributivity, s[z] s[y] =
+    s[w] s[z] with w = s[z](y), is checked as soon as s[y], s[z] and s[w]
+    are all chosen, so a partial choice that breaks it is not extended."""
     elements = range(n)
     fixing = [[p for p in permutations(elements) if p[y] == y] for y in elements]
-    least = set()
-    for s in itertools.product(*fixing):
-        if all(s[z][s[y][x]] == s[s[z][y]][s[z][x]]
-               for x, y, z in itertools.product(elements, repeat=3)):
-            least.add(least_relabelling([[s[y][x] for y in elements] for x in elements]))
+    s, seen, least = [], set(), []
+
+    def distributive(j):
+        # the pairs (y, z) first decidable once s[j] is chosen
+        return all(
+            s[z][s[y][x]] == s[w][s[z][x]]
+            for y in range(j + 1) for z in range(j + 1)
+            if (w := s[z][y]) <= j and j in (y, z, w)
+            for x in elements
+        )
+
+    def extend():
+        if len(s) == n:
+            table = tuple(tuple(s[y][x] for y in elements) for x in elements)
+            if table not in seen:
+                relabelled = relabellings(table)
+                seen.update(relabelled)
+                least.append(min(relabelled))
+            return
+        for p in fixing[len(s)]:
+            s.append(p)
+            if distributive(len(s) - 1):
+                extend()
+            s.pop()
+
+    extend()
     return sorted(least)
 
 
@@ -86,6 +112,14 @@ def quandle_inventory():
         for n, names in CLASS_NAMES.items()
         for name, table in zip(names, quandle_classes(n), strict=True)
     ]
+
+
+@lru_cache(maxsize=None)
+def order_five_classes():
+    """Every quandle of order 5 up to isomorphism, 22 classes, each as its
+    least relabelled table: kept out of the inventory, whose suites would
+    run too long on them, and checked against the theorems alone."""
+    return tuple(Quandle.from_table(table) for table in quandle_classes(5))
 
 
 def conjugate(q, sigma, inv):
@@ -248,6 +282,11 @@ def r3():
 @pytest.fixture(scope="session")
 def inventory():
     return quandle_inventory()
+
+
+@pytest.fixture(scope="session")
+def order_five():
+    return order_five_classes()
 
 
 @pytest.fixture(scope="session")

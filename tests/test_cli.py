@@ -470,7 +470,9 @@ class TestResourceGuards:
             monkeypatch.setattr(module, "boundary_columns", self.built)
         for name in ("quandle_basis", "_cells", "matrix_of_boundary"):
             monkeypatch.setattr(chains, name, self.built)
-        monkeypatch.setattr(pseudocycles, "chain_of", self.built)
+        # the search builds its subset chains without chain_of
+        for name in ("chain_of", "_pseudo_cycle_test"):
+            monkeypatch.setattr(pseudocycles, name, self.built)
 
     def refused(self, capsys, argv, limit):
         code, out, err = run(capsys, *argv)

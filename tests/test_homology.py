@@ -100,6 +100,14 @@ def inner_automorphism_order(q):
     return len(group)
 
 
+def generated(q, elements):
+    """The subquandle that `elements` generate: closed under x * y."""
+    closure = set(elements)
+    while new := {q.act(a, b) for a in closure for b in closure} - closure:
+        closure |= new
+    return closure
+
+
 def prime_factors(d):
     primes, p = [], 2
     while p * p <= d:
@@ -429,10 +437,7 @@ class TestReducedComplex:
 
     def test_generators_generate_the_quandle(self, inventory):
         for name, q in inventory + CROSS_CHECK_QUANDLES:
-            closure = set(_generators(q))
-            while new := {q.act(a, b) for a in closure for b in closure} - closure:
-                closure |= new
-            assert closure == set(range(q.order)), name
+            assert generated(q, _generators(q)) == set(range(q.order)), name
         assert _generators(Quandle.from_table(trivial_table(4))) == {0, 1, 2, 3}
         assert _generators(Quandle.dihedral(7)) == {0, 1}
         assert _generators(dict(CROSS_CHECK_QUANDLES)["R3xT2"]) == {0, 1, 2}
@@ -524,6 +529,38 @@ class TestReducedComplex:
             b[j] += 1
             with pytest.raises(AssertionError, match="non-solution"):
                 intlinalg._solve(d4, reduction, b)
+
+
+class TestOrderFive:
+    """The 22 classes of order 5 through the checks whose oracle is a
+    theorem or a closure rather than a second computation: the cheap half
+    of what the inventory suites run."""
+
+    def test_generators_generate_the_quandle(self, order_five):
+        for i, q in enumerate(order_five):
+            assert generated(q, _generators(q)) == set(range(5)), i
+
+    def test_free_rank_oracle(self, order_five):
+        orbits = [orbit_count(q) for q in order_five]
+        # T5 first; the last three are the connected ones: Z/5 with t = 2, 3, and R5
+        assert orbits == [5, 4, 4, 4, 3, 3, 3, 3, 3, 3, 3, 2, 3, 3, 2, 3, 2, 2, 2, 1, 1, 1]
+        for i, (q, k) in enumerate(zip(order_five, orbits)):
+            for degree in (1, 2, 3, 4):
+                assert homology_group(q, degree).free_rank == k * (k - 1) ** (degree - 1), (i, degree)
+
+    def test_torsion_primes_divide_the_inner_automorphism_group_order(self, order_five):
+        # the theorem quoted in TestHomologyGroups' test of the same name
+        orders = [inner_automorphism_order(q) for q in order_five]
+        assert orders == [1, 2, 2, 2, 6, 3, 3, 3, 4, 4, 4, 12, 2, 4, 4, 4, 6, 6, 6, 20, 20, 10]
+        for i, (q, order) in enumerate(zip(order_five, orders)):
+            for degree in range(1, 5):
+                for d in homology_group(q, degree).torsion:
+                    assert all(order % p == 0 for p in prime_factors(d)), (i, degree, d)
+
+    def test_kept_cores_are_unit_free(self, order_five):
+        for i, q in enumerate(order_five):
+            for degree in admitted_boundary_degrees(q):
+                assert unit_free(homology._reduction(q, degree)[1]), (i, degree)
 
 
 def full_columns_key(degree):

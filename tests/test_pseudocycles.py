@@ -428,6 +428,89 @@ def brute_force_packing(ids, subsets):
     return len(best), best
 
 
+def oracle_packing(ids, subsets):
+    """A DFS that picks each next family member from the later candidates in
+    lexicographic order, so the first maximum family found is the least one,
+    and cuts a branch when len(chosen) + min(candidates left, free points //
+    smallest candidate size) <= len(best).  The packing before the bound
+    from the minimal pseudo-cycles: the oracle that the bound must keep."""
+    index = {pid: i for i, pid in enumerate(ids)}
+    candidates = sorted(subsets)
+    masks = [sum(1 << index[pid] for pid in subset) for subset in candidates]
+    smallest = min(map(len, candidates), default=1)
+
+    best = []
+    chosen = []
+
+    def dfs(start, used, free):
+        nonlocal best
+        if len(chosen) > len(best):
+            best = chosen.copy()
+        for i in range(start, len(candidates)):
+            if len(chosen) + min(len(candidates) - i, free // smallest) <= len(best):
+                return
+            if not masks[i] & used:
+                chosen.append(candidates[i])
+                dfs(i + 1, used | masks[i], free - len(candidates[i]))
+                chosen.pop()
+
+    dfs(0, 0, len(ids))
+    return len(best), tuple(best)
+
+
+# (quandle, two-term cycles that do not bound, their halves and a triple in
+# none of them) per quandle for the packing tests: drawn together, their
+# pseudo-cycles overlap
+PACKING_QUANDLES = {
+    "R3": (
+        Quandle.dihedral(3),
+        [((2, 0, 2), (2, 1, 0)), ((1, 0, 1), (1, 2, 0))],
+        [(2, 0, 2), (1, 2, 0), (0, 1, 2)],
+    ),
+    "R4": (
+        Quandle.dihedral(4),
+        [((0, 1, 3), (0, 3, 1)), ((0, 2, 1), (2, 0, 1))],
+        # (0, 2, 0) is a pseudo-cycle on its own
+        [(0, 1, 3), (2, 0, 1), (0, 2, 0), (0, 1, 2)],
+    ),
+    "S4": (
+        Quandle.from_table(S4_TABLE),
+        [((0, 1, 0), (0, 2, 1)), ((2, 0, 2), (2, 1, 0))],
+        [(0, 1, 0), (2, 1, 0), (1, 2, 3)],
+    ),
+    "T2": (
+        Quandle.from_table(trivial_table(2)),
+        [((0, 1, 0), (1, 0, 1))],
+        [(0, 1, 0), (1, 0, 1), (0, 0, 1)],
+    ),
+}
+
+
+def packing_dataset(name, colored):
+    return TriplePointDataset(
+        quandle=PACKING_QUANDLES[name][0],
+        points=tuple(
+            TriplePoint(id=f"p{i}", sign=sign, colors=c) for i, (sign, c) in enumerate(colored)
+        ),
+    )
+
+
+@st.composite
+def packing_datasets(draw):
+    """Datasets of at most 12 points over one PACKING_QUANDLES entry, drawn
+    from its two-term cycles and single triples, each with a random sign."""
+    name = draw(st.sampled_from(sorted(PACKING_QUANDLES)))
+    _, pairs, singles = PACKING_QUANDLES[name]
+    size, colored = draw(st.integers(0, 12)), []
+    while len(colored) < size:
+        sign = draw(st.sampled_from([1, -1]))
+        if size - len(colored) >= 2 and draw(st.booleans()):
+            colored += [(sign, c) for c in draw(st.sampled_from(pairs))]
+        else:
+            colored.append((sign, draw(st.sampled_from(singles))))
+    return name, packing_dataset(name, draw(st.permutations(colored)))
+
+
 class TestPackingOptimality:
     def test_pack_deep_family_of_seven(self):
         # 2,157 pseudo-cycles: a DFS that recurses once per candidate
@@ -443,17 +526,9 @@ class TestPackingOptimality:
             (f"t{i:02d}", f"t{i + 7:02d}") for i in range(7)
         )
 
-    @pytest.mark.parametrize("name", ["R3", "T2"])
+    @pytest.mark.parametrize("name", ["R3", "R4", "S4", "T2"])
     def test_matches_brute_force_on_random_datasets(self, name):
-        if name == "R3":
-            quandle = Quandle.dihedral(3)
-            # the two halves of two-term R3 cycles, and a color in neither
-            pairs = [((2, 0, 2), (2, 1, 0)), ((1, 0, 1), (1, 2, 0))]
-            singles = [(2, 0, 2), (1, 2, 0), (0, 1, 2)]
-        else:
-            quandle = Quandle.from_table([[0, 0], [1, 1]])
-            pairs = [((0, 1, 0), (1, 0, 1))]
-            singles = [(0, 1, 0), (1, 0, 1), (0, 0, 1)]
+        _, pairs, singles = PACKING_QUANDLES[name]
         rng = random.Random(f"packing:{name}")
         nontrivial = 0
         for _ in range(30):
@@ -466,17 +541,33 @@ class TestPackingOptimality:
                 else:
                     colored.append((rng.choice([1, -1]), rng.choice(singles)))
             rng.shuffle(colored)
-            ds = TriplePointDataset(
-                quandle=quandle,
-                points=tuple(
-                    TriplePoint(id=f"p{i}", sign=sign, colors=c)
-                    for i, (sign, c) in enumerate(colored)
-                ),
-            )
+            ds = packing_dataset(name, colored)
             expected = brute_force_packing(ds.sorted_ids(), enumerate_pseudo_cycles(ds))
             assert tuple(max_disjoint_packing(ds)) == expected
             nontrivial += expected[0] >= 2
         assert nontrivial >= 5
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(packing_datasets())
+    def test_matches_the_dfs_without_the_minimal_bound(self, case):
+        _, ds = case
+        ids, subsets = ds.sorted_ids(), enumerate_pseudo_cycles(ds)
+        assert tuple(pseudocycles._pack_disjoint(ids, subsets)) == oracle_packing(ids, subsets)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.lists(st.sets(st.sampled_from(range(10)), min_size=1), max_size=14, unique_by=frozenset))
+    def test_matches_the_dfs_without_the_minimal_bound_on_any_family(self, family):
+        # the bound holds for every family of distinct subsets, pseudo-cycles
+        # or not: each member of a disjoint family contains a minimal member
+        ids = tuple(f"p{i}" for i in range(10))
+        subsets = [tuple(ids[i] for i in sorted(members)) for members in family]
+        assert tuple(pseudocycles._pack_disjoint(ids, subsets)) == oracle_packing(ids, subsets)
+
+    def test_the_least_point_is_left_out_where_that_packs_more(self):
+        # the minimal subsets {a, b, c}, {b, d} and {c, e}: covering a packs 1
+        subsets = [("a", "b", "c"), ("b", "d"), ("c", "e"), ("a", "b", "c", "d")]
+        result = pseudocycles._pack_disjoint(("a", "b", "c", "d", "e"), subsets)
+        assert tuple(result) == (2, (("b", "d"), ("c", "e")))
 
 
 def oracle_is_pseudo_cycle(subset, dataset):

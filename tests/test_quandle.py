@@ -71,6 +71,15 @@ def test_inventory_holds_every_class_of_order_at_most_4(inventory):
         assert dict(inventory)[name].table == least_relabelling(table), name
 
 
+def test_order_five_classes(order_five):
+    # 22 isomorphism classes of order 5 (OEIS A181769)
+    assert len(order_five) == 22
+    for q in order_five:
+        brute_force_axioms(q)
+    assert least_relabelling(Quandle.dihedral(5).table) in [q.table for q in order_five]
+    assert least_relabelling(trivial_table(5)) in [q.table for q in order_five]
+
+
 def test_act_values(r3):
     assert r3.act(0, 0) == 0
     assert r3.act(2, 2) == 2
