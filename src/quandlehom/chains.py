@@ -20,9 +20,10 @@ face f goes to (f, y), and f ending in y drops out.
 
 No tuple is built on that path.  Bases are ordered by extension, so a cell of
 degree d is an index: (f, y) sits at index(f) * (order - 1) + y - (y > last(f)).
-_cells gives each degree's last entries and the index of f*y.  Cells and
-boundary columns are kept in the Quandle object's own store and freed with
-it: equal quandles built separately do not share them.  quandle_basis keeps nothing there.
+_cells computes that index once per degree, for every (f, y), and reads f*y
+off it; both builders take each face's (f, y) from it.  Cells and boundary
+columns are kept in the Quandle object's own store and freed with it: equal
+quandles built separately do not share them.  quandle_basis keeps nothing there.
 
 Each boundary form has one builder on that recursion.  boundary_columns
 makes the column form, SparseColumns, always the full matrix and kept: the
@@ -330,21 +331,22 @@ def _cell_count(quandle, degree):
 @_memoized
 def _cells(quandle, degree):
     """The degree-d cells, quandle_basis(quandle, d), by index alone: (lasts,
-    acts), with lasts[j] the last entry of cell j and acts[y][j] the index of
-    cell j acted on by y entrywise.  Built from degree d-1, as
-    last(f*y) = last(f)*y; kept, so read only."""
+    acts, ext).  lasts[j] is the last entry of cell j.  ext[y][i], the index
+    of (f, y) for f cell i of degree d-1, or None if f ends in y, is the one
+    place the numbering is computed; acts[y][j], cell j acted on by y
+    entrywise, reads it as (f, x)*y = (f*y, x*y).  Kept, so read only."""
     table, n = quandle.table, quandle.order
-    if degree == 1:
-        return tuple(range(n)), tuple(zip(*table))
-    below, acts_below = _cells(quandle, degree - 1)
+    if degree == 1:  # (y,) extends the one cell of degree 0, the empty tuple
+        return tuple(range(n)), tuple(zip(*table)), tuple((y,) for y in range(n))
+    below, acts_below, _ = _cells(quandle, degree - 1)
+    ext = tuple(tuple([i * (n - 1) + y - (y > last) if y != last else None
+                       for i, last in enumerate(below)]) for y in range(n))
     acts = []
     for act, xy in zip(acts_below, zip(*table)):  # xy[x] = x*y
-        # offsets[k]: the offset of x*y after k*y, for each x != k in order
-        offsets = [[xy[x] - (xy[x] > xy[k]) for x in range(n) if x != k] for k in range(n)]
-        acts.append(tuple([
-            b + o for a, k in zip(act, below) for b in [a * (n - 1)] for o in offsets[k]
-        ]))
-    return tuple([x for k in below for x in range(n) if x != k]), tuple(acts)
+        # exts[k]: ext[x*y] for each x != k in order, for a cell f ending in k
+        exts = [[ext[xy[x]] for x in range(n) if x != k] for k in range(n)]
+        acts.append(tuple([e[a] for a, k in zip(act, below) for e in exts[k]]))
+    return tuple([x for k in below for x in range(n) if x != k]), tuple(acts), ext
 
 
 def _check_limits(quandle, degree):
@@ -366,19 +368,13 @@ def boundary_columns(quandle, degree):
     """The quandle boundary from degree n to n-1 as SparseColumns, built from
     d_{n-1} as in the module docstring: column j is the image of the j-th tuple
     of quandle_basis(quandle, n), keyed by row in the degree-(n-1) basis.
-    Built from the cells of degrees n-1 and n-2, with no tuple basis, and
-    kept; its callers check the degree."""
+    Built from the cells of degree n-1, with no tuple basis, and kept; its
+    callers check the degree."""
     order = quandle.order
     # d_{n-1}, which builds the degrees below it on its first call; d_1 = 0
     below = boundary_columns(quandle, degree - 1).columns if degree > 2 else [{}] * order
-    lasts, acts = _cells(quandle, degree - 1)
-    face_lasts = _cells(quandle, degree - 2)[0] if degree > 2 else ()
     # appended[y][i]: the row of face i with y appended, None if face i ends in y
-    appended = [
-        [i * (order - 1) + y - (y > last) if y != last else None
-         for i, last in enumerate(face_lasts)]
-        for y in range(order)
-    ]
+    lasts, acts, appended = _cells(quandle, degree - 1)
     others = [[y for y in range(order) if y != x] for x in range(order)]
     c = (-1) ** degree
     columns = []
@@ -403,14 +399,10 @@ def _rows(quandle, degree, paired):
     dict; not kept, as the pass consumes it."""
     order, ends = quandle.order, _generators(quandle)
     below = boundary_columns(quandle, degree - 1).columns if degree > 2 else [{}] * order
-    lasts, acts = _cells(quandle, degree - 1)
-    face_lasts = _cells(quandle, degree - 2)[0] if degree > 2 else ()
+    lasts, acts, ext = _cells(quandle, degree - 1)
     rows = [None if i in paired else {} for i in range(len(lasts))]
     # appended[y][i]: as in boundary_columns, and None also where that row is paired
-    appended = {y: [
-        r if y != last and rows[r := i * (order - 1) + y - (y > last)] is not None else None
-        for i, last in enumerate(face_lasts)
-    ] for y in ends}
+    appended = {y: [None if r is None or r in paired else r for r in ext[y]] for y in ends}
     # kept[x]: each y in ends other than x, with the offset of (f, y) after f's
     # block, for a cell f ending in x
     kept = [[(y, y - (y > x)) for y in sorted(ends) if y != x] for x in range(order)]
@@ -458,7 +450,9 @@ def coordinates(chain, quandle):
     vec = [0] * _cell_count(quandle, chain.degree)
     for tup, coeff in chain.items():
         j = tup[0]
-        for last, y in zip(tup, tup[1:]):  # the index of (f, y), as in _cells
+        # the index of (f, y) as _cells' ext numbers it, folded here: the search calls
+        # this once per subset, where ext lookups behind a range check measured slower
+        for last, y in zip(tup, tup[1:]):
             if y == last:
                 raise DegenerateGeneratorError(
                     f"generator {tup} is degenerate, not a quandle-basis element"

@@ -87,8 +87,8 @@ def _paper_checks(ds_d, ds_dp):
     theta = mochizuki_theta_p(3)
     # an edited dataset that lacks one of the paper's ids fails that chain's check
     ids = set(ds_dp.sorted_ids())
-    cbar1 = chain_of({"t2", "t3"}, ds_dp) if {"t2", "t3"} <= ids else None
-    cbar2 = chain_of({"t5", "t6"}, ds_dp) if {"t5", "t6"} <= ids else None
+    cbar1 = chain_of(("t2", "t3"), ds_dp) if {"t2", "t3"} <= ids else None
+    cbar2 = chain_of(("t5", "t6"), ds_dp) if {"t5", "t6"} <= ids else None
     report_d, report_dp = pseudo_cycle_report(ds_d), pseudo_cycle_report(ds_dp)
     q = ds_dp.quandle
     yield "cbar1_is_quandle_cycle", {

@@ -169,9 +169,9 @@ def dataset_from_json(obj):
 def chain_of(subset, dataset):
     """The signed chain of a subset of triple points: sum of sign * colors.
 
-    Colliding tuples combine; the subset is treated as a set of ids.
+    Colliding tuples combine; the ids are looked up once each, in the order given.
     """
-    points = [dataset.point(pid) for pid in set(subset)]
+    points = [dataset.point(pid) for pid in dict.fromkeys(subset)]
     return Chain._from_checked(3, [(pt.colors, pt.sign) for pt in points])
 
 

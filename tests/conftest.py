@@ -118,8 +118,14 @@ def quandle_inventory():
 def order_five_classes():
     """Every quandle of order 5 up to isomorphism, 22 classes, each as its
     least relabelled table: kept out of the inventory, whose suites would
-    run too long on them, and checked against the theorems alone."""
+    run too long on them, and checked against the theorems, the builder and
+    reduction oracles and sympy's H_1 and H_2."""
     return tuple(Quandle.from_table(table) for table in quandle_classes(5))
+
+
+def named_order_five():
+    """order_five_classes as (name, quandle) pairs, named by position."""
+    return [(f"order 5 #{i}", q) for i, q in enumerate(order_five_classes())]
 
 
 def conjugate(q, sigma, inv):

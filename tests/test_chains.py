@@ -24,7 +24,8 @@ from quandlehom.quandle import _generators
 
 from conftest import (
     CROSS_CHECK_QUANDLES, S4_TABLE, admitted_boundary_degrees, assert_same_elimination,
-    built_reduction, eliminate, quandle_inventory, sympy_matrix, trivial_table, tuple_columns,
+    built_reduction, eliminate, named_order_five, quandle_inventory, sympy_matrix, trivial_table,
+    tuple_columns,
 )
 
 
@@ -247,15 +248,19 @@ class TestQuandleBasis:
         )
 
     def test_cells_agree_with_the_tuple_basis(self, inventory):
-        for name, q in inventory + CROSS_CHECK_QUANDLES:
+        for name, q in inventory + CROSS_CHECK_QUANDLES + named_order_five():
             for degree in range(1, 5):
                 basis = quandle_basis(q, degree)
                 position = {t: i for i, t in enumerate(basis)}
-                lasts, acts = chains._cells(q, degree)
+                lasts, acts, ext = chains._cells(q, degree)
                 assert list(lasts) == [t[-1] for t in basis], (name, degree)
                 assert [list(a) for a in acts] == [
                     [position[tuple(q.table[x][y] for x in t)] for t in basis]
                     for y in range(q.order)
+                ], (name, degree)
+                faces = quandle_basis(q, degree - 1) if degree > 1 else ((),)
+                assert [list(e) for e in ext] == [
+                    [position.get(f + (y,)) for f in faces] for y in range(q.order)
                 ], (name, degree)
                 for j, t in enumerate(basis):
                     unit = [0] * len(basis)
@@ -264,12 +269,14 @@ class TestQuandleBasis:
 
     def test_orders_1_and_2_index_cells_at_degree_200(self):
         r1 = Quandle.from_table(trivial_table(1))
-        assert chains._cells(r1, 200) == ((), ((),))
+        assert chains._cells(r1, 200) == ((), ((),), ((),))
         assert chains.coordinates(Chain.zero(200), r1) == []
         with pytest.raises(DegenerateGeneratorError):
             chains.coordinates(Chain.generator((0,) * 200), r1)
         t2 = Quandle.from_table(trivial_table(2))
-        assert chains._cells(t2, 200) == ((1, 0), ((0, 1), (0, 1)))
+        # (0, 1)*100 is cell 0 and (1, 0)*100 cell 1; (0, 1)*99 + (0,) extends
+        # only by 1, into cell 0, and (1, 0)*99 + (1,) only by 0, into cell 1
+        assert chains._cells(t2, 200) == ((1, 0), ((0, 1), (0, 1)), ((None, 1), (0, None)))
         basis = quandle_basis(t2, 200)
         assert [chains.coordinates(Chain.generator(t), t2) for t in basis] == [[1, 0], [0, 1]]
 
@@ -389,7 +396,7 @@ class TestMatrixOfBoundary:
                 assert got == formula_boundary(gen, q.table, True), (order, gen)
 
     def test_columns_match_the_tuple_oracle_in_key_order(self, inventory):
-        for name, q in inventory + CROSS_CHECK_QUANDLES:
+        for name, q in inventory + CROSS_CHECK_QUANDLES + named_order_five():
             every = frozenset(range(q.order))
             for degree in admitted_boundary_degrees(q):
                 got = chains.boundary_columns(q, degree)
@@ -402,7 +409,7 @@ class TestMatrixOfBoundary:
     def test_rows_match_the_tuple_oracle(self, inventory):
         # the row builder on the G-columns, with the rows paired below left
         # out, against the tuple columns eliminated
-        for name, q in inventory + CROSS_CHECK_QUANDLES:
+        for name, q in inventory + CROSS_CHECK_QUANDLES + named_order_five():
             for degree in admitted_boundary_degrees(q):
                 below = homology._reduction(q, degree - 1)[0] if degree > 2 else ()
                 paired = {j for _, j, _, _, _ in below}

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
@@ -898,6 +899,38 @@ def test_public_names_are_the_defining_modules_objects():
         assert from_star and from_module, name
     with pytest.raises(AttributeError, match="'no_such_name'"):
         quandlehom.no_such_name
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_the_first_unknown_id_is_named_under_every_hash_seed(seed):
+    # the ids are looked up in the order given, never through a set of
+    # strings, whose order would follow the hash seed
+    src = Path(cli.__file__).resolve().parents[1]
+    path = src / "quandlehom" / "data" / "yashiro_dprime.json"
+    code = (
+        f"import contextlib, io, json, sys; sys.path.insert(0, {str(src)!r})\n"
+        "from quandlehom import cli, dataset_from_json, is_pseudo_cycle\n"
+        "from quandlehom.errors import UnknownIdError\n"
+        "err = io.StringIO()\n"
+        "with contextlib.redirect_stderr(err):\n"
+        "    code = cli.main(['eval-cocycle', '--cocycle', 'mochizuki:3',\n"
+        f"        '--input', {str(path)!r}, '--subset', 't2,zz,yy,xx'])\n"
+        f"with open({str(path)!r}) as f:\n"
+        "    dataset = dataset_from_json(json.load(f))\n"
+        "try:\n"
+        "    is_pseudo_cycle(['t2', 'yy', 'xx', 'zz', 'yy'], dataset)\n"
+        "except UnknownIdError as exc:\n"
+        "    raised = str(exc)\n"
+        "print(json.dumps([code, err.getvalue(), raised]))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-B", "-S", "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONHASHSEED": str(seed)},
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [
+        2, "error: no triple point with id 'zz'\n", "no triple point with id 'yy'",
+    ]
 
 
 def test_cli_imports_only_the_standard_library():

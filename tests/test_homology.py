@@ -533,8 +533,15 @@ class TestReducedComplex:
 
 class TestOrderFive:
     """The 22 classes of order 5 through the checks whose oracle is a
-    theorem or a closure rather than a second computation: the cheap half
-    of what the inventory suites run."""
+    theorem or a closure, and through sympy's H_1 and H_2 (sympy needs
+    seconds for H_3); the builder and reduction oracles run on them beside
+    the inventory."""
+
+    def test_against_independent_sympy_recomputation(self, order_five):
+        for i, q in enumerate(order_five):
+            for degree in (1, 2):
+                g = homology_group(q, degree)
+                assert (g.free_rank, g.torsion) == sympy_homology(q, degree), (i, degree)
 
     def test_generators_generate_the_quandle(self, order_five):
         for i, q in enumerate(order_five):

@@ -11,7 +11,7 @@ from quandlehom.intlinalg import SparseColumns, _rank_and_torsion, _solve
 
 from conftest import (
     CROSS_CHECK_QUANDLES, admitted_boundary_degrees, assert_same_elimination, built_reduction,
-    eliminate, g_columns, is_unimodular, sympy_matrix,
+    eliminate, g_columns, is_unimodular, named_order_five, sympy_matrix,
 )
 
 
@@ -555,7 +555,7 @@ class TestEliminationAgainstTheOracle:
         assert_matches_the_oracle(matrix, data.draw(rows_of(a)))
 
     def test_every_inventory_reduction(self, inventory):
-        for name, q in inventory + CROSS_CHECK_QUANDLES:
+        for name, q in inventory + CROSS_CHECK_QUANDLES + named_order_five():
             for degree in admitted_boundary_degrees(q):
                 below = homology._reduction(q, degree - 1)[0] if degree > 2 else ()
                 paired = {j for _, j, _, _, _ in below}
