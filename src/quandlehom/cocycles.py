@@ -2,8 +2,10 @@
 
 A 3-cocycle must vanish on degenerate triples and pair to zero with the
 (projected) boundary of every 4-tuple.  The checker pairs against this
-package's own boundary operator rather than a hardcoded six-term identity,
-so it stays consistent with the boundary sign convention by construction.
+package's own boundary formula rather than a hardcoded six-term identity,
+so it stays consistent with the boundary sign convention by construction:
+each 4-tuple's boundary is read from chains._faces, the one place that
+formula is written.
 It pairs only the non-degenerate 4-tuples, those of quandle_basis(q, 4)
 in lexicographic order, generated one at a time so that none is kept.
 Degenerate tuples span a subcomplex of the rack complex, so a degenerate
@@ -25,7 +27,7 @@ three-element dihedral quandle.
 from collections import namedtuple
 from itertools import product
 
-from .chains import Chain, _nondegenerate, boundary_rack, project_quandle
+from .chains import Chain, _faces, _nondegenerate, project_quandle
 from .errors import CocycleValidationError, DegreeError, QuandleMismatchError
 from .quandle import Quandle
 
@@ -155,8 +157,8 @@ def is_quandle_3cocycle(cocycle):
             return CocycleCheck(False, (x, x, y))
         if values[x][y][y] != 0:
             return CocycleCheck(False, (x, y, y))
-    for gen in _nondegenerate(n, 4):
-        bd = project_quandle(boundary_rack(Chain._from_checked(4, [(gen, 1)]), q))
+    for gen in _nondegenerate(n, 4):  # in range, so _faces needs no check
+        bd = project_quandle(Chain._from_checked(3, _faces(gen, q.table)))
         if pair(cocycle, bd) != 0:
             return CocycleCheck(False, gen)
     return CocycleCheck(True, None)

@@ -32,7 +32,7 @@ same argument, a branch can add at most bound(free), the maximum packing of
 the minimal pseudo-cycles inside its free points (memoized per call), and
 it is cut when len(chosen) + bound(free) < target.  The cheap bound
 min(candidates left, free points // smallest candidate size) is tried
-first, and bound(free) is computed only where that does not cut.
+first at each node, and bound(free) is computed only where that does not cut.
 """
 
 from collections import namedtuple
@@ -276,8 +276,6 @@ def _pack_disjoint(ids, subsets):
                 or len(chosen) + bound(everything & ~used) < target):
             return False
         for i in range(start, len(candidates)):
-            if len(chosen) + min(len(candidates) - i, free // smallest) < target:
-                return False
             if not masks[i] & used:
                 chosen.append(candidates[i])
                 if dfs(i + 1, used | masks[i], free - len(candidates[i])):

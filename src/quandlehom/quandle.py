@@ -20,7 +20,7 @@ from .errors import QuandleAxiomError, ResourceLimitError
 
 # the largest dihedral order built, and the most rows a table may have: the
 # axiom check visits n^3 triples, and mochizuki_theta_p(p) checks p(p-1)^3
-# boundaries (about 19 s at p = 31 in one CPython 3.11 process on a 2-core
+# boundaries (about 7 s at p = 31 in one CPython 3.11 process on a 2-core
 # host)
 MAX_DIHEDRAL_ORDER = 32
 

@@ -119,7 +119,7 @@ def order_five_classes():
     """Every quandle of order 5 up to isomorphism, 22 classes, each as its
     least relabelled table: kept out of the inventory, whose suites would
     run too long on them, and checked against the theorems, the builder and
-    reduction oracles and sympy's H_1 and H_2."""
+    reduction oracles, the n^4 3-cocycle oracle and sympy's H_1 and H_2."""
     return tuple(Quandle.from_table(table) for table in quandle_classes(5))
 
 

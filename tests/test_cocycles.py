@@ -24,7 +24,7 @@ from quandlehom import cocycles
 from quandlehom.cocycles import CocycleCheck
 from quandlehom.errors import DegreeError, QuandleMismatchError, ResourceLimitError
 
-from conftest import CROSS_CHECK_QUANDLES, quandle_inventory
+from conftest import CROSS_CHECK_QUANDLES, named_order_five, quandle_inventory
 
 
 def brute_force_3cocycle_check(cocycle):
@@ -140,7 +140,7 @@ def relabelled(cocycle, q, sigma):
     )
 
 
-_QUANDLES = dict(quandle_inventory() + CROSS_CHECK_QUANDLES)
+_QUANDLES = dict(quandle_inventory() + CROSS_CHECK_QUANDLES + named_order_five())
 THETA_CASES = [
     ("R3", mochizuki_theta_p(3)),
     ("R5", mochizuki_theta_p(5)),
