@@ -25,14 +25,15 @@ off it; both builders take each face's (f, y) from it.  Cells and boundary
 columns are kept in the Quandle object's own store and freed with it: equal
 quandles built separately do not share them.  quandle_basis keeps nothing there.
 
-Each boundary form has one builder on that recursion.  boundary_columns
-makes the column form, SparseColumns, always the full matrix and kept: the
-degree above, the cycle test, a null-homology query's check and
-matrix_of_boundary read it.  _rows makes the row form that
-intlinalg._pivot_pass reads, for homology's kept reductions: the
-G-columns, whose cell ends in the generating set G that the quandle module
-defines, less the rows paired below, written straight into row dicts and
-column sets, and not kept.
+Each boundary form has one builder on that recursion, and the tests check each
+column against the formula.  boundary_columns makes the column form,
+SparseColumns, always the full matrix and kept: the degree above, the cycle
+test, a null-homology query's check and matrix_of_boundary read it.  _rows
+makes the row form that intlinalg._pivot_pass reads, for homology's kept
+reductions: the G-columns, whose cell ends in the generating set G that the
+quandle module defines, less the rows paired below, written straight into row
+dicts and column sets, and not kept: a reduction builds no column dict and
+transposes nothing.
 """
 
 import sys
@@ -41,7 +42,7 @@ from .errors import (
     DegenerateGeneratorError, DegreeError, QuandleMismatchError, ResourceLimitError,
     SchemaError, decimal_int, expect_keys,
 )
-from .intlinalg import SparseColumns
+from .intlinalg import IntMatrix, SparseColumns
 from .quandle import Quandle, _generators, _memoized
 
 # homology_group, is_null_homologous and matrix_of_boundary refuse, before any
@@ -435,13 +436,18 @@ def _rows(quandle, degree, paired):
 def matrix_of_boundary(quandle, degree):
     """Matrix of the quandle boundary from degree n to n-1, with columns
     indexed by quandle_basis(quandle, n) and rows by the degree-(n-1)
-    basis, both lexicographic: boundary_columns as a dense IntMatrix.
-    Refused, before any basis is built, over the limits of homology_group.
-    """
+    basis, both lexicographic: boundary_columns densified for outside
+    callers, as the package reads the columns.  Refused, before any basis
+    is built, over the limits of homology_group."""
     if not isinstance(degree, int) or isinstance(degree, bool) or degree < 2:
         raise DegreeError(f"boundary matrix requires an integer degree >= 2, got {degree!r}")
     _check_limits(quandle, degree - 1)
-    return boundary_columns(quandle, degree).to_dense()
+    sparse = boundary_columns(quandle, degree)
+    data = [[0] * sparse.cols for _ in range(sparse.rows)]
+    for j, column in enumerate(sparse.columns):
+        for i, e in column.items():
+            data[i][j] = e
+    return IntMatrix._from_rows(data, sparse.cols)
 
 
 def coordinates(chain, quandle):

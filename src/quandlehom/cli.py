@@ -151,24 +151,25 @@ def cmd_homology(args):
     return digest, results, [f"H_{degree} = {group}"], None
 
 
-# the report fields and the stderr summary lines of each pseudo-cycles mode
+# each pseudo-cycles mode: its option's help, report fields and stderr summary lines
 PSEUDO_CYCLE_MODES = {
-    "max": (
-        ("max_disjoint_count", "witness_packing"),
-        ["max disjoint pseudo-cycles: {max_disjoint_count}"],
-    ),
-    "list": (("pseudo_cycles", "distinct_count"), ["pseudo-cycles: {pseudo_cycles}"]),
-    "all": (("pseudo_cycles", "distinct_count", "max_disjoint_count", "witness_packing"), [
-        "pseudo-cycles: {pseudo_cycles}",
-        "max disjoint: {max_disjoint_count} via {witness_packing}",
-    ]),
+    "max": ("only the maximum disjoint count and witness",
+            ("max_disjoint_count", "witness_packing"),
+            ["max disjoint pseudo-cycles: {max_disjoint_count}"]),
+    "list": ("only the list of pseudo-cycle subsets",
+             ("pseudo_cycles", "distinct_count"),
+             ["pseudo-cycles: {pseudo_cycles}"]),
+    "all": ("full report (default)",
+            ("pseudo_cycles", "distinct_count", "max_disjoint_count", "witness_packing"),
+            ["pseudo-cycles: {pseudo_cycles}",
+             "max disjoint: {max_disjoint_count} via {witness_packing}"]),
 }
 
 
 def cmd_pseudo_cycles(args):
     dataset, digest = _load_dataset(args.input)
     full = pseudo_cycle_report(dataset).to_json_dict()
-    fields, summary = PSEUDO_CYCLE_MODES[args.mode]
+    _, fields, summary = PSEUDO_CYCLE_MODES[args.mode]
     results = {k: full[k] for k in fields}
     return digest, results, [line.format(**full) for line in summary], None
 
@@ -247,11 +248,7 @@ def build_parser():
     p = sub.add_parser("pseudo-cycles", help="search a triple-point dataset")
     p.add_argument("--input", type=Path, required=True, help="dataset JSON file")
     mode = p.add_mutually_exclusive_group()
-    for name, text in (
-        ("max", "only the maximum disjoint count and witness"),
-        ("list", "only the list of pseudo-cycle subsets"),
-        ("all", "full report (default)"),
-    ):
+    for name, (text, _, _) in PSEUDO_CYCLE_MODES.items():
         mode.add_argument(f"--{name}", dest="mode", action="store_const", const=name, help=text)
     p.set_defaults(func=cmd_pseudo_cycles, mode="all")
 

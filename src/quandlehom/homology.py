@@ -6,17 +6,17 @@ boundary matrices.  intlinalg finds them by eliminating the unit pivots
 sparsely and taking the Smith normal form of the small core left over, so
 no Smith form of a whole boundary matrix is ever built.
 
-The complex is reduced as a whole, from d_2 up, as in Kaczynski, Mrozek
-and Slusarek ("Homology computation by reduction of chain complexes",
-1998): each unit pivot of d_n pairs a cell of C_n, its column j, with a
-cell of C_{n-1}, and d_{n+1} is eliminated without its rows j.  The pivot
-columns of d_n are independent, so a cycle is fixed by its coordinates off
-them, and those coordinates of ker d_n form a direct summand: deleting the
-rows keeps the rank and the torsion of d_{n+1} and adds no fill.  One
-reduction per degree is kept in the Quandle object's own store, with the
-rank and torsion read off it, and freed with it: H_n and H_{n+1} take the
-Smith form of d_{n+1}'s core once.  Equal quandles built separately do not
-share them.
+The complex is reduced as a whole, from d_2 up, as in Kaczynski, Mrozek and
+Slusarek ("Homology computation by reduction of chain complexes", 1998):
+each unit pivot of d_n pairs a cell of C_n, its column j, with a cell of
+C_{n-1}, and d_{n+1} is eliminated without its rows j.  The pivot columns
+of d_n are independent, so a cycle is fixed by its coordinates off them,
+and those coordinates of ker d_n form a direct summand: deleting the rows
+keeps the rank and the torsion of d_{n+1}, adds no fill and leaves a
+smaller core.  One reduction per degree is kept in the Quandle object's own
+store, with the rank and torsion read off it, and freed with it: H_n and
+H_{n+1} take the Smith form of d_{n+1}'s core once.  Equal quandles built
+separately do not share them.
 
 Only the columns of d_n whose cell ends in a generating set G of the
 quandle are eliminated; the rest are never built into a reduction, so

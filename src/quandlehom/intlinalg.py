@@ -15,11 +15,13 @@ small core left without unit entries reaches _smith, the one dense Smith
 normal form kernel (Dumas, Heckenbach, Saunders and Welker,
 "Computing simplicial homology based on efficient Smith normal form
 algorithms", 2003).  It carries only the blocks that its caller appends
-to the core: _rank_and_torsion appends none and reads the diagonal, and
-snf appends I_m as columns and I_n as rows, which come out as U and V.
-Nothing here keeps an elimination (solve_in_image eliminates afresh on
-each call): the kept ones are homology's, one per boundary matrix, each
-kept with its rank and torsion by its Quandle object and freed with it.
+to the core: _rank_and_torsion appends none and reads the diagonal, so a
+short, wide core costs its own size, not the square of its width; snf,
+which only the image solve calls here, appends I_m as columns and I_n as
+rows, which come out as U and V.  Nothing here keeps an elimination
+(solve_in_image eliminates afresh on each call): the kept ones are
+homology's, one per boundary matrix, each kept with its rank and torsion
+by its Quandle object and freed with it.
 
 _pivot_pass reads row dicts and column sets, with None for each row left
 out.  solve_in_image builds them from an IntMatrix's rows; chains._rows
@@ -137,13 +139,6 @@ class SparseColumns:
                 for i, e in column.items():
                     out[i] += e * v
         return out
-
-    def to_dense(self):
-        data = [[0] * self.cols for _ in range(self.rows)]
-        for j, column in enumerate(self.columns):
-            for i, e in column.items():
-                data[i][j] = e
-        return IntMatrix._from_rows(data, self.cols)
 
 
 class SmithDecomposition(namedtuple("SmithDecomposition", "U D V")):

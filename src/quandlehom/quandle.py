@@ -130,9 +130,9 @@ class Quandle:
 
 
 def _memoized(fn):
-    """Cache fn(quandle, *args) in that quandle's own store, so what the
-    package derives from a quandle is freed with it.  Keyed by (fn, args):
-    fn trusts its arguments, which the public entries check first."""
+    """Cache fn(quandle, *args) in that quandle's own store, freed with it
+    (a copy or a pickle, rebuilt through __init__, starts empty).  Keyed by
+    (fn, args): fn trusts its arguments, which the public entries check."""
 
     @wraps(fn)
     def cached(quandle, *args):
@@ -148,7 +148,8 @@ def _memoized(fn):
 @_memoized
 def _generators(quandle):
     """A generating set G: each element not in the closure under * (a
-    subquandle, as each x -> x*y has finite order) of those before it."""
+    subquandle, as each x -> x*y has finite order) of those before it.
+    {0, 1} for a dihedral quandle of order at least 2, all for a trivial one."""
     table, gens, closure = quandle.table, set(), set()
     for x in range(quandle.order):
         if x not in closure:

@@ -271,6 +271,21 @@ class TestPseudoCyclesCommand:
         assert report["results"]["distinct_count"] == 2
         assert report["results"]["max_disjoint_count"] == 2
 
+    def test_mode_options(self):
+        # the argparse actions, not the formatted --help, whose layout
+        # differs between Python versions
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        parser = sub.choices["pseudo-cycles"]
+        modes = [a for a in parser._actions if a.dest == "mode"]
+        assert [(a.option_strings, a.const, a.help) for a in modes] == [
+            (["--max"], "max", "only the maximum disjoint count and witness"),
+            (["--list"], "list", "only the list of pseudo-cycle subsets"),
+            (["--all"], "all", "full report (default)"),
+        ]
+        assert parser.get_default("mode") == "all"
+        assert parser.parse_args(["--input", "x.json"]).mode == "all"
+        assert parser.parse_args(["--input", "x.json", "--max"]).mode == "max"
+
     def test_out_of_range_color_rejected_with_field_path(self, capsys, tmp_path):
         doc = json.loads(json.dumps(DPRIME))
         doc["triple_points"][0]["colors"] = [5, 0, 2]
@@ -721,10 +736,30 @@ GOLDEN_STDOUT = [
         ["check-cocycle", "--cocycle", "mochizuki:3", "--dump-table"],
         "55128dc28ced611cc2bc1865a787916d676bd38579f2bdf02aed841de6ae004d",
     ),
+    (
+        ["check-cocycle", "--cocycle", "mochizuki:5", "--dump-table"],
+        "11930e1d4e4d1146891ba00e3dfe8f9fca2fb33e91d8a5213e413ac063f6a1c7",
+    ),
+    (
+        ["check-cocycle", "--cocycle", "mochizuki:7", "--dump-table"],
+        "96aaf557d751e64332aebf75847a17cc5fd250f281cd63644c7931426dc45439",
+    ),
+    (
+        ["check-cocycle", "--cocycle", "mochizuki:11", "--dump-table"],
+        "0ed325cf5b1d9addb858298f6d2917ebe4cb6b552cf8cc277d3fa39a0630dd11",
+    ),
+    (
+        ["check-cocycle", "--cocycle", "mochizuki:13", "--dump-table"],
+        "d1c66de86ceddae49811ecbc9cda8990791216b3f829c4c4718c43a374434dc3",
+    ),
 ]
 
 
-@pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT, ids=[a[0] for a, _ in GOLDEN_STDOUT])
+# the command name, and for the theta_p tables after p = 3 the cocycle spec
+GOLDEN_IDS = [a[0] for a, _ in GOLDEN_STDOUT[:5]] + [a[2] for a, _ in GOLDEN_STDOUT[5:]]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT, ids=GOLDEN_IDS)
 def test_golden_stdout(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
@@ -755,13 +790,17 @@ GOLDEN_STDERR = [
     "6bd55e191cb6edd0394e4c5aa0f0c74d52abc00ab8c87cc5a790024652c517e1",
     "452071b3863cbb20dddc52d6100b4eedd58bffa90f2563b4079483cb1489f461",
     "d75792ea651d5358dc84662ebbf323cd6fd176329f0b786b31bf1a0eb414ce85",
+    "276495a4404ef0d0fd3bd950ce1582e9a088a9c2b01b5ba8615751d4361b8982",
+    "9a7758e11a5ca995ca0bdbad0ab10cd698e34c5e4977d8a93c571e0765d127a3",
+    "039978fe7255a3d41b4dda63093b62b13f1c03f2f69129d817dbfcf606c02527",
+    "be1af8657f2e98615d1e27d118fe7aaebb25443805b39f452861e99de01d9e61",
 ]
 
 
 @pytest.mark.parametrize(
     "argv,digest",
     [(argv, digest) for (argv, _), digest in zip(GOLDEN_STDOUT, GOLDEN_STDERR)],
-    ids=[a[0] for a, _ in GOLDEN_STDOUT],
+    ids=GOLDEN_IDS,
 )
 def test_golden_stderr(capsys, argv, digest):
     code, _, err = run(capsys, *argv)
