@@ -3,9 +3,9 @@
 A subset of triple points is a pseudo-cycle when its signed color chain is
 a nonzero cycle of the quandle complex that does not bound.  Enumeration
 is exhaustive over subsets (bitmask order, capped), with null-homology
-verdicts memoized by the sign-normalized coordinate vector; the maximum
-disjoint family is found by depth-first search.  Enumeration reads each
-point's (colors, sign) term once, in id order, and builds each subset's
+verdicts memoized by the sign-normalized coordinate vector; one pass over
+the pseudo-cycles finds the maximum disjoint family.  Enumeration reads
+each point's (colors, sign) term once, in id order, and builds each subset's
 chain straight from the mask bits; it builds a subset's id tuple only to
 list it.  chain_of, which looks the ids up, serves is_pseudo_cycle and the
 CLI.
@@ -22,17 +22,19 @@ Each triple point is validated once: TriplePoint checks its fields, the
 dataset checks unique ids and color range, and dataset_from_json checks the
 JSON shape and adds field paths to their errors.  Later code trusts them.
 
-The packing DFS picks members in lexicographic order (recursion depth = the
-family size) and stops at the first family of the target size, which is
-then the lexicographically least maximum family.  The target is the
-maximum packing of the inclusion-minimal pseudo-cycles, which is the
-maximum over all of them: each member of a disjoint family contains a
-minimal pseudo-cycle, and swapping it in keeps the family disjoint.  By the
-same argument, a branch can add at most bound(free), the maximum packing of
-the minimal pseudo-cycles inside its free points (memoized per call), and
-it is cut when len(chosen) + bound(free) < target.  The cheap bound
-min(candidates left, free points // smallest candidate size) is tried
-first at each node, and bound(free) is computed only where that does not cut.
+The packing takes members in one pass over the candidates in
+lexicographic order, up to the target size.  The target is the maximum
+packing of the inclusion-minimal pseudo-cycles, which is the maximum over
+all of them: each member of a disjoint family contains a minimal
+pseudo-cycle, and swapping it in keeps the family disjoint.  So
+bound(rest), the maximum packing of the minimal pseudo-cycles inside the
+points rest (memoized per call), is exact.  A candidate is taken iff it
+is disjoint from the members taken and bound(rest) of the points it
+leaves free reaches the members still needed, i.e. iff some maximum
+family extends the members taken with it; a candidate that fails never
+passes later, as the free points only shrink.  So each member taken is
+the next one of the lexicographically least maximum family.  The cheap
+test rest.bit_count() // smallest candidate size runs before bound(rest).
 """
 
 from collections import namedtuple
@@ -257,33 +259,23 @@ def _packing_bound(masks, smallest):
 
 
 def _pack_disjoint(ids, subsets):
-    # DFS that picks each next family member from the later candidates in
-    # lexicographic order and stops at the first family of the target size;
-    # the target and the cuts are those of the module docstring
+    # one pass over the candidates in lexicographic order, stopping at the
+    # target; the target and the test are those of the module docstring
     index = {pid: i for i, pid in enumerate(ids)}
     candidates = sorted(subsets)
     masks = [sum(1 << index[pid] for pid in subset) for subset in candidates]
     smallest = min(map(len, candidates), default=1)
-    everything = (1 << len(ids)) - 1
     bound = _packing_bound(masks, smallest)
-    target = bound(everything)
+    free = (1 << len(ids)) - 1
+    target = bound(free)
     chosen = []
-
-    def dfs(start, used, free):
+    for subset, mask in zip(candidates, masks):
         if len(chosen) == target:
-            return True
-        if (len(chosen) + min(len(candidates) - start, free // smallest) < target
-                or len(chosen) + bound(everything & ~used) < target):
-            return False
-        for i in range(start, len(candidates)):
-            if not masks[i] & used:
-                chosen.append(candidates[i])
-                if dfs(i + 1, used | masks[i], free - len(candidates[i])):
-                    return True
-                chosen.pop()
-        return False
-
-    dfs(0, 0, len(ids))
+            break
+        rest, need = free & ~mask, target - len(chosen) - 1
+        if not mask & ~free and rest.bit_count() // smallest >= need and bound(rest) >= need:
+            chosen.append(subset)
+            free = rest
     return PackingResult(count=len(chosen), witness=tuple(chosen))
 
 
@@ -309,9 +301,11 @@ class PseudoCycleReport(_CheckedMake, namedtuple(
         self = super().__new__(cls, *args, **kwargs)
         if self.distinct_count != len(self.pseudo_cycles):
             raise ValueError("distinct_count must equal the number of pseudo-cycles")
+        listed = set(self.pseudo_cycles)
+        if len(listed) != self.distinct_count:
+            raise ValueError("pseudo-cycles must be distinct subsets")
         if self.max_disjoint_count != len(self.witness_packing):
             raise ValueError("max_disjoint_count must equal the witness size")
-        listed = set(self.pseudo_cycles)
         used = set()
         for subset in self.witness_packing:
             if subset not in listed:

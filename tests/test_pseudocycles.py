@@ -231,6 +231,13 @@ class TestReport:
                 max_disjoint_count=2,
                 witness_packing=(("a", "b"), ("b", "c")),  # overlap in b
             )
+        with pytest.raises(ValueError):
+            PseudoCycleReport(
+                pseudo_cycles=(("a", "b"), ("a", "b")),  # one subset listed twice
+                distinct_count=2,
+                max_disjoint_count=1,
+                witness_packing=(("a", "b"),),
+            )
 
     def test_id_permutation_invariance(self, dprime_dataset):
         renames = {"t2": "x9", "t3": "x1", "t5": "x5", "t6": "x3"}
@@ -432,8 +439,9 @@ def oracle_packing(ids, subsets):
     """A DFS that picks each next family member from the later candidates in
     lexicographic order, so the first maximum family found is the least one,
     and cuts a branch when len(chosen) + min(candidates left, free points //
-    smallest candidate size) <= len(best).  The packing before the bound
-    from the minimal pseudo-cycles: the oracle that the bound must keep."""
+    smallest candidate size) <= len(best).  The packing as it was before
+    the bound from the minimal pseudo-cycles, kept as the oracle that the
+    one-pass packing must match."""
     index = {pid: i for i, pid in enumerate(ids)}
     candidates = sorted(subsets)
     masks = [sum(1 << index[pid] for pid in subset) for subset in candidates]
@@ -513,8 +521,9 @@ def packing_datasets(draw):
 
 class TestPackingOptimality:
     def test_pack_deep_family_of_seven(self):
-        # 2,157 pseudo-cycles: a DFS that recurses once per candidate
-        # overflows the interpreter stack here
+        # 2,157 pseudo-cycles, and the lexicographically first ones are
+        # large: the pass must go by each candidate whose free points left
+        # over cannot hold the rest of a family of seven
         ds = make_dataset(
             [(f"t{i:02d}", 1, (2, 0, 2)) for i in range(7)]
             + [(f"t{i:02d}", 1, (2, 1, 0)) for i in range(7, 14)]
@@ -561,7 +570,9 @@ class TestPackingOptimality:
         # or not: each member of a disjoint family contains a minimal member
         ids = tuple(f"p{i}" for i in range(10))
         subsets = [tuple(ids[i] for i in sorted(members)) for members in family]
-        assert tuple(pseudocycles._pack_disjoint(ids, subsets)) == oracle_packing(ids, subsets)
+        result = tuple(pseudocycles._pack_disjoint(ids, subsets))
+        assert result == oracle_packing(ids, subsets)
+        assert result == brute_force_packing(ids, subsets)
 
     def test_the_least_point_is_left_out_where_that_packs_more(self):
         # the minimal subsets {a, b, c}, {b, d} and {c, e}: covering a packs 1
