@@ -51,36 +51,6 @@ def __dir__():
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Chain",
-    "Cocycle3",
-    "CocycleCheck",
-    "HomologyGroup",
-    "IntMatrix",
-    "PseudoCycleReport",
-    "Quandle",
-    "SmithDecomposition",
-    "TriplePoint",
-    "TriplePointDataset",
-    "boundary_quandle",
-    "boundary_rack",
-    "chain_of",
-    "dataset_from_json",
-    "det",
-    "enumerate_pseudo_cycles",
-    "homology_group",
-    "is_degenerate",
-    "is_null_homologous",
-    "is_pseudo_cycle",
-    "is_quandle_3cocycle",
-    "matrix_of_boundary",
-    "max_disjoint_packing",
-    "mochizuki_theta",
-    "mochizuki_theta_p",
-    "pair",
-    "project_quandle",
-    "pseudo_cycle_report",
-    "quandle_basis",
-    "snf",
-    "solve_in_image",
-]
+# the public names: the objects imported above from package modules, and the leaves'
+__all__ = sorted([name for name, obj in list(globals().items()) if not name.startswith("_")
+                  and getattr(obj, "__module__", "").startswith(f"{__name__}.")] + [*_LEAF_OF])

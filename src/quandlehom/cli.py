@@ -39,15 +39,25 @@ def _bundled_path(name):
     return Path(__file__).with_name("data") / name
 
 
+def _unique_keys(pairs):
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} repeated in one object")
+        obj[key] = value
+    return obj
+
+
 def _load_json(path):
-    """Parse a JSON file and hash its bytes."""
+    """Parse a JSON file, refusing a key repeated in one object, and hash its bytes."""
     raw = path.read_bytes()
     try:
-        return json.loads(raw.decode("utf-8")), hashlib.sha256(raw).hexdigest()
-    # ValueError covers JSONDecodeError, UnicodeDecodeError and an integer
-    # literal over the interpreter's digit limit
+        obj = json.loads(raw.decode("utf-8"), object_pairs_hook=_unique_keys)
+    # ValueError covers JSONDecodeError, UnicodeDecodeError, a repeated key
+    # and an integer literal over the interpreter's digit limit
     except (ValueError, RecursionError) as exc:
         raise SchemaError("", f"{path}: not valid JSON ({exc})")
+    return obj, hashlib.sha256(raw).hexdigest()
 
 
 def _load_dataset(path):

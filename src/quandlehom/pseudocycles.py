@@ -173,6 +173,8 @@ def chain_of(subset, dataset):
 
     Colliding tuples combine; the ids are looked up once each, in the order given.
     """
+    if isinstance(subset, str):
+        raise SchemaError("subset", "must be a collection of ids, not a string")
     points = [dataset.point(pid) for pid in dict.fromkeys(subset)]
     return Chain._from_checked(3, [(pt.colors, pt.sign) for pt in points])
 
@@ -292,13 +294,17 @@ def max_disjoint_packing(dataset):
 class PseudoCycleReport(_CheckedMake, namedtuple(
     "PseudoCycleReport", "pseudo_cycles distinct_count max_disjoint_count witness_packing"
 )):
-    """Full search output: every pseudo-cycle subset plus the two counts
-    (distinct subsets, and the maximum disjoint family with witness)."""
+    """Full search output: every pseudo-cycle subset, as a tuple, plus the two
+    counts (distinct subsets, and the maximum disjoint family with witness)."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def __new__(cls, pseudo_cycles, distinct_count, max_disjoint_count, witness_packing):
+        for count in (distinct_count, max_disjoint_count):
+            if not isinstance(count, int) or isinstance(count, bool):
+                raise ValueError(f"count {count!r} is not an int")
+        self = super().__new__(cls, tuple(map(tuple, pseudo_cycles)), distinct_count,
+                               max_disjoint_count, tuple(map(tuple, witness_packing)))
         if self.distinct_count != len(self.pseudo_cycles):
             raise ValueError("distinct_count must equal the number of pseudo-cycles")
         listed = set(self.pseudo_cycles)
@@ -328,7 +334,7 @@ def pseudo_cycle_report(dataset):
     subsets = enumerate_pseudo_cycles(dataset)
     packing = _pack_disjoint(dataset.sorted_ids(), subsets)
     return PseudoCycleReport(
-        pseudo_cycles=tuple(subsets),
+        pseudo_cycles=subsets,
         distinct_count=len(subsets),
         max_disjoint_count=packing.count,
         witness_packing=packing.witness,

@@ -645,6 +645,26 @@ class TestCliContract:
         assert err.startswith(f"error: {path}: not valid JSON (")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv,text,key", [
+        (["pseudo-cycles", "--input", "{path}"],
+         '{"quandle": {"kind": "dihedral", "order": 3}, "triple_points": ['
+         '{"id": "t2", "sign": 1, "sign": -1, "colors": [2, 0, 2]}]}', "sign"),
+        (["eval-cocycle", "--cocycle", "mochizuki:3", "--chain", "{path}"],
+         '{"degree": 3, "terms": [{"tuple": [2, 0, 2], "coeff": "1", "coeff": "2"}]}', "coeff"),
+        (["homology", "--quandle", "table:{path}", "--degree", "2"],
+         '{"kind": "table", "table": [[0]], "table": [[0, 2, 1], [2, 1, 0], [1, 0, 2]]}',
+         "table"),
+    ], ids=["input", "chain", "quandle-table"])
+    def test_repeated_key_is_one_error_line(self, capsys, tmp_path, argv, text, key):
+        # json.loads alone keeps the last value of a repeated key, and each
+        # of these documents would then be accepted
+        path = tmp_path / "repeated.json"
+        path.write_text(text)
+        code, out, err = run(capsys, *(a.format(path=path) for a in argv))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: not valid JSON (key {key!r} repeated in one object)\n"
+
     @pytest.mark.skipif(
         not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit"
     )
@@ -938,6 +958,29 @@ def test_public_names_are_the_defining_modules_objects():
         assert from_star and from_module, name
     with pytest.raises(AttributeError, match="'no_such_name'"):
         quandlehom.no_such_name
+
+
+# the package's public names, in full: a name made public by accident, such
+# as a helper that an eager import binds in quandlehom, fails the test below
+PUBLIC_NAMES = [
+    "Chain", "Cocycle3", "CocycleCheck", "HomologyGroup", "IntMatrix", "PseudoCycleReport",
+    "Quandle", "SmithDecomposition", "TriplePoint", "TriplePointDataset", "boundary_quandle",
+    "boundary_rack", "chain_of", "dataset_from_json", "det", "enumerate_pseudo_cycles",
+    "homology_group", "is_degenerate", "is_null_homologous", "is_pseudo_cycle",
+    "is_quandle_3cocycle", "matrix_of_boundary", "max_disjoint_packing", "mochizuki_theta",
+    "mochizuki_theta_p", "pair", "project_quandle", "pseudo_cycle_report", "quandle_basis", "snf",
+    "solve_in_image",
+]
+
+
+def test_public_names_are_pinned():
+    assert quandlehom.__all__ == PUBLIC_NAMES
+    star = fresh_import(
+        "star = {}\n"
+        "exec('from quandlehom import *', star)\n"
+        "result = sorted(star.keys() - {'__builtins__'})"
+    )
+    assert star == PUBLIC_NAMES
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -76,6 +76,12 @@ class TestChainOf:
         with pytest.raises(UnknownIdError):
             chain_of({"t2", "nope"}, dprime_dataset)
 
+    @pytest.mark.parametrize("check", [chain_of, is_pseudo_cycle])
+    def test_string_subset_rejected(self, dprime_dataset, check):
+        # iterating "t2" would look up the ids "t" and "2"
+        with pytest.raises(SchemaError, match="^subset: must be a collection of ids"):
+            check("t2", dprime_dataset)
+
 
 class TestIsPseudoCycle:
     def test_c1_and_c2_are_pseudo_cycles(self, dprime_dataset):
@@ -238,6 +244,17 @@ class TestReport:
                 max_disjoint_count=1,
                 witness_packing=(("a", "b"),),
             )
+
+    def test_report_rebuilds_from_its_json_form(self, dprime_dataset):
+        report = pseudo_cycle_report(dprime_dataset)
+        assert PseudoCycleReport(**report.to_json_dict()) == report
+
+    @pytest.mark.parametrize("field", ["distinct_count", "max_disjoint_count"])
+    @pytest.mark.parametrize("count", [False, 0.0])
+    def test_counts_must_be_ints(self, field, count):
+        fields = dict(pseudo_cycles=(), distinct_count=0, max_disjoint_count=0, witness_packing=())
+        with pytest.raises(ValueError, match="is not an int"):
+            PseudoCycleReport(**{**fields, field: count})
 
     def test_id_permutation_invariance(self, dprime_dataset):
         renames = {"t2": "x9", "t3": "x1", "t5": "x5", "t6": "x3"}
