@@ -1,4 +1,3 @@
-import hashlib
 import json
 import os
 import subprocess
@@ -12,6 +11,7 @@ import quandlehom
 from quandlehom import CocycleCheck, Quandle, chains, cli, cocycles, homology, pseudocycles, quandle
 from quandlehom.errors import QuandleMismatchError
 
+import golden
 from conftest import S4_TABLE, conjugate, trivial_table
 
 
@@ -31,15 +31,9 @@ def write_json(path, obj):
     return str(path)
 
 
-DPRIME = {
-    "quandle": {"kind": "dihedral", "order": 3},
-    "triple_points": [
-        {"id": "t2", "sign": 1, "colors": [2, 0, 2]},
-        {"id": "t3", "sign": 1, "colors": [2, 1, 0]},
-        {"id": "t5", "sign": -1, "colors": [2, 0, 2]},
-        {"id": "t6", "sign": -1, "colors": [2, 1, 0]},
-    ],
-}
+# the paper's D': t2 and t3 are +1 (2,0,2) and +1 (2,1,0), t5 and t6 the same with sign -1
+BUNDLED_DPRIME = str(resources.files("quandlehom.data").joinpath("yashiro_dprime.json"))
+DPRIME = json.loads(Path(BUNDLED_DPRIME).read_text())
 
 
 class TestVerifyPaper:
@@ -156,6 +150,14 @@ class TestVerifyPaper:
         }
         assert "verdict fail" in err
 
+    def test_cancelling_pairs_fail_the_pairing_check_with_value_0(self, capsys, tmp_path):
+        # t2/t3 and t5/t6 cancel: cbar1 is the zero chain, a cycle, so the run
+        # reaches the pairing on R3, which reads 0
+        code, report, _ = run_json(capsys, *golden.argv(GOLDEN["verify-paper-cancelling"], tmp_path))
+        assert (code, report["results"]["first_failure"]) == (1, "theta_pairing_cbar1_nonzero")
+        assert report["results"]["checks"][-1] == {
+            "name": "theta_pairing_cbar1_nonzero", "pass": False, "value": 0, "modulus": 3}
+
     def test_r3_in_table_form_still_passes(self, capsys, tmp_path):
         # quandles compare by table: every relabelling of R3, the swap of 0
         # and 1 included, is an automorphism and gives the same table
@@ -178,11 +180,6 @@ class TestVerifyPaper:
         assert code == 2
         assert out == ""
         assert "quandle.table" in err
-
-    def test_byte_stable_reports(self, capsys):
-        _, first, _ = run(capsys, "verify-paper")
-        _, second, _ = run(capsys, "verify-paper")
-        assert first == second
 
 
 class TestHomologyCommand:
@@ -724,6 +721,7 @@ class TestCliContract:
     def test_reports_are_byte_stable_per_command(self, capsys, tmp_path):
         path = write_json(tmp_path / "dprime.json", DPRIME)
         for argv in (
+            ["verify-paper"],
             ["homology", "--quandle", "dihedral:3", "--degree", "3"],
             ["pseudo-cycles", "--input", path, "--all"],
             ["check-cocycle", "--cocycle", "mochizuki:3"],
@@ -733,112 +731,38 @@ class TestCliContract:
             assert first == second
 
 
-BUNDLED_DPRIME = str(resources.files("quandlehom.data").joinpath("yashiro_dprime.json"))
-
-# sha256 of the exact stdout bytes: reports are byte-stable, so any change
-# here is a change to the CLI's output contract
-GOLDEN_STDOUT = [
-    (["verify-paper"], "1f76920c69e01bbb44da57b0796871f990ab99833096dec6f14d45881a8a6610"),
-    (
-        ["homology", "--quandle", "dihedral:3", "--degree", "3"],
-        "803e749f8a054457a82e9f83436c6ed2a24f2019e1b7e1933a25439bb46f6faf",
-    ),
-    (
-        ["pseudo-cycles", "--input", BUNDLED_DPRIME, "--all"],
-        "f45611d33b2b3a44782f7bd6c5707d9300f4763676df50eb0afbd79735fa38bd",
-    ),
-    (
-        ["eval-cocycle", "--cocycle", "mochizuki:3", "--input", BUNDLED_DPRIME,
-         "--subset", "t2,t3"],
-        "8ce221734d17a360fa1bd384f76418ddc85aab29babbea11a359f2f7e1b56b53",
-    ),
-    (
-        ["check-cocycle", "--cocycle", "mochizuki:3", "--dump-table"],
-        "55128dc28ced611cc2bc1865a787916d676bd38579f2bdf02aed841de6ae004d",
-    ),
-    (
-        ["check-cocycle", "--cocycle", "mochizuki:5", "--dump-table"],
-        "11930e1d4e4d1146891ba00e3dfe8f9fca2fb33e91d8a5213e413ac063f6a1c7",
-    ),
-    (
-        ["check-cocycle", "--cocycle", "mochizuki:7", "--dump-table"],
-        "96aaf557d751e64332aebf75847a17cc5fd250f281cd63644c7931426dc45439",
-    ),
-    (
-        ["check-cocycle", "--cocycle", "mochizuki:11", "--dump-table"],
-        "0ed325cf5b1d9addb858298f6d2917ebe4cb6b552cf8cc277d3fa39a0630dd11",
-    ),
-    (
-        ["check-cocycle", "--cocycle", "mochizuki:13", "--dump-table"],
-        "d1c66de86ceddae49811ecbc9cda8990791216b3f829c4c4718c43a374434dc3",
-    ),
-]
+# every pinned CLI output; `python tests/golden.py` runs the slow entries too
+GOLDEN = golden.load()
 
 
-# the command name, and for the theta_p tables after p = 3 the cocycle spec
-GOLDEN_IDS = [a[0] for a, _ in GOLDEN_STDOUT[:5]] + [a[2] for a, _ in GOLDEN_STDOUT[5:]]
+@pytest.mark.parametrize("name", [name for name, entry in GOLDEN.items() if not entry.get("slow")])
+def test_golden(capsys, tmp_path, name):
+    code, out, err = run(capsys, *golden.argv(GOLDEN[name], tmp_path))
+    assert golden.compare(GOLDEN[name], code, out.encode(), err.encode()) == []
 
 
-@pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT, ids=GOLDEN_IDS)
-def test_golden_stdout(capsys, argv, digest):
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+def test_golden_theta_13_through_python_m(tmp_path):
+    assert golden.compare(GOLDEN["mochizuki:13"], *golden.run(GOLDEN["mochizuki:13"], tmp_path)) == []
 
 
-# digests taken with the dense Smith normal form of each whole boundary
-# matrix, before the unit-pivot elimination; kept apart from GOLDEN_STDOUT,
-# whose ids are the bare command names
-GOLDEN_HOMOLOGY_STDOUT = [
-    ("dihedral:4", "8c6779d68d3ed70251e0ac688da4afbec4b87e34e37ecb58120c7145a163d5f3"),
-    ("dihedral:5", "a1794152f16501a7ddb78b1fda60bbcff91ac882c0174e85863615bd7050094b"),
-]
+ALTERED = {"exit": 1, "stdout_sha256": "0" * 64, "stderr_sha256": "0" * 64, "count": 3,
+           "witness": [], "distinct_count": 3, "stdout_sha265": "0" * 64}
 
 
-@pytest.mark.parametrize("quandle,digest", GOLDEN_HOMOLOGY_STDOUT, ids=[q for q, _ in GOLDEN_HOMOLOGY_STDOUT])
-def test_golden_homology_degree_4_stdout(capsys, quandle, digest):
-    code, out, _ = run(capsys, "homology", "--quandle", quandle, "--degree", "4")
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+@pytest.mark.parametrize("field", ALTERED)
+def test_golden_compare_reports_one_altered_value(capsys, tmp_path, field):
+    entry = dict(GOLDEN["pseudo-cycles"], count=2, witness=[["t2", "t3"], ["t5", "t6"]], distinct_count=2)
+    code, out, err = run(capsys, *golden.argv(entry, tmp_path))
+    assert golden.compare(entry, code, out.encode(), err.encode()) == []
+    problems = golden.compare({**entry, field: ALTERED[field]}, code, out.encode(), err.encode())
+    assert len(problems) == 1 and problems[0].startswith(f"{field}: ")
 
 
-# sha256 of the exact stderr bytes of the GOLDEN_STDOUT commands, in the
-# same order: the human summary is part of the CLI contract too
-GOLDEN_STDERR = [
-    "728397eb8b7080d0b8d69d7dc9b68d2e1b0580f15097d1771f5a61f560ac9357",
-    "ad4f091ad20a6ea3bbbd4829659d34ca9b11d83471fa44a22a1832d3576ebbdb",
-    "6bd55e191cb6edd0394e4c5aa0f0c74d52abc00ab8c87cc5a790024652c517e1",
-    "452071b3863cbb20dddc52d6100b4eedd58bffa90f2563b4079483cb1489f461",
-    "d75792ea651d5358dc84662ebbf323cd6fd176329f0b786b31bf1a0eb414ce85",
-    "276495a4404ef0d0fd3bd950ce1582e9a088a9c2b01b5ba8615751d4361b8982",
-    "9a7758e11a5ca995ca0bdbad0ab10cd698e34c5e4977d8a93c571e0765d127a3",
-    "039978fe7255a3d41b4dda63093b62b13f1c03f2f69129d817dbfcf606c02527",
-    "be1af8657f2e98615d1e27d118fe7aaebb25443805b39f452861e99de01d9e61",
-]
-
-
-@pytest.mark.parametrize(
-    "argv,digest",
-    [(argv, digest) for (argv, _), digest in zip(GOLDEN_STDOUT, GOLDEN_STDERR)],
-    ids=GOLDEN_IDS,
-)
-def test_golden_stderr(capsys, argv, digest):
-    code, _, err = run(capsys, *argv)
-    assert code == 0
-    assert hashlib.sha256(err.encode()).hexdigest() == digest
-
-
-GOLDEN_PSEUDO_CYCLES_MODES = [
-    ("--max", "0ad7b4f9d086db5cf69b59d36a35e9150654b5fa637bcbbbfdd7309b829aea17"),
-    ("--list", "dd5dee2736a29378e9ab6a7f8b231f957bcb5fc6f557f9197fa4af766a74ae65"),
-]
-
-
-@pytest.mark.parametrize("mode,digest", GOLDEN_PSEUDO_CYCLES_MODES, ids=["max", "list"])
-def test_golden_pseudo_cycles_mode_stdout(capsys, mode, digest):
-    code, out, _ = run(capsys, "pseudo-cycles", "--input", BUNDLED_DPRIME, mode)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+def test_golden_runner_names_the_entry_that_differs(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the runner appends bench/
+    monkeypatch.setattr(golden, "load", lambda: {"verify-paper": dict(GOLDEN["verify-paper"], exit=1)})
+    assert golden.main() == 1
+    assert capsys.readouterr().out.endswith("differs: verify-paper\n")
 
 
 def _flipped_dprime(tmp_path):
@@ -893,22 +817,17 @@ def test_report_envelope_and_exit_code(capsys, tmp_path, case):
 def test_cli_import_leaves_out_slow_modules():
     # each of these costs milliseconds of start-up on every command; -S keeps
     # site's .pth files from importing any of them first and hiding a regression
-    src = Path(cli.__file__).resolve().parents[1]
-    code = (
-        f"import sys; sys.path.insert(0, {str(src)!r}); import quandlehom.cli; "
-        "print(sorted(m for m in ('dataclasses', 'inspect', 'typing', 'importlib.resources') "
-        "if m in sys.modules))"
-    )
-    done = subprocess.run(
-        [sys.executable, "-B", "-S", "-c", code], capture_output=True, text=True, timeout=60
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    assert fresh_import(
+        "import quandlehom.cli\n"
+        "result = [m for m in ('dataclasses', 'inspect', 'typing', 'importlib.resources')\n"
+        "    if m in sys.modules]"
+    ) == []
 
 
 def fresh_import(code):
     """`result`, as JSON, after `import quandlehom` and then `code` in a new
-    interpreter that writes no bytecode and runs no site .pth file.  `core`
+    interpreter that writes no bytecode and runs no site .pth file; -I drops
+    PYTHONPATH and the user site, -S every site-packages directory.  `core`
     holds the modules that the import loaded; json loads only at the end,
     since it imports re."""
     src = Path(cli.__file__).resolve().parents[1]
@@ -918,7 +837,7 @@ def fresh_import(code):
         f"{code}\nimport json; print(json.dumps(result))"
     )
     done = subprocess.run(
-        [sys.executable, "-B", "-S", "-c", code], capture_output=True, text=True, timeout=60
+        [sys.executable, "-B", "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
@@ -1016,16 +935,9 @@ def test_the_first_unknown_id_is_named_under_every_hash_seed(seed):
 
 
 def test_cli_imports_only_the_standard_library():
-    # -I drops PYTHONPATH and the user site, -S every site-packages directory:
     # what loads here is what `import quandlehom.cli` itself pulls in
-    src = Path(cli.__file__).resolve().parents[1]
-    code = (
-        f"import sys; sys.path.insert(0, {str(src)!r}); import quandlehom.cli; "
-        "print(sorted(m for m in sys.modules if m != '__main__' and m.partition('.')[0] "
-        "not in sys.stdlib_module_names | {'quandlehom'}))"
-    )
-    done = subprocess.run(
-        [sys.executable, "-B", "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    assert fresh_import(
+        "import quandlehom.cli\n"
+        "result = sorted(m for m in sys.modules if m != '__main__' and m.partition('.')[0]\n"
+        "    not in sys.stdlib_module_names | {'quandlehom'})"
+    ) == []
