@@ -5,10 +5,11 @@ a nonzero cycle of the quandle complex that does not bound.  Enumeration
 is exhaustive over subsets (bitmask order, capped), with null-homology
 verdicts memoized by the sign-normalized coordinate vector; one pass over
 the pseudo-cycles finds the maximum disjoint family.  Enumeration reads
-each point's (colors, sign) term once, in id order, and builds each subset's
-chain straight from the mask bits; it builds a subset's id tuple only to
-list it.  chain_of, which looks the ids up, serves is_pseudo_cycle and the
-CLI.
+each point's (colors, sign) term once, in id order, and drops a degenerate
+one there, keeping its bit; degenerate tuples span a subcomplex, so the
+chain each subset builds straight from the mask bits is already projected.
+It builds a subset's id tuple only to list it.  chain_of, which looks the
+ids up, serves the CLI and is_pseudo_cycle, which projects its result.
 
 A subset's projected chain goes through homology's one cycle test, the
 one is_null_homologous runs: d_3, kept in the quandle's store, must map
@@ -39,7 +40,7 @@ test rest.bit_count() // smallest candidate size runs before bound(rest).
 
 from collections import namedtuple
 
-from .chains import Chain, project_quandle
+from .chains import Chain, is_degenerate, project_quandle
 from .errors import (
     EnumerationCapError, QuandleAxiomError, SchemaError, UnknownIdError, _CheckedMake, expect_keys,
 )
@@ -180,10 +181,9 @@ def chain_of(subset, dataset):
 
 
 def _pseudo_cycle_test(chain, quandle, verdicts):
-    # the pseudo-cycle predicate; null-homology verdicts go in `verdicts`,
-    # keyed by the coordinate vector negated to a positive first nonzero
-    # entry, so that c and -c share one entry
-    chain = project_quandle(chain)
+    # the pseudo-cycle predicate on a projected chain; null-homology
+    # verdicts go in `verdicts`, keyed by the coordinate vector negated to
+    # a positive first nonzero entry, so that c and -c share one entry
     if not chain or (vec := _cycle_coordinates(chain, quandle)) is None:
         return False
     key = tuple(vec) if next(filter(None, vec)) > 0 else tuple(-e for e in vec)
@@ -197,12 +197,12 @@ def is_pseudo_cycle(subset, dataset):
     cycle that is not homologous to zero.
 
     Degenerate color triples are legal in datasets; they represent zero in
-    the quandle complex, so the chain is projected before testing.  The
-    zero chain is a cycle but bounds, hence is never a pseudo-cycle.  A
+    the quandle complex, so the chain is projected once, before testing.
+    The zero chain is a cycle but bounds, hence is never a pseudo-cycle.  A
     nonzero projected chain over a quandle whose d_4 is over the limits of
     homology_group raises ResourceLimitError, cycle or not.
     """
-    return _pseudo_cycle_test(chain_of(subset, dataset), dataset.quandle, {})
+    return _pseudo_cycle_test(project_quandle(chain_of(subset, dataset)), dataset.quandle, {})
 
 
 def enumerate_pseudo_cycles(dataset):
@@ -216,12 +216,14 @@ def enumerate_pseudo_cycles(dataset):
             f"dataset has {k} triple points, enumeration cap is "
             f"DEFAULT_POINT_CAP = {DEFAULT_POINT_CAP}"
         )
-    terms = [(pt.colors, pt.sign) for pt in map(dataset.point, ids)]
+    # the projection: the non-degenerate terms, each with its bit index
+    kept = [(i, (pt.colors, pt.sign)) for i, pt in enumerate(map(dataset.point, ids))
+            if not is_degenerate(pt.colors)]
     quandle = dataset.quandle
     verdicts = {}
     found = []
     for mask in range(1, 1 << k):
-        chain = Chain._from_checked(3, [t for i, t in enumerate(terms) if mask >> i & 1])
+        chain = Chain._from_checked(3, [t for i, t in kept if mask >> i & 1])
         if _pseudo_cycle_test(chain, quandle, verdicts):
             found.append(tuple(pid for i, pid in enumerate(ids) if mask >> i & 1))
     return found

@@ -165,6 +165,32 @@ class TestEnumerate:
             for subset in all_nonempty_subsets(ds.sorted_ids()):
                 assert (subset in listed) == is_pseudo_cycle(set(subset), ds)
 
+    def test_each_point_is_projected_once_not_each_subset(self, monkeypatch):
+        # degenerate points at the lowest bit (a) and the highest (f): the
+        # search drops their terms once and still lists the supersets that
+        # add them; is_pseudo_cycle projects its chain once per call
+        calls = []
+
+        def counted(chain):
+            calls.append(chain)
+            return project_quandle(chain)
+
+        monkeypatch.setattr(pseudocycles, "project_quandle", counted)
+        ds = make_dataset([
+            ("a", 1, (0, 0, 1)), ("b", 1, (2, 0, 2)), ("c", 1, (2, 1, 0)),
+            ("d", -1, (2, 0, 2)), ("e", -1, (2, 1, 0)), ("f", -1, (1, 2, 2)),
+        ])
+        ids = ds.sorted_ids()
+        subsets = [tuple(pid for i, pid in enumerate(ids) if mask >> i & 1)
+                   for mask in range(1, 1 << len(ids))]
+        listed = enumerate_pseudo_cycles(ds)
+        assert calls == []
+        assert listed == [s for s in subsets if oracle_is_pseudo_cycle(s, ds)]
+        assert {("b", "c"), ("a", "b", "c"), ("b", "c", "f"), ("a", "b", "c", "f")} <= set(listed)
+        for n, subset in enumerate(subsets, 1):
+            assert is_pseudo_cycle(subset, ds) == (subset in listed)
+            assert len(calls) == n
+
     def test_cap_enforced(self, monkeypatch):
         def visited(*args):
             raise AssertionError("a subset was visited")

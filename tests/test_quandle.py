@@ -90,11 +90,11 @@ def test_act_values(r3):
 
 
 def test_act_rejects_out_of_range(r3):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^element 3 is not in 0\.\.2$"):
         r3.act(3, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^element -1 is not in 0\.\.2$"):
         r3.act(0, -1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^element True is not in 0\.\.2$"):
         r3.act(0, True)
 
 
