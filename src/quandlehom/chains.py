@@ -450,21 +450,35 @@ def matrix_of_boundary(quandle, degree):
     return IntMatrix._from_rows(data, sparse.cols)
 
 
-def coordinates(chain, quandle):
-    """Coordinate vector of a quandle-complex chain in its degree basis."""
+def _check_tuples(chain, quandle):
+    """The check that coordinates trusts, for a chain from outside the
+    package: in sorted tuple order, a degenerate tuple raises
+    DegenerateGeneratorError, and then one out of the quandle's range
+    QuandleMismatchError."""
     n = quandle.order
+    for tup in chain.support():
+        if is_degenerate(tup):
+            raise DegenerateGeneratorError(
+                f"generator {tup} is degenerate, not a quandle-basis element"
+            )
+        if max(tup) >= n:
+            raise QuandleMismatchError(f"tuple {tup} out of range for quandle of order {n}")
+
+
+def coordinates(chain, quandle):
+    """Coordinate vector of a quandle-complex chain in its degree basis.
+
+    Trusts the chain's tuples to be non-degenerate and in the quandle's
+    range, as those of a checked dataset's points, projected, are; a chain
+    from outside goes through _check_tuples first.  Each tuple sets its own
+    entry, so the terms are read unsorted."""
+    step = quandle.order - 1
     vec = [0] * _cell_count(quandle, chain.degree)
-    for tup, coeff in chain.items():
+    for tup, coeff in chain._terms.items():
         j = tup[0]
         # the index of (f, y) as _cells' ext numbers it, folded here: the search calls
-        # this once per subset, where ext lookups behind a range check measured slower
+        # this once per subset, where ext lookups measured slower
         for last, y in zip(tup, tup[1:]):
-            if y == last:
-                raise DegenerateGeneratorError(
-                    f"generator {tup} is degenerate, not a quandle-basis element"
-                )
-            j = j * (n - 1) + y - (y > last)
-        if max(tup) >= n:  # after the whole degeneracy scan, which is reported first
-            raise QuandleMismatchError(f"tuple {tup} out of range for quandle of order {n}")
+            j = j * step + y - (y > last)
         vec[j] = coeff
     return vec

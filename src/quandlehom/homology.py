@@ -38,18 +38,22 @@ is one of d_n.
 These are the package's only kept eliminations.  A degree-n chain z is
 tested on its coordinate vector alone.  It is a cycle iff d_n z = 0, read
 off the full d_n by the one cycle test, which the pseudo-cycle search
-shares.  A cycle bounds iff the vector lies in the integer image of
-d_{n+1}, a query on the kept reduction of d_{n+1}: the preimage it finds
-is 0 off the G-columns, and is checked on every row against the full
-d_{n+1}, which chains keeps with the Quandle object like every boundary
-matrix (H_{n+1} builds it anyway, as d_{n+2} is built from it).
+shares.  The test trusts the chain's tuples: is_null_homologous, the one
+entry for a chain from outside, checks them once (chains._check_tuples),
+after the limits and before the test, and the search's chains are built
+from checked points.  A cycle bounds iff the vector lies in the integer
+image of d_{n+1}, a query on the kept reduction of d_{n+1}: the preimage
+it finds is 0 off the G-columns, and is checked on every row against the
+full d_{n+1}, which chains keeps with the Quandle object like every
+boundary matrix (H_{n+1} builds it anyway, as d_{n+2} is built from it).
 """
 
 from collections import namedtuple
 
 from . import intlinalg
 from .chains import (
-    _cell_count, _check_limits, _rows, boundary_columns, boundary_quandle, coordinates,
+    _cell_count, _check_limits, _check_tuples, _rows, boundary_columns, boundary_quandle,
+    coordinates,
 )
 from .errors import DegreeError, NotACycleError, _CheckedMake
 from .quandle import _memoized
@@ -123,9 +127,9 @@ def homology_group(quandle, degree):
 def _cycle_coordinates(chain, quandle):
     """The chain's coordinate vector if d_n, kept with the reduction of
     d_{n+1}, maps it to zero, else None: the one cycle test.  The limits
-    are checked first, cycle or not."""
+    are checked first, cycle or not; the tuples are trusted."""
     _check_limits(quandle, chain.degree)
-    vec = coordinates(chain, quandle)  # the one degeneracy and range check
+    vec = coordinates(chain, quandle)
     if chain.degree >= 2 and any(boundary_columns(quandle, chain.degree).apply(vec)):
         return None
     return vec
@@ -140,6 +144,8 @@ def is_null_homologous(chain, quandle):
     Raises NotACycleError if the input is not a cycle: the two halves of
     the pseudo-cycle definition are kept separate on purpose.
     """
+    _check_limits(quandle, chain.degree)
+    _check_tuples(chain, quandle)  # the one degeneracy and range check
     if (vec := _cycle_coordinates(chain, quandle)) is None:
         bd = boundary_quandle(chain, quandle)
         raise NotACycleError(f"chain has nonzero quandle boundary: {bd!r}")

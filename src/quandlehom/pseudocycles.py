@@ -14,6 +14,9 @@ ids up, serves the CLI and is_pseudo_cycle, which projects its result.
 A subset's projected chain goes through homology's one cycle test, the
 one is_null_homologous runs: d_3, kept in the quandle's store, must map
 its coordinate vector to zero, and no boundary chain is built per subset.
+No subset is checked again: the test trusts the tuples, which the dataset
+checked as points, and only is_null_homologous, run once per new verdict,
+checks its chain's tuples.
 That test checks the limits of homology_group before d_3 is first read,
 so a dataset whose d_4 is over them is refused at its first subset with
 a nonzero projected chain; one whose subsets all project to zero is
@@ -293,6 +296,19 @@ def max_disjoint_packing(dataset):
     return _pack_disjoint(dataset.sorted_ids(), enumerate_pseudo_cycles(dataset))
 
 
+def _subset(ids):
+    # a listed subset as the search lists it: a nonempty tuple of ids in
+    # strictly increasing order; tuple("t2") would be ("t", "2")
+    if isinstance(ids, str):
+        raise ValueError(f"subset {ids!r} must be a collection of ids, not a string")
+    ids = tuple(ids)
+    if not ids:
+        raise ValueError("a subset must be nonempty")
+    if any(a >= b for a, b in zip(ids, ids[1:])):
+        raise ValueError(f"subset {ids!r} must list its ids in strictly increasing order")
+    return ids
+
+
 class PseudoCycleReport(_CheckedMake, namedtuple(
     "PseudoCycleReport", "pseudo_cycles distinct_count max_disjoint_count witness_packing"
 )):
@@ -305,8 +321,8 @@ class PseudoCycleReport(_CheckedMake, namedtuple(
         for count in (distinct_count, max_disjoint_count):
             if not isinstance(count, int) or isinstance(count, bool):
                 raise ValueError(f"count {count!r} is not an int")
-        self = super().__new__(cls, tuple(map(tuple, pseudo_cycles)), distinct_count,
-                               max_disjoint_count, tuple(map(tuple, witness_packing)))
+        self = super().__new__(cls, tuple(map(_subset, pseudo_cycles)), distinct_count,
+                               max_disjoint_count, tuple(map(_subset, witness_packing)))
         if self.distinct_count != len(self.pseudo_cycles):
             raise ValueError("distinct_count must equal the number of pseudo-cycles")
         listed = set(self.pseudo_cycles)

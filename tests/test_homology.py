@@ -266,12 +266,27 @@ class TestIsNullHomologous:
         with pytest.raises(DegenerateGeneratorError):
             is_null_homologous(Chain.generator((1, 1, 2)), r3)
 
-    @pytest.mark.parametrize("check", [coordinates, is_null_homologous])
-    def test_chain_over_a_larger_quandle_is_a_mismatch(self, r3, check):
+    def test_limits_are_checked_before_degeneracy(self):
+        r1 = Quandle.from_table(trivial_table(1))
+        with pytest.raises(DegenerateGeneratorError, match=r"generator \(0, 0, .*\) is degenerate"):
+            is_null_homologous(Chain.generator((0,) * 16), r1)
+        with pytest.raises(ResourceLimitError, match="homology degree 17 is over the limit"):
+            is_null_homologous(Chain.generator((0,) * 17), r1)
+
+    # generators with an entry of 3, the first out of range, and of 4, and a
+    # cycle over R5 that coordinates would index silently: d(0, 4, 0, 1)
+    # holds (0, 4, 0) first
+    @pytest.mark.parametrize("gen, bad", [((0, 3, 0), (0, 3, 0)), ((0, 4, 0), (0, 4, 0)),
+                                          ((0, 4, 0, 1), (0, 4, 0))],
+                             ids=["entry-3", "entry-4", "r5-cycle"])
+    def test_chain_over_a_larger_quandle_is_a_mismatch(self, r3, gen, bad):
+        chain = Chain.generator(gen)
+        if len(gen) == 4:
+            chain = boundary_quandle(chain, Quandle.dihedral(5))
         with pytest.raises(QuandleMismatchError) as exc:
-            check(Chain.generator((0, 4, 0)), r3)
+            is_null_homologous(chain, r3)
         assert isinstance(exc.value, ValueError)
-        assert str(exc.value) == "tuple (0, 4, 0) out of range for quandle of order 3"
+        assert str(exc.value) == f"tuple {bad} out of range for quandle of order 3"
 
     def test_multiples_of_cbar1_detect_order_three_class(self, r3, cbar1):
         # the class generates Z/3, so exactly multiples of 3 bound

@@ -17,7 +17,7 @@ from quandlehom import (
     max_disjoint_packing,
     pseudo_cycle_report,
 )
-from quandlehom import pseudocycles
+from quandlehom import homology, pseudocycles
 from quandlehom.chains import boundary_rack, project_quandle
 from quandlehom.errors import (
     EnumerationCapError, ResourceLimitError, SchemaError, UnknownIdError
@@ -191,6 +191,31 @@ class TestEnumerate:
             assert is_pseudo_cycle(subset, ds) == (subset in listed)
             assert len(calls) == n
 
+    def test_each_chain_is_checked_once_per_query_not_per_subset(self, monkeypatch):
+        # the 6-point dataset above: the search's subset chains, built from
+        # checked points, skip the tuple check, which each is_null_homologous
+        # call runs once
+        checks, queries = [], []
+
+        def counted_check(chain, quandle):
+            checks.append(chain)
+            return check_tuples(chain, quandle)
+
+        def counted_query(chain, quandle):
+            queries.append(chain)
+            return is_null_homologous(chain, quandle)
+
+        check_tuples = homology._check_tuples
+        monkeypatch.setattr(homology, "_check_tuples", counted_check)
+        monkeypatch.setattr(pseudocycles, "is_null_homologous", counted_query)
+        ds = make_dataset([
+            ("a", 1, (0, 0, 1)), ("b", 1, (2, 0, 2)), ("c", 1, (2, 1, 0)),
+            ("d", -1, (2, 0, 2)), ("e", -1, (2, 1, 0)), ("f", -1, (1, 2, 2)),
+        ])
+        assert enumerate_pseudo_cycles(ds)
+        assert 0 < len(checks) == len(queries) < 2 ** 6 - 1
+        assert checks == queries
+
     def test_cap_enforced(self, monkeypatch):
         def visited(*args):
             raise AssertionError("a subset was visited")
@@ -269,6 +294,28 @@ class TestReport:
                 distinct_count=2,
                 max_disjoint_count=1,
                 witness_packing=(("a", "b"),),
+            )
+        # tuple("t2") would list the ids t and 2
+        with pytest.raises(ValueError, match="'t2' must be a collection of ids, not a string"):
+            PseudoCycleReport(
+                pseudo_cycles=["t2"], distinct_count=1, max_disjoint_count=0, witness_packing=()
+            )
+        with pytest.raises(ValueError, match="a subset must be nonempty"):
+            PseudoCycleReport(
+                pseudo_cycles=[()], distinct_count=1, max_disjoint_count=1, witness_packing=[()]
+            )
+        # ("t2", "t3") and ("t3", "t2") are one subset listed twice
+        with pytest.raises(ValueError, match="must list its ids in strictly increasing order"):
+            PseudoCycleReport(
+                pseudo_cycles=(("t2", "t3"), ("t3", "t2")),
+                distinct_count=2,
+                max_disjoint_count=1,
+                witness_packing=(("t2", "t3"),),
+            )
+        with pytest.raises(ValueError, match="strictly increasing order"):
+            PseudoCycleReport(
+                pseudo_cycles=(("t2", "t2"),), distinct_count=1, max_disjoint_count=0,
+                witness_packing=(),
             )
 
     def test_report_rebuilds_from_its_json_form(self, dprime_dataset):
