@@ -27,7 +27,7 @@ from pathlib import Path
 from .chains import Chain, project_quandle
 from .cocycles import mochizuki_theta_p, pair
 from .errors import QuandleMismatchError, QuandlehomError, SchemaError, decimal_int
-from .homology import _cycle_coordinates, homology_group, is_null_homologous
+from .homology import _cycle_test, homology_group, is_null_homologous
 from .pseudocycles import chain_of, dataset_from_json, pseudo_cycle_report, quandle_from_json
 
 EXIT_OK = 0
@@ -102,7 +102,7 @@ def _paper_checks(ds_d, ds_dp):
     report_d, report_dp = pseudo_cycle_report(ds_d), pseudo_cycle_report(ds_dp)
     q = ds_dp.quandle
     yield "cbar1_is_quandle_cycle", {
-        "pass": cbar1 is not None and _cycle_coordinates(project_quandle(cbar1), q) is not None
+        "pass": cbar1 is not None and _cycle_test(q, 3)(project_quandle(cbar1)) is not None
     }
     yield "cbar2_is_minus_cbar1", {"pass": cbar2 is not None and cbar2 == -cbar1}
     # the verdict of the brute-force check mochizuki_theta_p ran on theta's

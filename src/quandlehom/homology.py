@@ -37,8 +37,10 @@ is one of d_n.
 
 These are the package's only kept eliminations.  A degree-n chain z is
 tested on its coordinate vector alone.  It is a cycle iff d_n z = 0, read
-off the full d_n by the one cycle test, which the pseudo-cycle search
-shares.  The test trusts the chain's tuples: is_null_homologous, the one
+off the full d_n by the one cycle test.  The test is bound to a quandle and
+a degree: binding it checks the limits and fetches d_n once, so the
+pseudo-cycle search binds it once and runs it on every subset.  The test
+trusts the chain's tuples: is_null_homologous, the one
 entry for a chain from outside, checks them once (chains._check_tuples),
 after the limits and before the test, and the search's chains are built
 from checked points.  A cycle bounds iff the vector lies in the integer
@@ -124,15 +126,22 @@ def homology_group(quandle, degree):
     return HomologyGroup(free_rank=dim - rank_down - rank_up, torsion=torsion)
 
 
-def _cycle_coordinates(chain, quandle):
-    """The chain's coordinate vector if d_n, kept with the reduction of
-    d_{n+1}, maps it to zero, else None: the one cycle test.  The limits
-    are checked first, cycle or not; the tuples are trusted."""
-    _check_limits(quandle, chain.degree)
-    vec = coordinates(chain, quandle)
-    if chain.degree >= 2 and any(boundary_columns(quandle, chain.degree).apply(vec)):
-        return None
-    return vec
+def _cycle_test(quandle, degree):
+    """The one cycle test, bound to a quandle and a degree n: the limits
+    are checked and d_n, kept with the reduction of d_{n+1}, is fetched
+    once, here, cycle or not.  The test maps a degree-n chain to its
+    coordinate vector if d_n maps that to zero, else to None; the tuples
+    are trusted."""
+    _check_limits(quandle, degree)
+    if degree < 2:
+        return lambda chain: coordinates(chain, quandle)
+    apply = boundary_columns(quandle, degree).apply
+
+    def test(chain):
+        vec = coordinates(chain, quandle)
+        return None if any(apply(vec)) else vec
+
+    return test
 
 
 def is_null_homologous(chain, quandle):
@@ -146,7 +155,7 @@ def is_null_homologous(chain, quandle):
     """
     _check_limits(quandle, chain.degree)
     _check_tuples(chain, quandle)  # the one degeneracy and range check
-    if (vec := _cycle_coordinates(chain, quandle)) is None:
+    if (vec := _cycle_test(quandle, chain.degree)(chain)) is None:
         bd = boundary_quandle(chain, quandle)
         raise NotACycleError(f"chain has nonzero quandle boundary: {bd!r}")
     up = chain.degree + 1

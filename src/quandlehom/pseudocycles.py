@@ -7,20 +7,28 @@ verdicts memoized by the sign-normalized coordinate vector; one pass over
 the pseudo-cycles finds the maximum disjoint family.  Enumeration reads
 each point's (colors, sign) term once, in id order, and drops a degenerate
 one there, keeping its bit; degenerate tuples span a subcomplex, so the
-chain each subset builds straight from the mask bits is already projected.
-It builds a subset's id tuple only to list it.  chain_of, which looks the
-ids up, serves the CLI and is_pseudo_cycle, which projects its result.
+chain each subset builds from its terms is already projected.
+
+The walk splits the id-sorted points into the low h = k // 2 and the rest,
+and lists, once per half, the terms of each of its 2^h or 2^(k-h) masks,
+each list one term longer than a list before it.  It walks the high masks
+in the outer loop and the low ones in the inner loop, so the masks
+hi << h | lo come in ascending order, and a subset's chain is built from
+its low list followed by its high one: its terms in bit order.  It builds
+a subset's id tuple only to list it.  chain_of, which looks the ids up,
+serves the CLI and is_pseudo_cycle, which projects its result.
 
 A subset's projected chain goes through homology's one cycle test, the
 one is_null_homologous runs: d_3, kept in the quandle's store, must map
 its coordinate vector to zero, and no boundary chain is built per subset.
 No subset is checked again: the test trusts the tuples, which the dataset
 checked as points, and only is_null_homologous, run once per new verdict,
-checks its chain's tuples.
-That test checks the limits of homology_group before d_3 is first read,
-so a dataset whose d_4 is over them is refused at its first subset with
-a nonzero projected chain; one whose subsets all project to zero is
-still reported.
+checks its chain's tuples.  The search binds the test once, before its
+tables, which checks the limits of homology_group and fetches d_3 then,
+and only if some point is non-degenerate: exactly when some subset's
+projected chain is nonzero.  So a dataset whose d_4 is over the limits is
+refused before any subset is visited if it has a non-degenerate point, and
+is reported, with no pseudo-cycle, if it has none.
 
 Each triple point is validated once: TriplePoint checks its fields, the
 dataset checks unique ids and color range, and dataset_from_json checks the
@@ -42,12 +50,13 @@ test rest.bit_count() // smallest candidate size runs before bound(rest).
 """
 
 from collections import namedtuple
+from itertools import product
 
 from .chains import Chain, is_degenerate, project_quandle
 from .errors import (
     EnumerationCapError, QuandleAxiomError, SchemaError, UnknownIdError, _CheckedMake, expect_keys,
 )
-from .homology import _cycle_coordinates, is_null_homologous
+from .homology import _cycle_test, is_null_homologous
 from .quandle import Quandle
 
 # the enumeration cap: 2^20 - 1 subsets
@@ -183,18 +192,6 @@ def chain_of(subset, dataset):
     return Chain._from_checked(3, [(pt.colors, pt.sign) for pt in points])
 
 
-def _pseudo_cycle_test(chain, quandle, verdicts):
-    # the pseudo-cycle predicate on a projected chain; null-homology
-    # verdicts go in `verdicts`, keyed by the coordinate vector negated to
-    # a positive first nonzero entry, so that c and -c share one entry
-    if not chain or (vec := _cycle_coordinates(chain, quandle)) is None:
-        return False
-    key = tuple(vec) if next(filter(None, vec)) > 0 else tuple(-e for e in vec)
-    if key not in verdicts:
-        verdicts[key] = is_null_homologous(chain, quandle)
-    return not verdicts[key]
-
-
 def is_pseudo_cycle(subset, dataset):
     """True iff the subset's chain, viewed in the quandle complex, is a
     cycle that is not homologous to zero.
@@ -205,7 +202,19 @@ def is_pseudo_cycle(subset, dataset):
     nonzero projected chain over a quandle whose d_4 is over the limits of
     homology_group raises ResourceLimitError, cycle or not.
     """
-    return _pseudo_cycle_test(project_quandle(chain_of(subset, dataset)), dataset.quandle, {})
+    chain, quandle = project_quandle(chain_of(subset, dataset)), dataset.quandle
+    return (bool(chain) and _cycle_test(quandle, 3)(chain) is not None
+            and not is_null_homologous(chain, quandle))
+
+
+def _half_table(terms):
+    # the term lists of every mask over `terms`, indexed by mask: the masks
+    # that hold the last point follow those that do not, with its term
+    # appended unless it is degenerate (None), so each list is in bit order
+    table = [[]]
+    for term in terms:
+        table += table if term is None else [pairs + [term] for pairs in table]
+    return table
 
 
 def enumerate_pseudo_cycles(dataset):
@@ -219,15 +228,29 @@ def enumerate_pseudo_cycles(dataset):
             f"dataset has {k} triple points, enumeration cap is "
             f"DEFAULT_POINT_CAP = {DEFAULT_POINT_CAP}"
         )
-    # the projection: the non-degenerate terms, each with its bit index
-    kept = [(i, (pt.colors, pt.sign)) for i, pt in enumerate(map(dataset.point, ids))
-            if not is_degenerate(pt.colors)]
+    # the projection: each point's term, None for a degenerate one
+    terms = [None if is_degenerate(pt.colors) else (pt.colors, pt.sign)
+             for pt in map(dataset.point, ids)]
+    if not any(terms):
+        return []
     quandle = dataset.quandle
+    cycle_test = _cycle_test(quandle, 3)
+    h = k // 2
+    low, high = _half_table(terms[:h]), _half_table(terms[h:])
+    # null-homology verdicts, keyed by the coordinate vector negated to a
+    # positive first nonzero entry, so that c and -c share one entry
     verdicts = {}
     found = []
-    for mask in range(1, 1 << k):
-        chain = Chain._from_checked(3, [t for i, t in kept if mask >> i & 1])
-        if _pseudo_cycle_test(chain, quandle, verdicts):
+    walk = enumerate(product(high, low))  # mask hi << h | lo, ascending
+    next(walk)  # the empty subset
+    for mask, (high_pairs, low_pairs) in walk:
+        chain = Chain._from_checked(3, low_pairs + high_pairs)
+        if not chain or (vec := cycle_test(chain)) is None:
+            continue
+        key = tuple(vec) if next(filter(None, vec)) > 0 else tuple(-e for e in vec)
+        if key not in verdicts:
+            verdicts[key] = is_null_homologous(chain, quandle)
+        if not verdicts[key]:
             found.append(tuple(pid for i, pid in enumerate(ids) if mask >> i & 1))
     return found
 

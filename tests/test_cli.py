@@ -475,7 +475,7 @@ class TestResourceGuards:
 
     @staticmethod
     def built(*args):
-        raise AssertionError("a table, basis, boundary matrix or subset chain was built")
+        raise AssertionError("a table, basis, boundary matrix or half table was built")
 
     @pytest.fixture(autouse=True)
     def nothing_built(self, monkeypatch):
@@ -483,8 +483,8 @@ class TestResourceGuards:
             monkeypatch.setattr(module, "boundary_columns", self.built)
         for name in ("quandle_basis", "_cells", "matrix_of_boundary"):
             monkeypatch.setattr(chains, name, self.built)
-        # the search builds its subset chains without chain_of
-        for name in ("chain_of", "_pseudo_cycle_test"):
+        # what the search builds before its first subset
+        for name in ("_half_table", "_cycle_test"):
             monkeypatch.setattr(pseudocycles, name, self.built)
 
     def refused(self, capsys, argv, limit):
@@ -553,6 +553,7 @@ R9_CYCLE = {
 def test_null_homology_guard_exits_2(capsys, tmp_path, monkeypatch, command, flag):
     for module in (chains, homology):
         monkeypatch.setattr(module, "boundary_columns", TestResourceGuards.built)
+    monkeypatch.setattr(pseudocycles, "_half_table", TestResourceGuards.built)
     monkeypatch.setattr(chains, "matrix_of_boundary", TestResourceGuards.built)
     path = write_json(tmp_path / "r9.json", R9_CYCLE)
     code, out, err = run(capsys, command, flag, path)
@@ -564,9 +565,10 @@ def test_null_homology_guard_exits_2(capsys, tmp_path, monkeypatch, command, fla
 
 def test_nonzero_subset_chain_over_r8_exits_2(capsys, tmp_path, monkeypatch):
     # one non-degenerate point is no cycle, but its chain is nonzero, so
-    # the limits of d_4 are checked before d_3 is read
+    # the limits of d_4 are checked before d_3 is read or a half table built
     for module in (chains, homology):
         monkeypatch.setattr(module, "boundary_columns", TestResourceGuards.built)
+    monkeypatch.setattr(pseudocycles, "_half_table", TestResourceGuards.built)
     doc = {
         "quandle": {"kind": "dihedral", "order": 8},
         "triple_points": [{"id": "a", "sign": 1, "colors": [0, 1, 2]}],

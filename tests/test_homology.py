@@ -261,6 +261,10 @@ class TestIsNullHomologous:
     def test_non_cycle_is_an_error_not_false(self, r3):
         with pytest.raises(NotACycleError):
             is_null_homologous(Chain.generator((2, 0, 2)), r3)
+        # d_2 (0, 1) = (0 * 1) - (0) is nonzero; d_1 is zero
+        with pytest.raises(NotACycleError):
+            is_null_homologous(Chain.generator((0, 1)), r3)
+        assert is_null_homologous(Chain.generator((0,)), r3) is False
 
     def test_degenerate_generator_rejected(self, r3):
         with pytest.raises(DegenerateGeneratorError):

@@ -18,7 +18,7 @@ from quandlehom import (
     pseudo_cycle_report,
 )
 from quandlehom import homology, pseudocycles
-from quandlehom.chains import boundary_rack, project_quandle
+from quandlehom.chains import boundary_rack, is_degenerate, project_quandle
 from quandlehom.errors import (
     EnumerationCapError, ResourceLimitError, SchemaError, UnknownIdError
 )
@@ -121,6 +121,23 @@ class TestRefusal:
         assert is_pseudo_cycle({"a", "b", "c"}, ds) is False
         assert is_pseudo_cycle(set(), ds) is False
 
+    def test_a_search_over_degenerate_points_only_is_answered(self):
+        ds = make_dataset([("a", 1, (3, 3, 1)), ("b", -1, (0, 5, 5))], order=8)
+        assert enumerate_pseudo_cycles(ds) == []
+        assert pseudo_cycle_report(ds) == PseudoCycleReport((), 0, 0, ())
+
+    def test_a_search_with_a_non_degenerate_point_is_refused_before_its_tables(self, monkeypatch):
+        # every subset of a and b projects to zero or to no cycle, but the
+        # search is refused as a whole, before its half tables are built
+        def built(*args):
+            raise AssertionError("a half table was built")
+
+        monkeypatch.setattr(pseudocycles, "_half_table", built)
+        ds = make_dataset([("a", 1, (0, 1, 2)), ("b", -1, (0, 1, 2)), ("c", 1, (3, 3, 1))], order=8)
+        for search in (enumerate_pseudo_cycles, pseudo_cycle_report):
+            with pytest.raises(ResourceLimitError, match="392x2744 boundary matrix d_4"):
+                search(ds)
+
 
 class TestEnumerate:
     def test_bundled_dprime_exactly_two(self, dprime_dataset):
@@ -218,10 +235,10 @@ class TestEnumerate:
 
     def test_cap_enforced(self, monkeypatch):
         def visited(*args):
-            raise AssertionError("a subset was visited")
+            raise AssertionError("a half table or the cycle test was built")
 
-        monkeypatch.setattr(pseudocycles, "chain_of", visited)
-        monkeypatch.setattr(pseudocycles, "_pseudo_cycle_test", visited)
+        for name in ("_half_table", "_cycle_test"):
+            monkeypatch.setattr(pseudocycles, name, visited)
         points = [(f"p{i:02d}", 1, (0, 1, 2)) for i in range(21)]
         ds = make_dataset(points)
         with pytest.raises(EnumerationCapError) as exc:
@@ -229,6 +246,86 @@ class TestEnumerate:
         assert str(exc.value) == (
             "dataset has 21 triple points, enumeration cap is DEFAULT_POINT_CAP = 20"
         )
+
+
+def oracle_enumerate(dataset, null_test):
+    """The search as it was before the half tables: each mask's chain is
+    built from the non-degenerate terms whose bit it holds, and each goes
+    through the one cycle test; null_test is called once per new
+    sign-normalized coordinate vector."""
+    ids = dataset.sorted_ids()
+    kept = [(i, (pt.colors, pt.sign)) for i, pt in enumerate(map(dataset.point, ids))
+            if not is_degenerate(pt.colors)]
+    quandle = dataset.quandle
+    verdicts = {}
+    found = []
+    for mask in range(1, 1 << len(ids)):
+        chain = Chain._from_checked(3, [t for i, t in kept if mask >> i & 1])
+        if not chain or (vec := homology._cycle_test(quandle, 3)(chain)) is None:
+            continue
+        key = tuple(vec) if next(filter(None, vec)) > 0 else tuple(-e for e in vec)
+        if key not in verdicts:
+            verdicts[key] = null_test(chain, quandle)
+        if not verdicts[key]:
+            found.append(tuple(pid for i, pid in enumerate(ids) if mask >> i & 1))
+    return found
+
+
+def split_dataset(k):
+    """k points over R3: degenerate ones at bits h - 1 and h, h = k // 2, a
+    cancelling pair at bits h - 2 and h + 1, across the split, and the
+    terms of cbar1 and -cbar1 at the other bits."""
+    h = k // 2
+    special = {h - 1: (1, (0, 0, 1)), h: (-1, (1, 2, 2)),
+               h - 2: (1, (0, 1, 2)), h + 1: (-1, (0, 1, 2))}
+    others = [(1, (2, 0, 2)), (1, (2, 1, 0)), (-1, (2, 0, 2)), (-1, (2, 1, 0))]
+    points, n = [], 0
+    for i in range(k):
+        if i in special:
+            sign, colors = special[i]
+        else:
+            (sign, colors), n = others[n % 4], n + 1
+        points.append((f"p{i}", sign, colors))
+    return make_dataset(points)
+
+
+class TestHalfTables:
+    @pytest.mark.parametrize("k", range(10))
+    def test_the_split_walk_matches_the_per_mask_walk(self, monkeypatch, k):
+        ds = split_dataset(k)
+        expected_queries, queries, sizes = [], [], []
+
+        def expected_query(chain, quandle):
+            expected_queries.append(chain)
+            return is_null_homologous(chain, quandle)
+
+        def query(chain, quandle):
+            queries.append(chain)
+            return is_null_homologous(chain, quandle)
+
+        def counted_table(terms):
+            table = half_table(terms)
+            sizes.append(len(table))
+            return table
+
+        half_table = pseudocycles._half_table
+        monkeypatch.setattr(pseudocycles, "is_null_homologous", query)
+        monkeypatch.setattr(pseudocycles, "_half_table", counted_table)
+        expected = oracle_enumerate(ds, expected_query)
+        assert enumerate_pseudo_cycles(ds) == expected
+        assert queries == expected_queries
+        # k <= 2 leaves only degenerate points, and no table is built
+        h = k // 2
+        assert sizes == ([2 ** h, 2 ** (k - h)] if k > 2 else [])
+        # from k = 6 on, cbar1's terms sit at bits 0 and k - 1
+        assert bool(expected) == bool(queries) == (k >= 6)
+
+    def test_each_list_holds_its_mask_terms_in_bit_order(self):
+        terms = [("a", 1), None, ("c", -1)]
+        assert pseudocycles._half_table(terms) == [
+            [], [("a", 1)], [], [("a", 1)], [("c", -1)], [("a", 1), ("c", -1)],
+            [("c", -1)], [("a", 1), ("c", -1)],
+        ]
 
 
 class TestMaxDisjointPacking:
