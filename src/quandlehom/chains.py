@@ -34,6 +34,11 @@ reductions: the G-columns, whose cell ends in the generating set G that the
 quandle module defines, less the rows paired below, written straight into row
 dicts and column sets, and not kept: a reduction builds no column dict and
 transposes nothing.
+
+Each public entry that takes a chain checks its tuples against the quandle
+once, with _check_tuples, after its degree or limit check.  The package's
+own loops trust the chains they build: the cycle test folds each one to its
+cell indices with _coordinates, which is coordinates without that check.
 """
 
 import sys
@@ -254,6 +259,13 @@ def _faces(tup, table):
         yield tuple([table[x][xi] for x in head]) + tail, -c
 
 
+def _rack_boundary(chain, table):
+    """boundary_rack's chain, with the tuples trusted; table is quandle.table."""
+    terms = chain._terms.items()
+    return Chain._from_checked(chain.degree - 1, (
+        (face, c * coeff) for tup, coeff in terms for face, c in _faces(tup, table)))
+
+
 def boundary_rack(chain, quandle):
     """Rack boundary of a chain, by linear extension of the generator
     formula in the module docstring.
@@ -264,28 +276,14 @@ def boundary_rack(chain, quandle):
     """
     if chain.degree < 2:
         raise DegreeError(f"boundary requires degree >= 2, got {chain.degree}")
-    n = chain.degree
-    order = quandle.order
-    table = quandle.table
-
-    def terms():
-        for tup, coeff in chain._terms.items():
-            if max(tup) >= order:
-                raise QuandleMismatchError(
-                    f"tuple entry {max(tup)} out of range for quandle of order {order}"
-                )
-            for face, c in _faces(tup, table):
-                yield face, c * coeff
-
-    return Chain._from_checked(n - 1, terms())
+    _check_tuples(chain, quandle, rack=True)
+    return _rack_boundary(chain, quandle.table)
 
 
 def project_quandle(chain):
     """Project into the quandle complex by dropping degenerate generators."""
-    return Chain._from_checked(
-        chain.degree,
-        ((t, c) for t, c in chain._terms.items() if not is_degenerate(t)),
-    )
+    terms = chain._terms.items()
+    return Chain._from_checked(chain.degree, ((t, c) for t, c in terms if not is_degenerate(t)))
 
 
 def boundary_quandle(chain, quandle):
@@ -294,12 +292,10 @@ def boundary_quandle(chain, quandle):
     The input must already live in the quandle complex; a degenerate
     generator is a contract violation, not a value to be silently dropped.
     """
-    for tup in chain.support():
-        if is_degenerate(tup):
-            raise DegenerateGeneratorError(
-                f"generator {tup} has two equal adjacent entries"
-            )
-    return project_quandle(boundary_rack(chain, quandle))
+    if chain.degree < 2:
+        raise DegreeError(f"boundary requires degree >= 2, got {chain.degree}")
+    _check_tuples(chain, quandle)
+    return project_quandle(_rack_boundary(chain, quandle.table))
 
 
 def quandle_basis(quandle, degree):
@@ -450,14 +446,13 @@ def matrix_of_boundary(quandle, degree):
     return IntMatrix._from_rows(data, sparse.cols)
 
 
-def _check_tuples(chain, quandle):
-    """The check that coordinates trusts, for a chain from outside the
-    package: in sorted tuple order, a degenerate tuple raises
-    DegenerateGeneratorError, and then one out of the quandle's range
-    QuandleMismatchError."""
+def _check_tuples(chain, quandle, rack=False):
+    """The check of a chain from outside against a quandle, in sorted tuple
+    order: a degenerate tuple raises DegenerateGeneratorError, unless `rack`,
+    and then one out of the quandle's range QuandleMismatchError."""
     n = quandle.order
     for tup in chain.support():
-        if is_degenerate(tup):
+        if not rack and is_degenerate(tup):
             raise DegenerateGeneratorError(
                 f"generator {tup} is degenerate, not a quandle-basis element"
             )
@@ -466,11 +461,15 @@ def _check_tuples(chain, quandle):
 
 
 def coordinates(chain, quandle):
-    """Coordinate vector of a quandle-complex chain in its degree basis.
+    """Coordinate vector of a quandle-complex chain in its degree basis,
+    after _check_tuples."""
+    _check_tuples(chain, quandle)
+    return _coordinates(chain, quandle)
 
-    Trusts the chain's tuples to be non-degenerate and in the quandle's
-    range, as those of a checked dataset's points, projected, are; a chain
-    from outside goes through _check_tuples first.  Each tuple sets its own
+
+def _coordinates(chain, quandle):
+    """coordinates without the check, for a chain built from checked tuples,
+    such as a checked dataset's points, projected.  Each tuple sets its own
     entry, so the terms are read unsorted."""
     step = quandle.order - 1
     vec = [0] * _cell_count(quandle, chain.degree)

@@ -8,6 +8,8 @@ each 4-tuple's boundary is read from chains._faces, the one place that
 formula is written.
 It pairs only the non-degenerate 4-tuples, those of quandle_basis(q, 4)
 in lexicographic order, generated one at a time so that none is kept.
+pair checks a chain from outside and then sums it with _pair, the pairing
+kernel, which the check runs alone on each face chain it builds.
 Degenerate tuples span a subcomplex of the rack complex, so a degenerate
 4-tuple's projected boundary is the zero chain and pairs to 0 with every
 table (Carter, Jelsovsky, Kamada, Langford and Saito, 2003).  It can never
@@ -27,8 +29,8 @@ three-element dihedral quandle.
 from collections import namedtuple
 from itertools import product
 
-from .chains import Chain, _faces, _nondegenerate, project_quandle
-from .errors import CocycleValidationError, DegreeError, QuandleMismatchError
+from .chains import Chain, _check_tuples, _faces, _nondegenerate, project_quandle
+from .errors import CocycleValidationError, DegreeError
 from .quandle import Quandle
 
 
@@ -116,16 +118,14 @@ def pair(cocycle, chain):
     """
     if chain.degree != 3:
         raise DegreeError(f"pairing requires a degree-3 chain, got {chain.degree}")
-    n = cocycle.quandle.order
+    _check_tuples(chain, cocycle.quandle, rack=True)
+    return _pair(cocycle, chain)
+
+
+def _pair(cocycle, chain):
+    """The pairing kernel: pair's sum, with the tuples trusted."""
     values = cocycle._values
-    total = 0
-    for (x, y, z), coeff in chain._terms.items():
-        if max(x, y, z) >= n:
-            raise QuandleMismatchError(
-                f"tuple {(x, y, z)} is not over a quandle of order {n}"
-            )
-        total += coeff * values[x][y][z]
-    return total % cocycle.modulus
+    return sum(c * values[x][y][z] for (x, y, z), c in chain._terms.items()) % cocycle.modulus
 
 
 class CocycleCheck(namedtuple("CocycleCheck", "ok witness")):
@@ -157,9 +157,9 @@ def is_quandle_3cocycle(cocycle):
             return CocycleCheck(False, (x, x, y))
         if values[x][y][y] != 0:
             return CocycleCheck(False, (x, y, y))
-    for gen in _nondegenerate(n, 4):  # in range, so _faces needs no check
+    for gen in _nondegenerate(n, 4):  # in range, so _faces and _pair need no check
         bd = project_quandle(Chain._from_checked(3, _faces(gen, q.table)))
-        if pair(cocycle, bd) != 0:
+        if _pair(cocycle, bd) != 0:
             return CocycleCheck(False, gen)
     return CocycleCheck(True, None)
 

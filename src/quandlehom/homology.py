@@ -40,22 +40,21 @@ tested on its coordinate vector alone.  It is a cycle iff d_n z = 0, read
 off the full d_n by the one cycle test.  The test is bound to a quandle and
 a degree: binding it checks the limits and fetches d_n once, so the
 pseudo-cycle search binds it once and runs it on every subset.  The test
-trusts the chain's tuples: is_null_homologous, the one
-entry for a chain from outside, checks them once (chains._check_tuples),
-after the limits and before the test, and the search's chains are built
-from checked points.  A cycle bounds iff the vector lies in the integer
-image of d_{n+1}, a query on the kept reduction of d_{n+1}: the preimage
-it finds is 0 off the G-columns, and is checked on every row against the
-full d_{n+1}, which chains keeps with the Quandle object like every
-boundary matrix (H_{n+1} builds it anyway, as d_{n+2} is built from it).
+reads the tuples unchecked (chains._coordinates): is_null_homologous checks
+them once, after the limits, with chains._check_tuples, and the search's
+chains are built from checked points.  A cycle bounds iff the vector lies
+in the integer image of d_{n+1}, a query on the kept reduction of d_{n+1}:
+the preimage it finds is 0 off the G-columns, and is checked on every row
+against the full d_{n+1}, which chains keeps with the Quandle object like
+every boundary matrix (H_{n+1} builds it anyway, as d_{n+2} is built from it).
 """
 
 from collections import namedtuple
 
 from . import intlinalg
 from .chains import (
-    _cell_count, _check_limits, _check_tuples, _rows, boundary_columns, boundary_quandle,
-    coordinates,
+    _cell_count, _check_limits, _check_tuples, _coordinates, _rows, boundary_columns,
+    boundary_quandle,
 )
 from .errors import DegreeError, NotACycleError, _CheckedMake
 from .quandle import _memoized
@@ -134,11 +133,11 @@ def _cycle_test(quandle, degree):
     are trusted."""
     _check_limits(quandle, degree)
     if degree < 2:
-        return lambda chain: coordinates(chain, quandle)
+        return lambda chain: _coordinates(chain, quandle)
     apply = boundary_columns(quandle, degree).apply
 
     def test(chain):
-        vec = coordinates(chain, quandle)
+        vec = _coordinates(chain, quandle)
         return None if any(apply(vec)) else vec
 
     return test

@@ -1,12 +1,12 @@
 """Every pinned CLI output is an entry of golden.json: an argv, its input and
 what the run must give (exit code, stdout and stderr sha256, and for a
 pseudo-cycle report its count, witness and distinct count).  "{input}" in
-the argv is the input's path: a bundled data file, an inline dataset or a
-seeded paired R3 dataset from bench/inputs.py.  tests/test_cli.py runs the
-entries not marked "slow" in-process; `python tests/golden.py` runs every
-entry through `python -m quandlehom`, 300 s each at most, prints each one's
-time, checks that bench/gate.py pins the same verify-paper stdout, and
-exits 1 naming each entry that differs.
+the argv is the input's path: a bundled data file, an inline dataset or
+chain, or a seeded paired R3 dataset from bench/inputs.py.
+tests/test_cli.py runs the entries not marked "slow" in-process;
+`python tests/golden.py` runs every entry through `python -m quandlehom`,
+300 s each at most, prints each one's time, checks that bench/gate.py pins
+the same verify-paper stdout, and exits 1 naming each entry that differs.
 """
 
 import hashlib
@@ -36,8 +36,8 @@ def argv(entry, directory):
     path = Path(directory, "input.json")
     if "bundled" in source:
         path = ROOT / "src" / "quandlehom" / "data" / source["bundled"]
-    elif "dataset" in source:
-        path.write_text(json.dumps(source["dataset"]))
+    elif inline := source.get("dataset") or source.get("chain"):
+        path.write_text(json.dumps(inline))
     elif "paired_points" in source:
         import inputs  # from bench/, which main puts on sys.path
         seed, k = source["paired_points"]

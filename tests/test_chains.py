@@ -13,7 +13,10 @@ from quandlehom import (
     chains,
     homology,
     is_degenerate,
+    is_null_homologous,
     matrix_of_boundary,
+    mochizuki_theta_p,
+    pair,
     project_quandle,
     quandle_basis,
 )
@@ -148,7 +151,7 @@ class TestBoundaryRack:
         with pytest.raises(QuandleMismatchError) as exc:
             boundary_rack(Chain.generator((0, 5)), r3)
         assert isinstance(exc.value, ValueError)
-        assert str(exc.value) == "tuple entry 5 out of range for quandle of order 3"
+        assert str(exc.value) == "tuple (0, 5) out of range for quandle of order 3"
 
     def test_linearity_on_random_combinations(self, r3):
         rng = random.Random(7)
@@ -217,6 +220,60 @@ class TestBoundaryQuandle:
             boundary_quandle(Chain.generator((1, 1, 2)), r3)
 
 
+# every public entry that takes a chain over a quandle: (call, whether the
+# entry works in the rack complex, where a degenerate tuple is a generator)
+CHECKED_ENTRIES = {
+    "boundary_rack": (boundary_rack, True),
+    "boundary_quandle": (boundary_quandle, False),
+    "pair": (lambda chain, q: pair(mochizuki_theta_p(q.order), chain), True),
+    "coordinates": (chains.coordinates, False),
+    "is_null_homologous": (is_null_homologous, False),
+}
+# a chain that each entry refuses by its degree or limit check, which comes
+# before the tuple check: its tuple is out of range too
+WRONG_DEGREE = {
+    "boundary_rack": ((5,), DegreeError),
+    "boundary_quandle": ((5,), DegreeError),
+    "pair": ((5, 5), DegreeError),
+    "is_null_homologous": ((5,) * 17, ResourceLimitError),
+}
+
+
+def bad_chains():
+    """(entry, tuples, error, message) for each entry and each bad chain on
+    R3; error is None where the entry accepts the chain, message None where
+    only the class is pinned."""
+    out_of_range = "tuple {} out of range for quandle of order 3"
+    degenerate = "generator {} is degenerate, not a quandle-basis element"
+    for entry, (_, rack) in CHECKED_ENTRIES.items():
+        yield pytest.param(entry, [(0, 4, 0)], QuandleMismatchError,
+                           out_of_range.format((0, 4, 0)), id=f"{entry}-out-of-range")
+        if rack:
+            yield pytest.param(entry, [(0, 0, 1)], None, None, id=f"{entry}-degenerate")
+        else:
+            yield pytest.param(entry, [(0, 0, 1)], DegenerateGeneratorError,
+                               degenerate.format((0, 0, 1)), id=f"{entry}-degenerate")
+        # in sorted order the out-of-range tuple comes before the degenerate one
+        yield pytest.param(entry, [(1, 1, 0), (0, 5, 0)], QuandleMismatchError,
+                           out_of_range.format((0, 5, 0)), id=f"{entry}-sorted-order")
+        if entry in WRONG_DEGREE:
+            tup, error = WRONG_DEGREE[entry]
+            yield pytest.param(entry, [tup], error, None, id=f"{entry}-degree-first")
+
+
+class TestOneTupleCheck:
+    @pytest.mark.parametrize("entry, tuples, error, message", bad_chains())
+    def test_a_bad_chain_is_refused_alike(self, r3, entry, tuples, error, message):
+        call = CHECKED_ENTRIES[entry][0]
+        chain = Chain(len(tuples[0]), [(t, 1) for t in tuples])
+        if error is None:
+            call(chain, r3)
+            return
+        with pytest.raises(error) as exc:
+            call(chain, r3)
+        assert message is None or str(exc.value) == message
+
+
 class TestQuandleBasis:
     def test_r3_basis_counts_by_direct_enumeration(self, r3):
         for degree in (1, 2, 3, 4):
@@ -271,8 +328,8 @@ class TestQuandleBasis:
         r1 = Quandle.from_table(trivial_table(1))
         assert chains._cells(r1, 200) == ((), ((),), ((),))
         assert chains.coordinates(Chain.zero(200), r1) == []
-        # coordinates trusts its tuples; the check that is_null_homologous
-        # runs finds the degenerate one, after the degree limit refuses it
+        # the tuple check finds the degenerate one; is_null_homologous
+        # refuses it by the degree limit, which comes first
         degenerate = Chain.generator((0,) * 200)
         with pytest.raises(DegenerateGeneratorError, match=r"generator \(0, 0, 0, .*\) is degenerate"):
             chains._check_tuples(degenerate, r1)

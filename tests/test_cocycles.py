@@ -20,7 +20,7 @@ from quandlehom import (
     project_quandle,
     quandle_basis,
 )
-from quandlehom import cocycles
+from quandlehom import chains, cocycles
 from quandlehom.cocycles import CocycleCheck
 from quandlehom.errors import DegreeError, QuandleMismatchError, ResourceLimitError
 
@@ -118,18 +118,33 @@ class TestNonDegenerateScan:
 
     def test_a_passing_check_pairs_each_nondegenerate_quadruple_once(self, theta, monkeypatch):
         paired = []
+        kernel = cocycles._pair
 
         def recording_pair(cocycle, chain):
             paired.append(chain)
-            return pair(cocycle, chain)
+            return kernel(cocycle, chain)
 
-        monkeypatch.setattr(cocycles, "pair", recording_pair)
+        monkeypatch.setattr(cocycles, "_pair", recording_pair)
         assert is_quandle_3cocycle(theta).ok
         q = theta.quandle
         assert len(paired) == 24
         assert paired == [
             project_quandle(boundary_rack(Chain.generator(gen), q)) for gen in quandle_basis(q, 4)
         ]
+
+    def test_the_check_runs_no_tuple_check(self, monkeypatch):
+        # the face chains are built in range from the quandle's own table
+        checks = []
+        check = chains._check_tuples
+
+        def counted_check(*args, **kwargs):
+            checks.append(args)
+            return check(*args, **kwargs)
+
+        for module in (chains, cocycles):
+            monkeypatch.setattr(module, "_check_tuples", counted_check)
+        assert is_quandle_3cocycle(mochizuki_theta_p(5)).ok
+        assert checks == []
 
 
 def relabelled(cocycle, q, sigma):
